@@ -26,6 +26,7 @@ __all__ = [
     "induced_2norm",
     "singular_values",
     "inverse",
+    "rk4_propagator",
 ]
 
 # Relative threshold below which a singular value counts as zero.
@@ -171,3 +172,20 @@ def inverse(a) -> np.ndarray:
             f"matrix is singular to working precision (smin={sv[-1]:.3e}, smax={sv[0]:.3e})"
         )
     return np.linalg.inv(a)
+
+
+def rk4_propagator(a, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The one-step map of classical RK4 on ``ydot = A y + c``.
+
+    One RK4 step of size h on that system is exactly
+    ``y <- T y + S c`` with ``T = T4(hA)`` and ``S = h S3(hA)``, where
+    ``T4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24`` and
+    ``S3(z) = 1 + z/2 + z^2/6 + z^3/24``, so ``T = I + hA S3(hA)``.
+    This is RK4's own polynomial, not the matrix exponential.  A may be
+    a stack ``(..., m, m)``; T and S then have the same shape.
+    """
+    a = np.asarray(a, dtype=float)
+    eye = np.eye(a.shape[-1])
+    ha = h * a
+    s3 = eye + (ha / 2.0) @ (eye + (ha / 3.0) @ (eye + ha / 4.0))
+    return eye + ha @ s3, h * s3

@@ -1,13 +1,34 @@
 """Deterministic fixed-step simulation of the coupled control network.
 
 Integrates the plant, every active agent's observer and flow states,
-and the informer with classical RK4 at a fixed step, applying join and
-leave events between steps.  Leaving removes an agent's states and
+and the informer with classical RK4 at a fixed step h, applying join
+and leave events between steps.  Leaving removes an agent's states and
 edges without touching anyone else; joining inserts fresh states
 (zeros unless configured); survivors' integral states are never reset.
 
-Gains are refreshed once per step and held constant across the four
-stages, so traces are bit-reproducible for a given scenario.
+Gains are refreshed once per step, at t = step * h, and held constant
+across the four stages, so within a step the whole system is affine
+and splits in two:
+
+* The gain flow (Z, X), the dual flow (W, Y) and the size estimator
+  (psi, zeta and the informer) are linear time-invariant for a whole
+  interval and never read the plant or the observers.  RK4 on
+  ``ydot = A y + c`` is exactly ``y <- T4(hA) y + h S3(hA) c``
+  (:func:`matlib.rk4_propagator`), so each flow gets its one-step map
+  once per interval.  The two matrix flows are kept in the eigenbasis
+  of the agent-graph Laplacian, where they split into one system per
+  mode; each mode's map is a sum of 2 x 2 coefficients times powers of
+  the flow's n^2 x n^2 drift, so the maps of all modes take O(n^4)
+  memory.  The size estimator gets one small dense map.
+* Plant plus observers, of size n (N + 1), form one matrix per step,
+  built from every agent's frozen gains; :func:`rk4_step` advances it.
+
+The gains of all agents are refreshed together from ``(N, n, n)``
+stacks: the sample-and-hold inverse filters (:func:`agent.hold_inverse`),
+the gains (:func:`agent.stacked_gains`) and the coupling-gain formula
+(:func:`agent.threshold_gain`); each agent's row uses only its own
+states.  After every step a non-finite state raises IntegrationError
+with the step's time.  Traces are bit-reproducible for a given scenario.
 """
 
 from __future__ import annotations
@@ -20,10 +41,10 @@ from pathlib import Path
 import numpy as np
 
 from . import bass
-from .agent import AgentParams, ControlAgent
+from .agent import AgentParams, hold_inverse, sample_index, stacked_gains, threshold_gain
 from .consensus import INFORMER_ID
 from .graph import Graph, is_connected, laplacian
-from .matlib import min_real_part
+from .matlib import induced_2norm, min_real_part, rk4_propagator
 from .plant import Channel, PlantModel, is_controllable, is_observable, normalize_channel, normalize_plant
 
 __all__ = [
@@ -284,55 +305,6 @@ def validate_scenario(scenario: Scenario) -> list[Interval]:
 # the runner
 
 
-class _Layout:
-    """Slice map of the flat state vector for one interval."""
-
-    def __init__(self, mode: str, n: int, n_agents: int):
-        self.mode = mode
-        self.n = n
-        self.N = n_agents
-        at = 0
-
-        def take(k):
-            nonlocal at
-            sl = slice(at, at + k)
-            at += k
-            return sl
-
-        self.sx = take(n)
-        if mode in ("algorithm1", "static_gains"):
-            self.sxh = take(n_agents * n)
-        if mode in ("algorithm1", "state_feedback"):
-            self.sz = take(n_agents * n * n)
-            self.sX = take(n_agents * n * n)
-        if mode == "algorithm1":
-            self.sw = take(n_agents * n * n)
-            self.sy = take(n_agents * n * n)
-            self.spsi = take(n_agents)
-            self.szeta = take(n_agents)
-            self.sinf = take(2)  # informer (psi0, zeta0)
-        self.size = at
-
-    def views(self, y: np.ndarray) -> dict:
-        n, N = self.n, self.N
-        v = {"x": y[self.sx]}
-        if hasattr(self, "sxh"):
-            v["xh"] = y[self.sxh].reshape(N, n)
-        if hasattr(self, "sz"):
-            v["Z"] = y[self.sz].reshape(N, n, n)
-            v["X"] = y[self.sX].reshape(N, n, n)
-        if hasattr(self, "sw"):
-            v["W"] = y[self.sw].reshape(N, n, n)
-            v["Y"] = y[self.sy].reshape(N, n, n)
-            v["psi"] = y[self.spsi]
-            v["zeta"] = y[self.szeta]
-            v["inf"] = y[self.sinf]
-        return v
-
-
-_FIELD_SHAPES = ("xhat", "Z", "X", "W", "Y", "psi", "zeta")
-
-
 def _agent_state_zeros(n: int) -> dict:
     return {
         "xhat": np.zeros(n),
@@ -358,7 +330,111 @@ def _coerce_initial_state(n: int, init: dict | None) -> dict:
     return st
 
 
+def _fresh_agent(n: int, init: dict | None) -> dict:
+    """A joiner's rows: its initial states and two unsampled filters."""
+    st = _coerce_initial_state(n, init)
+    for f in ("phix", "phiy"):
+        st[f + "_held"] = np.eye(n)
+        st[f + "_svals"] = np.ones(n)
+        st[f + "_index"] = -1
+    return st
+
+
+def _pi_flow_propagator(drift, k, gamma, lam, forcing, h):
+    """Per-step map of one PI flow in the agent-Laplacian eigenbasis.
+
+    With Laplacian eigenvalues ``lam`` the flow ``Zdot_i = gamma sum_j
+    L_ij X_j``, ``Xdot_i = k (drift X_i + Q_i) - gamma sum_j L_ij (X_j +
+    Z_j)`` splits into one system per mode j over ``y_j = (vec Z_j,
+    vec X_j)``: ``ydot_j = (S_j (x) I + E (x) K) y_j + (0, k Q_j)`` with
+    ``S_j = gamma lam_j [[0, 1], [-1, -1]]``, ``E = [[0, 0], [0, 1]]``
+    and ``K = k drift`` (acting on row-major vec).  Every product of
+    those two terms is a 2 x 2 matrix times a power of K, so RK4's
+    polynomials are ``T4(h B_j) = sum_p C_jp (x) (hK)^p`` and
+    ``h S3(h B_j)`` likewise, p <= 4: the map needs the powers of hK,
+    shared by all modes, and 2 x 2 coefficients per mode.
+
+    Returns ``(powers, coef, offset)``: ``powers`` is ``[I, (hK)^T,
+    ..., ((hK)^4)^T]`` side by side, ``coef`` the ``C_jp`` of
+    ``T4(h B_j) - I`` as ``(N, 2, 2 * 5)`` over (a, (b, p)), and
+    ``offset`` the rows ``h S3(h B_j) (0, k Q_j)``.  One step is
+    ``y + (_apply_flow(powers, coef, y) + offset)``.  The increment is
+    formed without the identity: rounding T4 itself, which is within
+    O(h) of I, would move the fixed point of the map by about
+    ``eps / (h * rate)`` of |y|, 1e-12 on the demo's flows.
+    """
+    m = drift.shape[0]
+    hk = (h * k) * drift
+    powers = [np.eye(m)]
+    for _ in range(4):
+        powers.append(hk @ powers[-1])
+    powers = np.concatenate([q.T for q in powers], axis=1)
+    hs = (h * gamma) * lam[:, None, None] * np.array([[0.0, 1.0], [-1.0, -1.0]])
+    shift = np.array([[0.0, 0.0], [0.0, 1.0]])
+
+    def times_hb(c):  # h B_j times sum_p c_p (x) (hK)^p, by coefficients
+        out = hs[:, None] @ c
+        out[:, 1:] += shift @ c[:, :-1]
+        return out
+
+    one = np.zeros((lam.size, 5, 2, 2))
+    one[:, 0] = np.eye(2)
+    s3 = one + times_hb(one) / 4.0
+    s3 = one + times_hb(s3) / 3.0
+    s3 = one + times_hb(s3) / 2.0
+    step = times_hb(s3)  # T4(h B_j) - I, formed without the identity
+
+    def as_coef(c):
+        return c.transpose(0, 2, 3, 1).reshape(lam.size, 2, 10)
+
+    rhs = np.zeros((lam.size, 2 * m))
+    rhs[:, m:] = k * forcing
+    return powers, as_coef(step), _apply_flow(powers, as_coef(h * s3), rhs)
+
+
+def _apply_flow(powers, coef, y):
+    """``sum_p C_jp (x) (hK)^p`` applied to every row ``y_j``."""
+    n_modes, m = y.shape[0], powers.shape[0]
+    by_power = (y.reshape(2 * n_modes, m) @ powers).reshape(n_modes, 10, m)
+    return (coef @ by_power).reshape(n_modes, 2 * m)
+
+
+def _coupling(lap: np.ndarray, n: int) -> np.ndarray:
+    """``L (x) I_n`` laid out as ``(N, n, N, n)``."""
+    return lap[:, None, :, None] * np.eye(n)[None, :, None, :]
+
+
+def _observer_map(a, k0, jm, omega, geff, coupling):
+    """The frozen-gain matrix of plant plus observers over (x, xhat_1..N).
+
+    ``xdot = A x + sum_i K0_i xhat_i`` and
+    ``xhatdot_i = Omega_i xhat_i - Jm_i x - geff_i sum_j L_ij xhat_j``,
+    with ``coupling`` from :func:`_coupling`.
+    """
+    n_agents, n = k0.shape[0], a.shape[0]
+    g = np.empty((n_agents + 1, n, n_agents + 1, n))
+    g[0, :, 0, :] = a
+    g[0, :, 1:, :] = k0.transpose(1, 0, 2)
+    g[1:, :, 0, :] = -jm
+    obs = g[1:, :, 1:, :]
+    np.multiply(-geff[:, None, None, None], coupling, out=obs)
+    idx = np.arange(n_agents)
+    obs[idx, :, idx, :] += omega
+    size = (n_agents + 1) * n
+    return g.reshape(size, size)
+
+
 class _Runner:
+    """Fixed-step integration of one scenario; see the module docstring.
+
+    Inside an interval the run state is: ``state`` = (x, xhat_1..N) (x
+    alone in state_feedback mode), the gain and dual flows ``zx``,
+    ``wy`` as ``(N, 2 n^2)`` rows of modal coordinates, the size
+    estimator ``sz`` = (psi, zeta) over informer and agents, and the
+    stacked inverse-filter holds.  At an event the per-agent rows are
+    taken back to agent coordinates and restacked.
+    """
+
     def __init__(self, scenario: Scenario):
         self.s = scenario
         self.intervals = validate_scenario(scenario)
@@ -370,187 +446,199 @@ class _Runner:
         self.total_steps = int(round(scenario.solver.t_end / self.h))
         self.record_every = scenario.solver.record_every
         self.channels: dict[int, Channel] = {c.id: c for c in self.plant.channels}
-        self.agents: dict[int, ControlAgent] = {}
-        self.agent_states: dict[int, dict] = {}
-        beta = scenario.params.beta
-        self.M = self.A + beta * np.eye(self.n)
-
-    # -- membership bookkeeping ------------------------------------------
+        p = scenario.params
+        n = self.n
+        m_mat = self.A + p.beta * np.eye(n)
+        eye = np.eye(n)
+        # -(M X + X M^T) and -(M^T Y + Y M) on row-major vec
+        self.drift_x = -(np.kron(m_mat, eye) + np.kron(eye, m_mat))
+        self.drift_y = -(np.kron(m_mat.T, eye) + np.kron(eye, m_mat.T))
+        self.norm_a = induced_2norm(self.A)
 
     def _ensure_channel(self, aid: int, event: Event | None):
         if aid not in self.channels:
             chan = _channel_for(self.s, aid, event)
             self.channels[aid] = normalize_channel(chan)
 
-    def _make_agent(self, aid: int) -> ControlAgent:
-        mode = "state_feedback" if self.mode == "state_feedback" else "observer"
-        return ControlAgent(self.A, self.channels[aid], self.s.params, mode=mode)
+    # -- per-interval set-up ---------------------------------------------
 
-    def _pack(self, x: np.ndarray, actives: tuple[int, ...], informer: tuple[float, float]):
-        lay = _Layout(self.mode, self.n, len(actives))
-        y = np.zeros(lay.size)
-        v = lay.views(y)
-        v["x"][:] = x
-        for i, aid in enumerate(actives):
-            st = self.agent_states[aid]
-            if "xh" in v:
-                v["xh"][i] = st["xhat"]
-            if "Z" in v:
-                v["Z"][i] = st["Z"]
-                v["X"][i] = st["X"]
-            if "W" in v:
-                v["W"][i] = st["W"]
-                v["Y"][i] = st["Y"]
-                v["psi"][i] = st["psi"]
-                v["zeta"][i] = st["zeta"]
-        if "inf" in v:
-            v["inf"][:] = informer
-        return lay, y
-
-    def _unpack_to_states(self, lay: _Layout, y: np.ndarray, actives: tuple[int, ...]):
-        v = lay.views(y)
-        for i, aid in enumerate(actives):
-            st = self.agent_states[aid]
-            if "xh" in v:
-                st["xhat"] = v["xh"][i].copy()
-            if "Z" in v:
-                st["Z"] = v["Z"][i].copy()
-                st["X"] = v["X"][i].copy()
-            if "W" in v:
-                st["W"] = v["W"][i].copy()
-                st["Y"] = v["Y"][i].copy()
-                st["psi"] = float(v["psi"][i])
-                st["zeta"] = float(v["zeta"][i])
-        informer = tuple(v["inf"]) if "inf" in v else (0.0, 0.0)
-        return v["x"].copy(), informer
-
-    # -- per-interval constants -------------------------------------------
-
-    def _interval_setup(self, iv: Interval):
+    def _enter(self, iv: Interval, x: np.ndarray, agents: dict, informer) -> None:
+        """Build the interval's maps and load the state into them."""
+        p = self.s.params
+        n, h, mode = self.n, self.h, self.mode
         actives = iv.actives
-        nA = len(actives)
-        self.lapA = np.asarray(laplacian(iv.agent_graph), dtype=float)
-        if self.mode == "algorithm1":
-            self.lapB = np.asarray(laplacian(iv.graph), dtype=float)
-            self.drive_mask = np.ones(nA + 1)
-            self.drive_mask[0] = 0.0  # informer leaks instead of driving
+        n_agents = len(actives)
+        self.actives = actives
+        self.iv = iv
+        lap = np.asarray(laplacian(iv.agent_graph), dtype=float)
+        self.coupling = _coupling(lap, n)
         chans = [self.channels[a] for a in actives]
-        self.W2 = np.stack([2.0 * c.B @ c.B.T for c in chans])
-        self.C2 = np.stack([2.0 * c.C.T @ c.C for c in chans])
-        if self.mode == "static_gains":
+        self.scale = [c.input_scale for c in chans]
+        self.widths = [(c.m, c.p) for c in chans]
+        m_max = max(c.m for c in chans)
+        p_max = max(c.p for c in chans)
+        self.b = np.zeros((n_agents, n, m_max))
+        self.c = np.zeros((n_agents, p_max, n))
+        for i, ch in enumerate(chans):
+            self.b[i, :, : ch.m] = ch.B
+            self.c[i, : ch.p, :] = ch.C
+        self.hold = {k: agents[k] for k in agents if k.startswith("phi")}
+
+        xhat = agents["xhat"]
+        if mode == "state_feedback":
+            self.state = x.copy()
+        else:
+            self.state = np.concatenate([x, xhat.ravel()])
+
+        if mode == "static_gains":
             sg = self.s.static
             for a in actives:
                 if a not in sg.F or a not in sg.L:
                     raise ScenarioError(f"static gains missing for agent {a}")
-            self.K0 = np.stack(
-                [chans[i].B @ np.asarray(sg.F[a], dtype=float) for i, a in enumerate(actives)]
+            f = np.zeros((n_agents, m_max, n))
+            for i, a in enumerate(actives):
+                f[i, : chans[i].m] = np.asarray(sg.F[a], dtype=float)
+            jm = np.stack(
+                [n_agents * np.asarray(sg.L[a], dtype=float) @ chans[i].C for i, a in enumerate(actives)]
             )
-            self.Jm = np.stack(
-                [nA * np.asarray(sg.L[a], dtype=float) @ chans[i].C for i, a in enumerate(actives)]
+            k0 = self.b @ f
+            self.f = f
+            self.g = _observer_map(
+                self.A, k0, jm, self.A + n_agents * k0 + jm, np.full(n_agents, sg.gamma), self.coupling
             )
-            self.Omega = np.stack([self.A + nA * self.K0[i] + self.Jm[i] for i in range(nA)])
-            self.geff = np.full(nA, sg.gamma)
-            self.staticF = {a: np.asarray(sg.F[a], dtype=float) for a in actives}
+            return
 
-    def _refresh_gains(self, t: float, actives, v):
-        """Per-step gain freeze for the self-organizing modes."""
-        nA = len(actives)
-        if self.mode == "algorithm1":
-            K0 = np.empty((nA, self.n, self.n))
-            Jm = np.empty((nA, self.n, self.n))
-            Om = np.empty((nA, self.n, self.n))
-            geff = np.empty(nA)
-            for i, aid in enumerate(actives):
-                ag = self.agents[aid]
-                ag.X = v["X"][i]
-                ag.Y = v["Y"][i]
-                ag.zeta = float(v["zeta"][i])
-                ag.refresh_gains(t)
-                K0[i] = ag.B @ ag._F
-                Jm[i] = ag.zeta * (ag._L @ ag.C)
-                Om[i] = self.A + ag.zeta * K0[i] + Jm[i]
-                geff[i] = min(ag._gamma, self.s.params.gamma_cap)
-            self.K0, self.Jm, self.Omega, self.geff = K0, Jm, Om, geff
-        elif self.mode == "state_feedback":
-            acl = self.A.copy()
-            self.Ksf = []
-            for i, aid in enumerate(actives):
-                ag = self.agents[aid]
-                ag.X = v["X"][i]
-                ag.refresh_gains(t)
-                k_i = -(ag.B @ (ag.B.T @ ag.phi_x.value))
-                self.Ksf.append(-(ag.B.T @ ag.phi_x.value))
-                acl += k_i
-            self.Acl = acl
+        # gain flow (and, in algorithm1, dual flow and size estimator)
+        self.prop_zx = self.prop_wy = None  # free the last interval's maps first
+        lam, v = np.linalg.eigh(lap)
+        self.v = v
+        nn = n * n
+        self.zx = v.T @ np.concatenate(
+            [agents["Z"].reshape(n_agents, nn), agents["X"].reshape(n_agents, nn)], axis=1
+        )
+        bbt = 2.0 * self.b @ np.swapaxes(self.b, 1, 2)
+        self.prop_zx = _pi_flow_propagator(
+            self.drift_x, p.k_c, p.gamma_c, lam, v.T @ bbt.reshape(n_agents, nn), h
+        )
+        if mode != "algorithm1":
+            return
+        self.wy = v.T @ np.concatenate(
+            [agents["W"].reshape(n_agents, nn), agents["Y"].reshape(n_agents, nn)], axis=1
+        )
+        ctc = 2.0 * np.swapaxes(self.c, 1, 2) @ self.c
+        self.prop_wy = _pi_flow_propagator(
+            self.drift_y, p.k_o, p.gamma_o, lam, v.T @ ctc.reshape(n_agents, nn), h
+        )
+        # size estimator over (psi, zeta) of informer 0 and the agents:
+        # psidot = gs Lb zeta, zetadot = ks (1 - e0) - ks e0 zeta_0 - gs Lb (zeta + psi)
+        lap_b = np.asarray(laplacian(iv.graph), dtype=float)
+        k_s, g_s = p.k_s, p.gamma_s
+        nb = n_agents + 1
+        ops = np.zeros((2 * nb, 2 * nb))
+        ops[:nb, nb:] = g_s * lap_b
+        ops[nb:, :nb] = -g_s * lap_b
+        ops[nb:, nb:] = -g_s * lap_b
+        ops[nb, nb] -= k_s
+        drive = np.full(2 * nb, k_s)
+        drive[: nb + 1] = 0.0
+        t_sz, s_sz = rk4_propagator(ops, h)
+        self.prop_sz = (t_sz, s_sz @ drive)
+        self.sz = np.concatenate([[informer[0]], agents["psi"], [informer[1]], agents["zeta"]])
 
-    # -- derivatives --------------------------------------------------------
-
-    def _derivative(self, lay: _Layout):
+    def _export(self) -> tuple[np.ndarray, dict, tuple[float, float]]:
+        """The state in agent coordinates: x, per-agent stacks, informer."""
+        n, n_agents = self.n, len(self.actives)
         mode = self.mode
-        A = self.A
-        M, Mt = self.M, self.M.T
-        kc, gc = self.s.params.k_c, self.s.params.gamma_c
-        ko, go = self.s.params.k_o, self.s.params.gamma_o
-        ks, gs = self.s.params.k_s, self.s.params.gamma_s
-
-        def f(t, y):
-            v = lay.views(y)
-            out = np.zeros(lay.size)
-            o = lay.views(out)
-            x = v["x"]
-            if mode == "state_feedback":
-                o["x"][:] = self.Acl @ x
-            else:
-                xh = v["xh"]
-                o["x"][:] = A @ x + np.einsum("nij,nj->i", self.K0, xh)
-                lxh = self.lapA @ xh
-                o["xh"][:] = (
-                    np.matmul(self.Omega, xh[..., None])[..., 0]
-                    - np.matmul(self.Jm, x)
-                    - self.geff[:, None] * lxh
-                )
-            if "Z" in v:
-                Z, X = v["Z"], v["X"]
-                lX = np.tensordot(self.lapA, X, axes=(1, 0))
-                lZ = np.tensordot(self.lapA, Z, axes=(1, 0))
-                o["Z"][:] = gc * lX
-                o["X"][:] = kc * (-(M @ X) - X @ Mt + self.W2) - gc * (lX + lZ)
-            if "W" in v:
-                W, Y = v["W"], v["Y"]
-                lY = np.tensordot(self.lapA, Y, axes=(1, 0))
-                lW = np.tensordot(self.lapA, W, axes=(1, 0))
-                o["W"][:] = go * lY
-                o["Y"][:] = ko * (-(Mt @ Y) - Y @ M + self.C2) - go * (lY + lW)
-                # size estimator over informer + agents (sorted ids: 0 first)
-                zf = np.concatenate(([v["inf"][1]], v["zeta"]))
-                pf = np.concatenate(([v["inf"][0]], v["psi"]))
-                lz = self.lapB @ zf
-                lp = self.lapB @ pf
-                dpf = gs * lz
-                dzf = ks * self.drive_mask - gs * (lz + lp)
-                dzf[0] = -ks * zf[0] - gs * (lz[0] + lp[0])
-                o["psi"][:] = dpf[1:]
-                o["zeta"][:] = dzf[1:]
-                o["inf"][:] = (dpf[0], dzf[0])
-            return out
-
-        return f
-
-    # -- outputs -----------------------------------------------------------
-
-    def _u_of(self, aid: int, idx: int, v) -> np.ndarray:
-        ag_chan = self.channels[aid]
-        if self.mode == "algorithm1":
-            u = self.agents[aid]._F @ v["xh"][idx]
-        elif self.mode == "static_gains":
-            u = self.staticF[aid] @ v["xh"][idx]
+        x = self.state[:n].copy()
+        zeros = np.zeros((n_agents, n, n))
+        agents = {**self.hold, "Z": zeros, "X": zeros, "W": zeros, "Y": zeros,
+                  "psi": np.zeros(n_agents), "zeta": np.zeros(n_agents)}
+        if mode == "state_feedback":
+            agents["xhat"] = np.zeros((n_agents, n))
         else:
-            u = self.Ksf[idx] @ v["x"]
-        return u / ag_chan.input_scale
+            agents["xhat"] = self.state[n:].reshape(n_agents, n).copy()
+        informer = (0.0, 0.0)
+        if mode != "static_gains":
+            zx = self.v @ self.zx
+            agents["Z"] = zx[:, : n * n].reshape(n_agents, n, n)
+            agents["X"] = zx[:, n * n :].reshape(n_agents, n, n)
+        if mode == "algorithm1":
+            wy = self.v @ self.wy
+            agents["W"] = wy[:, : n * n].reshape(n_agents, n, n)
+            agents["Y"] = wy[:, n * n :].reshape(n_agents, n, n)
+            nb = n_agents + 1
+            agents["psi"] = self.sz[1:nb].copy()
+            agents["zeta"] = self.sz[nb + 1 :].copy()
+            informer = (float(self.sz[0]), float(self.sz[nb]))
+        return x, agents, informer
+
+    # -- one step ------------------------------------------------------------
+
+    def _matrices(self, which: str) -> np.ndarray:
+        n, n_agents = self.n, len(self.actives)
+        flow = self.zx if which == "X" else self.wy
+        return (self.v @ flow[:, n * n :]).reshape(n_agents, n, n)
+
+    def _refresh_gains(self, t: float, record: bool) -> None:
+        """Freeze every agent's gains at time t for the coming step."""
+        p = self.s.params
+        hold = self.hold
+        k = sample_index(t, p.t_phi)
+        x_mats = self._matrices("X") if record or k > hold["phix_index"].min() else None
+        if x_mats is not None:
+            self.x_mats = x_mats
+            hold["phix_held"], hold["phix_svals"], hold["phix_index"], _ = hold_inverse(
+                hold["phix_held"], hold["phix_svals"], hold["phix_index"], x_mats, t, p.t_phi
+            )
+        phi_x = hold["phix_held"]
+        if self.mode == "state_feedback":
+            self.f = -(np.swapaxes(self.b, 1, 2) @ phi_x)
+            self.g = self.A + (self.b @ self.f).sum(axis=0)
+            return
+        y_mats = self._matrices("Y")
+        self.y_mats = y_mats
+        if k > hold["phiy_index"].min():
+            hold["phiy_held"], hold["phiy_svals"], hold["phiy_index"], _ = hold_inverse(
+                hold["phiy_held"], hold["phiy_svals"], hold["phiy_index"], y_mats, t, p.t_phi
+            )
+        nb = len(self.actives) + 1
+        zeta = self.sz[nb + 1 :]
+        f, l = stacked_gains(self.b, self.c, phi_x, hold["phiy_held"], zeta)
+        gamma = threshold_gain(
+            y_mats, zeta, hold["phix_svals"], hold["phiy_svals"], self.norm_a, p.beta, p.gamma_cap
+        )
+        zs = zeta[:, None, None]
+        k0 = self.b @ f
+        jm = zs * (l @ self.c)
+        self.f, self.l, self.gamma = f, l, gamma
+        self.g = _observer_map(
+            self.A, k0, jm, self.A + zs * k0 + jm, np.minimum(gamma, p.gamma_cap), self.coupling
+        )
+
+    def _advance(self, t: float) -> None:
+        g = self.g
+        self.state = rk4_step(lambda _t, y: g @ y, self.state, t, self.h)
+        if self.mode == "static_gains":
+            return
+        powers, coef, offset = self.prop_zx
+        self.zx = self.zx + (_apply_flow(powers, coef, self.zx) + offset)
+        flows = [self.zx]
+        if self.mode == "algorithm1":
+            powers, coef, offset = self.prop_wy
+            self.wy = self.wy + (_apply_flow(powers, coef, self.wy) + offset)
+            t_sz, d_sz = self.prop_sz
+            self.sz = t_sz @ self.sz + d_sz
+            flows += [self.wy, self.sz]
+        for arr in flows:
+            if not np.isfinite(arr).all():
+                raise IntegrationError("non-finite state after RK4 stage", t)
+
+    # -- the loop ----------------------------------------------------------
 
     def run(self) -> Trace:
         s = self.s
         h = self.h
+        n = self.n
         re_every = self.record_every
         all_ids = sorted(
             set(s.initial_agents) | {e.agent_id for e in s.events if e.kind == "join"}
@@ -559,9 +647,9 @@ class _Runner:
         times = np.array([i * re_every * h for i in range(n_samples)])
         tr = Trace(
             times=times,
-            x=np.full((n_samples, self.n), np.nan),
+            x=np.full((n_samples, n), np.nan),
             agent_ids=tuple(all_ids),
-            xhat={a: np.full((n_samples, self.n), np.nan) for a in all_ids},
+            xhat={a: np.full((n_samples, n), np.nan) for a in all_ids},
             zeta={a: np.full(n_samples, np.nan) for a in all_ids},
             u={},
             err_obs={a: np.full(n_samples, np.nan) for a in all_ids},
@@ -575,24 +663,17 @@ class _Runner:
 
         # events snapped to step boundaries
         pending = [(int(round(e.time / h)), e) for e in s.events]
-
-        actives = tuple(sorted(s.initial_agents))
-        for a in actives:
-            self.agent_states[a] = _agent_state_zeros(self.n)
-            if self.mode != "static_gains":
-                self.agents[a] = self._make_agent(a)
         for e in s.events:
             if e.kind == "join":
                 self._ensure_channel(e.agent_id, e)
         for a in all_ids:
-            m_a = self.channels[a].m
-            tr.u[a] = np.full((n_samples, m_a), np.nan)
+            tr.u[a] = np.full((n_samples, self.channels[a].m), np.nan)
 
+        actives = tuple(sorted(s.initial_agents))
+        fresh = [_fresh_agent(n, None) for _ in actives]
+        agents = {key: np.array([st[key] for st in fresh]) for key in fresh[0]}
         iv_idx = 0
-        iv = self.intervals[iv_idx]
-        self._interval_setup(iv)
-        lay, y = self._pack(s.x0, actives, (0.0, 0.0))
-        deriv = self._derivative(lay)
+        self._enter(self.intervals[iv_idx], s.x0, agents, (0.0, 0.0))
 
         step = 0
         while True:
@@ -600,18 +681,14 @@ class _Runner:
             # apply events scheduled at this boundary
             fired = [pe for pe in pending if pe[0] == step]
             if fired:
-                x_now, informer = self._unpack_to_states(lay, y, actives)
+                x_now, agents, informer = self._export()
+                rows = {a: {key: arr[i] for key, arr in agents.items()} for i, a in enumerate(actives)}
                 for _, e in fired:
                     if e.kind == "join":
-                        self.agent_states[e.agent_id] = _coerce_initial_state(
-                            self.n, e.initial_state
-                        )
-                        if self.mode != "static_gains":
-                            self.agents[e.agent_id] = self._make_agent(e.agent_id)
+                        rows[e.agent_id] = _fresh_agent(n, e.initial_state)
                         actives = tuple(sorted(actives + (e.agent_id,)))
                     else:
-                        del self.agent_states[e.agent_id]
-                        self.agents.pop(e.agent_id, None)
+                        del rows[e.agent_id]
                         actives = tuple(a for a in actives if a != e.agent_id)
                 pending = [pe for pe in pending if pe[0] != step]
                 iv_idx += len(fired)
@@ -620,53 +697,62 @@ class _Runner:
                     raise ScenarioError("interval table out of sync with events")
                 if not is_connected(iv.agent_graph):
                     raise ScenarioError(f"agent graph disconnected at t={t}")
-                self._interval_setup(iv)
-                lay, y = self._pack(x_now, actives, informer)
-                deriv = self._derivative(lay)
+                agents = {key: np.array([rows[a][key] for a in actives]) for key in agents}
+                self._enter(iv, x_now, agents, informer)
 
-            v = lay.views(y)
+            record = step % re_every == 0
             if self.mode != "static_gains":
-                self._refresh_gains(t, actives, v)
-
-            if step % re_every == 0:
-                k = step // re_every
-                self._record(tr, k, v, actives, iv)
-
+                self._refresh_gains(t, record)
+            if record:
+                self._record(tr, step // re_every)
             if step >= self.total_steps:
                 break
-            y = rk4_step(deriv, y, t, h)
+            self._advance(t)
             step += 1
 
         if self.mode == "algorithm1":
-            cap = self.s.params.gamma_cap
-            for aid in actives:
-                ag = self.agents[aid]
+            cap = s.params.gamma_cap
+            for i, aid in enumerate(self.actives):
+                m_i, p_i = self.widths[i]
+                gamma = float(self.gamma[i])
                 tr.final_gains[aid] = {
-                    "F": ag._F.copy(),
-                    "L": ag._L.copy(),
-                    "gamma": ag._gamma,
-                    "gamma_effective": min(ag._gamma, cap),
-                    "zeta": ag.zeta,
+                    "F": self.f[i, :m_i].copy(),
+                    "L": self.l[i, :, :p_i].copy(),
+                    "gamma": gamma,
+                    "gamma_effective": min(gamma, cap),
+                    "zeta": float(self.sz[len(self.actives) + 2 + i]),
                 }
         return tr
 
-    def _record(self, tr: Trace, k: int, v, actives, iv: Interval):
-        x = v["x"]
+    def _record(self, tr: Trace, k: int) -> None:
+        n, mode, iv = self.n, self.mode, self.iv
+        actives = self.actives
+        n_agents = len(actives)
+        x = self.state[:n]
         tr.x[k] = x
-        n_act = len(actives)
+        if mode == "state_feedback":
+            u = self.f @ x
+        else:
+            xhat = self.state[n:].reshape(n_agents, n)
+            u = (self.f @ xhat[..., None])[..., 0]
+            err_obs = np.linalg.norm(xhat - x, axis=1)
+        if mode != "static_gains":
+            err_x = np.linalg.norm(self.x_mats - iv.X_star / n_agents, 2, axis=(1, 2))
+        if mode == "algorithm1":
+            err_y = np.linalg.norm(self.y_mats - iv.Y_star / n_agents, 2, axis=(1, 2))
+            nb = n_agents + 1
+            zeta = self.sz[nb + 1 :]
+            tr.informer_zeta[k] = self.sz[nb]
         for i, aid in enumerate(actives):
-            if "xh" in v:
-                tr.xhat[aid][k] = v["xh"][i]
-                tr.err_obs[aid][k] = np.linalg.norm(v["xh"][i] - x)
-            if "zeta" in v:
-                tr.zeta[aid][k] = v["zeta"][i]
-            if "X" in v and iv.X_star is not None:
-                tr.err_x[aid][k] = np.linalg.norm(v["X"][i] - iv.X_star / n_act, 2)
-            if "Y" in v and iv.Y_star is not None:
-                tr.err_y[aid][k] = np.linalg.norm(v["Y"][i] - iv.Y_star / n_act, 2)
-            tr.u[aid][k] = self._u_of(aid, i, v)
-        if "inf" in v:
-            tr.informer_zeta[k] = v["inf"][1]
+            if mode != "state_feedback":
+                tr.xhat[aid][k] = xhat[i]
+                tr.err_obs[aid][k] = err_obs[i]
+            if mode == "algorithm1":
+                tr.zeta[aid][k] = zeta[i]
+                tr.err_y[aid][k] = err_y[i]
+            if mode != "static_gains":
+                tr.err_x[aid][k] = err_x[i]
+            tr.u[aid][k] = u[i, : self.widths[i][0]] / self.scale[i]
 
 
 def run_scenario(scenario: Scenario) -> Trace:

@@ -18,7 +18,7 @@ from scipy.linalg import expm
 from . import analysis, bass, consensus
 from .consensus import INFORMER_ID, FlowParams
 from .graph import Graph, r_matrix
-from .matlib import induced_2norm, min_real_part, spectral_abscissa, unvec
+from .matlib import induced_2norm, min_real_part, rk4_propagator, spectral_abscissa, unvec
 from .plant import Channel, PlantModel, aggregate, normalize_channel
 
 __all__ = [
@@ -222,17 +222,14 @@ def check_decay_envelopes(seed: int = 0, envelopes: int = 50) -> CheckResult:
 
     def run_env(item):
         idx, a, b, beta, sol, x0 = item
-        acl = a + b @ sol.F
+        # RK4 with step h on xdot = Acl x, one matrix product per step
+        prop, _ = rk4_propagator(a + b @ sol.F, h)
         keep = max(1, steps // 100)
         xs = [x0.copy()]
         ts = [0.0]
         x = x0.copy()
         for k in range(steps):
-            k1 = acl @ x
-            k2 = acl @ (x + 0.5 * h * k1)
-            k3 = acl @ (x + 0.5 * h * k2)
-            k4 = acl @ (x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            x = prop @ x
             if (k + 1) % keep == 0:
                 xs.append(x.copy())
                 ts.append((k + 1) * h)

@@ -14,7 +14,7 @@ from plugplay.consensus import (
     bass_rate_params,
 )
 from plugplay.graph import Graph, lambda2
-from plugplay.matlib import spectral_abscissa
+from plugplay.matlib import rk4_propagator, spectral_abscissa
 from plugplay.plant import Channel, PlantModel, aggregate, normalize_plant
 from plugplay.sim import (
     Event,
@@ -31,6 +31,8 @@ from plugplay.sim import (
     validate_scenario,
 )
 from plugplay.suites import _affine_from
+
+from parity_pins import PINS
 
 
 class TestRk4Step:
@@ -57,6 +59,29 @@ class TestRk4Step:
         with pytest.raises(IntegrationError) as err:
             rk4_step(lambda t, y: y * np.inf, np.array([1.0]), 3.0, 0.1)
         assert err.value.time == 3.0
+
+
+class TestRk4Propagator:
+    def test_equals_repeated_rk4_steps_on_affine_system(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(6, 6)) - 2.0 * np.eye(6)
+        c = rng.normal(size=6)
+        h = 0.01
+        t_map, s_map = rk4_propagator(a, h)
+        y_rk4 = y_map = rng.normal(size=6)
+        for k in range(500):
+            y_rk4 = rk4_step(lambda t, y: a @ y + c, y_rk4, k * h, h)
+            y_map = t_map @ y_map + s_map @ c
+        assert np.abs(y_map - y_rk4).max() <= 1e-13 * np.abs(y_rk4).max()
+
+    def test_stack_equals_each_matrix(self):
+        rng = np.random.default_rng(4)
+        stack = rng.normal(size=(3, 5, 5))
+        t_all, s_all = rk4_propagator(stack, 0.05)
+        for k in range(3):
+            t_k, s_k = rk4_propagator(stack[k], 0.05)
+            assert np.allclose(t_all[k], t_k, rtol=1e-15, atol=1e-15)
+            assert np.allclose(s_all[k], s_k, rtol=1e-15, atol=1e-15)
 
 
 def scalar_two_agent_plant():
@@ -90,6 +115,27 @@ def scalar_static_scenario(gamma=None, t_end=20.0, h=1e-3):
         static=static,
     )
     return scen, sol, dual, cert
+
+
+def two_agent_state_feedback_scenario(t_end=2.0):
+    """The C9 plant: two full-state channels on the planar double integrator."""
+    a = np.zeros((4, 4))
+    a[0, 2] = 1.0
+    a[1, 3] = 1.0
+    chans = []
+    for i, k in enumerate((0, 3), start=1):
+        ang = 2 * np.pi * k / 9
+        b = np.array([[0.0], [0.0], [np.cos(ang)], [np.sin(ang)]])
+        chans.append(Channel(i, b, np.eye(4)))
+    return Scenario(
+        plant=PlantModel(a, tuple(chans)),
+        x0=np.array([1.0, -2.0, 0.0, 0.0]),
+        initial_agents=(1, 2),
+        graph=Graph.from_edges([1, 2], [(1, 2)]),
+        solver=SolverSettings(h=1e-3, t_end=t_end, record_every=100),
+        params=AgentParams(beta=0.5, k_c=2.0, gamma_c=2.0),
+        mode="state_feedback",
+    )
 
 
 class TestValidation:
@@ -250,6 +296,16 @@ class TestAlgorithm1Mode:
         assert len(tr.intervals) == 5
         assert tr.informer_zeta.shape == tr.times.shape
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_uncapped_coupling_gain_fails_loudly(self):
+        # the default gamma_cap (1e6) puts h * gamma * lambda_max(L) near
+        # 3000, far outside RK4's stability interval: the run must stop
+        # with IntegrationError early on, not return garbage
+        scen = build_load_transport_scenario(params=AgentParams(beta=0.25))
+        with pytest.raises(IntegrationError) as err:
+            run_scenario(scen)
+        assert err.value.time < 0.2
+
     def test_size_estimate_approaches_count_on_static_interval(self):
         scen = build_load_transport_scenario(
             t_end=25.0, leave_slot=None, join_slots=(), record_every=100
@@ -376,3 +432,60 @@ class TestLoadTransportScenario:
                 m, _ = _affine_from(fn, proto.pack().size)
                 rho = np.max(np.abs(np.linalg.eigvals(m)))
                 assert scen.solver.h * rho < self.RK4_REAL_LIMIT
+
+
+def _pinned_series(tr, name):
+    kind, *rest = name.split("/")
+    if kind == "x":
+        return tr.x
+    if kind == "informer_zeta":
+        return tr.informer_zeta
+    if kind == "final_gains":
+        return tr.final_gains[int(rest[0])][rest[1]]
+    return getattr(tr, kind)[int(rest[0])]
+
+
+class TestParityWithPreviousEngine:
+    """Every recorded series against values pinned from the previous engine.
+
+    See ``parity_pins`` for how they were recorded.  The linear-step
+    engine applies the same discrete map (RK4 with gains frozen over
+    each step), so only rounding may differ: each final value must agree
+    to 1e-9 of its series' max |value|, and so must that max itself.
+    """
+
+    RTOL = 1e-9
+    SCENARIOS = {
+        "algorithm1": lambda: build_load_transport_scenario(t_leave=0.5, t_join=1.0, t_end=1.5),
+        "static_gains": lambda: scalar_static_scenario()[0],
+        "state_feedback": two_agent_state_feedback_scenario,
+    }
+
+    @pytest.mark.parametrize("mode", ["algorithm1", "static_gains", "state_feedback"])
+    def test_pinned_run(self, mode):
+        tr = run_scenario(self.SCENARIOS[mode]())
+        assert tr.mode == mode
+        pins = PINS[mode]
+        names = {"x", "informer_zeta"}
+        for field in ("xhat", "zeta", "u", "err_obs", "err_x", "err_y"):
+            names |= {f"{field}/{a}" for a in tr.agent_ids}
+        for a, gains in tr.final_gains.items():
+            names |= {f"final_gains/{a}/{key}" for key in gains}
+        assert names == set(pins)
+        for name, (final_pin, scale_pin) in pins.items():
+            series = np.asarray(_pinned_series(tr, name), dtype=float)
+            final_pin = np.asarray(final_pin, dtype=float)
+            if name.startswith("final_gains"):
+                final = series
+                scale = np.abs(series).max()
+            else:
+                final = series[-1]
+                scale = np.nanmax(np.abs(series)) if np.isfinite(series).any() else np.nan
+            assert final.shape == final_pin.shape, name
+            assert np.array_equal(np.isnan(final), np.isnan(final_pin)), name
+            if np.isnan(scale_pin):
+                assert np.isnan(scale), name
+                continue
+            assert abs(scale - scale_pin) <= self.RTOL * scale_pin, name
+            ok = ~np.isnan(final_pin)
+            assert np.all(np.abs(final[ok] - final_pin[ok]) <= self.RTOL * scale_pin), name
