@@ -13,21 +13,16 @@ only its own measurement and the neighbors' broadcast states.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-# ``inverse`` is not called here; perfbench's tracer self-test looks up
-# ``agent.inverse`` among the names it patches.
-from .matlib import as_matrix, induced_2norm, inverse, singular_values  # noqa: F401
+from .matlib import as_matrix, induced_2norm, inverse, singular_values
 from .plant import Channel, normalize_channel
 
 __all__ = [
     "AgentParams",
-    "sample_index",
-    "hold_inverse",
-    "stacked_gains",
-    "threshold_gain",
     "PhiFilter",
     "ControlAgent",
     "phi_update",
@@ -44,117 +39,15 @@ __all__ = [
 PHI_SINGULARITY_RTOL = 1e-10
 
 
-def sample_index(t: float, period: float) -> int:
-    """Index k of the last sample instant ``k * period`` at or before t.
-
-    The 1e-9 slack keeps an instant reached as ``step * h`` from
-    rounding down to the previous one.
-    """
-    return int(np.floor(t / period + 1e-9))
-
-
-def hold_inverse(
-    held: np.ndarray,
-    held_svals: np.ndarray,
-    last_index: np.ndarray,
-    x: np.ndarray,
-    t: float,
-    period: float,
-):
-    """One clock tick of a stack of sample-and-hold inverse filters.
-
-    ``held`` is the ``(N, n, n)`` stack of held values, ``held_svals``
-    their singular values in descending order, ``last_index`` the
-    ``(N,)`` index of each filter's last sample (-1 before the first),
-    and ``x`` the ``(N, n, n)`` inputs at time t.  A filter samples when
-    :func:`sample_index` has moved past its last one; it then inverts its input if the smallest singular value
-    exceeds ``PHI_SINGULARITY_RTOL * max(1, sigma_max)`` and otherwise
-    keeps its previous hold.
-
-    Returns ``(held, held_svals, last_index, taken)``: the inputs
-    themselves when no filter samples, fresh arrays otherwise, and the
-    mask of filters that took a new inverse.
-    """
-    k = sample_index(t, period)
-    due = np.flatnonzero(last_index < k)
-    taken = np.zeros(last_index.shape, dtype=bool)
-    if due.size == 0:
-        return held, held_svals, last_index, taken
-    sv = np.linalg.svd(x[due], compute_uv=False)
-    ok = sv[:, -1] > PHI_SINGULARITY_RTOL * np.maximum(1.0, sv[:, 0])
-    last_index = last_index.copy()
-    last_index[due] = k
-    take = due[ok]
-    if take.size:
-        held = held.copy()
-        held_svals = held_svals.copy()
-        held[take] = np.linalg.inv(x[take])
-        held_svals[take] = 1.0 / sv[ok, ::-1]
-        taken[take] = True
-    return held, held_svals, last_index, taken
-
-
-def stacked_gains(b: np.ndarray, c: np.ndarray, phi_x: np.ndarray, phi_y: np.ndarray, zeta: np.ndarray):
-    """Feedback and injection gains of a stack of agents.
-
-    ``F_i = -B_i^T Phi(X_i) / max(zeta_i, 1)`` and
-    ``L_i = -Phi(Y_i) C_i^T / max(zeta_i, 1)`` for ``b`` of shape
-    ``(N, n, m)``, ``c`` of shape ``(N, p, n)`` and held inverses
-    ``phi_x``, ``phi_y`` of shape ``(N, n, n)``.  Channels of different
-    widths are zero-padded to a common m and p; padded rows of F and
-    padded columns of L come out zero.
-    """
-    zc = np.maximum(zeta, 1.0)[:, None, None]
-    f = -(np.swapaxes(b, 1, 2) @ phi_x) / zc
-    l = -(phi_y @ np.swapaxes(c, 1, 2)) / zc
-    return f, l
-
-
-def threshold_gain(
-    y: np.ndarray,
-    zeta: np.ndarray,
-    phi_x_svals: np.ndarray,
-    phi_y_svals: np.ndarray,
-    norm_a: float,
-    beta: float,
-    cap: float,
-) -> np.ndarray:
-    """Self-computed coupling-gain certificate value of a stack of agents.
-
-    With ``zc = max(zeta_i, 1)``, ``s_x`` the singular values of the
-    held ``Phi(X_i)``, ``s_y`` those of the raw iterate ``Y_i`` and
-    ``kappa = max(s_x max, zc^2 s_y max) / (beta min(s_x min, zc^2 s_y min))``,
-    ``theta = |A| + |Phi(Y_i)| + 2 |Phi(X_i)|``, the value is
-    ``1 + zc^2/4 (theta + theta^2 kappa
-    + 4 |Phi(X_i)|^2 kappa sqrt(1 + theta^2 kappa^2))``.  An agent gets
-    ``cap`` instead when the denominator of kappa is not positive
-    (fresh agent, zero states) or the value overflows.
-    """
-    sy = np.linalg.svd(y, compute_uv=False)
-    zc = np.maximum(zeta, 1.0)
-    zc2 = zc * zc
-    sx_max, sx_min = phi_x_svals[:, 0], phi_x_svals[:, -1]
-    den = beta * np.minimum(sx_min, zc2 * sy[:, -1])
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        kappa = np.maximum(sx_max, zc2 * sy[:, 0]) / den
-        theta = norm_a + phi_y_svals[:, 0] + 2.0 * sx_max
-        gamma = 1.0 + (zc2 / 4.0) * (
-            theta
-            + theta**2 * kappa
-            + 4.0 * sx_max**2 * kappa * np.sqrt(1.0 + theta**2 * kappa**2)
-        )
-    return np.where((den <= 0.0) | ~np.isfinite(gamma), cap, gamma)
-
-
 class PhiFilter:
-    """Sample-and-hold matrix-inverse filter of one agent.
+    """Sample-and-hold matrix-inverse filter.
 
     At each sample instant k*T the filter inverts its input if the input
     is numerically nonsingular and otherwise keeps the previous hold, so
     the output is piecewise-constant, always finite, and converges to
     the inverse of whatever the input converges to.  The initial hold is
     the identity (bounded, invertible, forgotten after the first valid
-    sample).  The sample rule is :func:`hold_inverse` on a stack of one.
+    sample).
     """
 
     def __init__(self, period: float, dim: int, initial: np.ndarray | None = None):
@@ -179,18 +72,21 @@ class PhiFilter:
         return float(self._held_svals[-1])
 
     def update(self, x: np.ndarray, t: float) -> np.ndarray:
-        """Advance the sample clock to time t and return the held value."""
+        """Advance the sample clock to time t and return the held value.
+
+        The 1e-9 slack in the sample index keeps an instant reached as
+        ``step * h`` from rounding down to the previous one.
+        """
         if t < self._last_t - 1e-12:
             raise ValueError(f"filter time must be nondecreasing ({t} < {self._last_t})")
         self._last_t = t
-        held, svals, index, taken = hold_inverse(
-            self.held[None], self._held_svals[None], np.array([self.last_sample_index]),
-            as_matrix(x, "filter input")[None], t, self.period,
-        )
-        self.last_sample_index = int(index[0])
-        if taken[0]:
-            self.held = held[0]
-            self._held_svals = svals[0]
+        k = math.floor(t / self.period + 1e-9)
+        if k > self.last_sample_index:
+            self.last_sample_index = k
+            sv = singular_values(x)
+            if sv.size and sv[-1] > PHI_SINGULARITY_RTOL * max(1.0, sv[0]):
+                self.held = inverse(x)
+                self._held_svals = sv[::-1].copy() ** -1.0
         return self.held
 
 
@@ -226,13 +122,13 @@ class AgentParams:
 
 
 class ControlAgent:
-    """One agent's states and gains, for inspection and tests.
+    """One agent's states and self-computed gains.
 
     The caller writes the states (xhat, Z, X, W, Y, psi, zeta) into the
-    agent and calls :meth:`refresh_gains`, which evaluates the same
-    stacked rules the simulator applies to all agents at once
-    (:func:`hold_inverse`, :func:`stacked_gains`, :func:`threshold_gain`)
-    on a stack of one.
+    agent and calls :meth:`refresh_gains`; the gains then read through
+    :func:`gain_F`, :func:`gain_L` and :func:`gamma_i` depend on this
+    agent's states and channel only.  The simulator drives one agent
+    per active channel this way, once per step.
     """
 
     def __init__(
@@ -276,17 +172,32 @@ class ControlAgent:
         """Sample the inverse filters at time t and recompute all gains."""
         phi_x = self.phi_x.update(self.X, t)
         phi_y = self.phi_y.update(self.Y, t)
-        zeta = np.array([self.zeta])
-        f, l = stacked_gains(self.B[None], self.C[None], phi_x[None], phi_y[None], zeta)
-        self._F, self._L = f[0], l[0]
-        self._gamma = float(
-            threshold_gain(
-                as_matrix(self.Y, "Y")[None], zeta, self.phi_x._held_svals[None],
-                self.phi_y._held_svals[None], self._norm_a, self.params.beta,
-                self.params.gamma_cap,
-            )[0]
-        )
+        zc = max(float(self.zeta), 1.0)
+        self._F = -(self.B.T @ phi_x) / zc
+        self._L = -(phi_y @ self.C.T) / zc
+        self._gamma = self._gamma_formula(zc)
         self._gain_time = t
+
+    def _gamma_formula(self, zc: float) -> float:
+        # Python floats: an overflow gives inf or nan here, never an
+        # exception, and both take the cap below.
+        cap = self.params.gamma_cap
+        sx_max, sx_min = self.phi_x.sigma_max, self.phi_x.sigma_min
+        sy = np.linalg.svd(self.Y, compute_uv=False)
+        zc2 = zc * zc
+        den = self.params.beta * min(sx_min, zc2 * float(sy[-1]))
+        if den <= 0.0:
+            return cap
+        kappa = max(sx_max, zc2 * float(sy[0])) / den
+        theta = self._norm_a + self.phi_y.sigma_max + 2.0 * sx_max
+        gamma = 1.0 + (zc2 / 4.0) * (
+            theta
+            + theta * theta * kappa
+            + 4.0 * (sx_max * sx_max) * kappa * math.sqrt(1.0 + (theta * theta) * (kappa * kappa))
+        )
+        if not math.isfinite(gamma):
+            return cap
+        return gamma
 
     def _ensure(self, t: float) -> None:
         if self._gain_time != t:

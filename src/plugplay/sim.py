@@ -16,19 +16,18 @@ and splits in two:
   ``ydot = A y + c`` is exactly ``y <- T4(hA) y + h S3(hA) c``
   (:func:`matlib.rk4_propagator`), so each flow gets its one-step map
   once per interval.  The two matrix flows are kept in the eigenbasis
-  of the agent-graph Laplacian, where they split into one system per
-  mode; each mode's map is a sum of 2 x 2 coefficients times powers of
-  the flow's n^2 x n^2 drift, so the maps of all modes take O(n^4)
-  memory.  The size estimator gets one small dense map.
+  of the agent-graph Laplacian, where they split into one 2 n^2 system
+  per mode, so their maps take O(N n^4) memory.  The size estimator
+  gets one small dense map.
 * Plant plus observers, of size n (N + 1), form one matrix per step,
   built from every agent's frozen gains; :func:`rk4_step` advances it.
 
-The gains of all agents are refreshed together from ``(N, n, n)``
-stacks: the sample-and-hold inverse filters (:func:`agent.hold_inverse`),
-the gains (:func:`agent.stacked_gains`) and the coupling-gain formula
-(:func:`agent.threshold_gain`); each agent's row uses only its own
-states.  After every step a non-finite state raises IntegrationError
-with the step's time.  Traces are bit-reproducible for a given scenario.
+Each active agent is a :class:`agent.ControlAgent`: once per step the
+runner writes the agent's X, Y and zeta into it and calls
+``refresh_gains``, which samples the agent's inverse filters and
+recomputes its gains from its own states only.  After every step a
+non-finite state raises IntegrationError with the step's time.  Traces
+are bit-reproducible for a given scenario.
 """
 
 from __future__ import annotations
@@ -41,10 +40,10 @@ from pathlib import Path
 import numpy as np
 
 from . import bass
-from .agent import AgentParams, hold_inverse, sample_index, stacked_gains, threshold_gain
+from .agent import AgentParams, ControlAgent, gain_F, gain_L, gamma_i
 from .consensus import INFORMER_ID
 from .graph import Graph, is_connected, laplacian
-from .matlib import induced_2norm, min_real_part, rk4_propagator
+from .matlib import min_real_part, rk4_propagator
 from .plant import Channel, PlantModel, is_controllable, is_observable, normalize_channel, normalize_plant
 
 __all__ = [
@@ -330,73 +329,36 @@ def _coerce_initial_state(n: int, init: dict | None) -> dict:
     return st
 
 
-def _fresh_agent(n: int, init: dict | None) -> dict:
-    """A joiner's rows: its initial states and two unsampled filters."""
-    st = _coerce_initial_state(n, init)
-    for f in ("phix", "phiy"):
-        st[f + "_held"] = np.eye(n)
-        st[f + "_svals"] = np.ones(n)
-        st[f + "_index"] = -1
-    return st
-
-
-def _pi_flow_propagator(drift, k, gamma, lam, forcing, h):
-    """Per-step map of one PI flow in the agent-Laplacian eigenbasis.
+def _pi_flow_map(drift, k, gamma, lam, forcing, h):
+    """Per-step RK4 map of one PI flow in the agent-Laplacian eigenbasis.
 
     With Laplacian eigenvalues ``lam`` the flow ``Zdot_i = gamma sum_j
     L_ij X_j``, ``Xdot_i = k (drift X_i + Q_i) - gamma sum_j L_ij (X_j +
     Z_j)`` splits into one system per mode j over ``y_j = (vec Z_j,
-    vec X_j)``: ``ydot_j = (S_j (x) I + E (x) K) y_j + (0, k Q_j)`` with
-    ``S_j = gamma lam_j [[0, 1], [-1, -1]]``, ``E = [[0, 0], [0, 1]]``
-    and ``K = k drift`` (acting on row-major vec).  Every product of
-    those two terms is a 2 x 2 matrix times a power of K, so RK4's
-    polynomials are ``T4(h B_j) = sum_p C_jp (x) (hK)^p`` and
-    ``h S3(h B_j)`` likewise, p <= 4: the map needs the powers of hK,
-    shared by all modes, and 2 x 2 coefficients per mode.
+    vec X_j)`` (row-major vec), with drift ``B_j = [[0, g_j I],
+    [-g_j I, k drift - g_j I]]``, ``g_j = gamma lam_j``, and forcing
+    ``(0, k Q_j)``; ``forcing`` holds the rows vec Q_j.
 
-    Returns ``(powers, coef, offset)``: ``powers`` is ``[I, (hK)^T,
-    ..., ((hK)^4)^T]`` side by side, ``coef`` the ``C_jp`` of
-    ``T4(h B_j) - I`` as ``(N, 2, 2 * 5)`` over (a, (b, p)), and
-    ``offset`` the rows ``h S3(h B_j) (0, k Q_j)``.  One step is
-    ``y + (_apply_flow(powers, coef, y) + offset)``.  The increment is
-    formed without the identity: rounding T4 itself, which is within
-    O(h) of I, would move the fixed point of the map by about
-    ``eps / (h * rate)`` of |y|, 1e-12 on the demo's flows.
+    Returns ``(step, offset)``: ``step`` is the stack of
+    ``T4(h B_j) - I = B_j h S3(h B_j)`` and one RK4 step is
+    ``y + (step y + offset)``.  The increment is formed without the
+    identity: rounding T4 itself, which is within O(h) of I, would move
+    the fixed point of the map by about ``eps / (h * rate)`` of |y|.
     """
     m = drift.shape[0]
-    hk = (h * k) * drift
-    powers = [np.eye(m)]
-    for _ in range(4):
-        powers.append(hk @ powers[-1])
-    powers = np.concatenate([q.T for q in powers], axis=1)
-    hs = (h * gamma) * lam[:, None, None] * np.array([[0.0, 1.0], [-1.0, -1.0]])
-    shift = np.array([[0.0, 0.0], [0.0, 1.0]])
-
-    def times_hb(c):  # h B_j times sum_p c_p (x) (hK)^p, by coefficients
-        out = hs[:, None] @ c
-        out[:, 1:] += shift @ c[:, :-1]
-        return out
-
-    one = np.zeros((lam.size, 5, 2, 2))
-    one[:, 0] = np.eye(2)
-    s3 = one + times_hb(one) / 4.0
-    s3 = one + times_hb(s3) / 3.0
-    s3 = one + times_hb(s3) / 2.0
-    step = times_hb(s3)  # T4(h B_j) - I, formed without the identity
-
-    def as_coef(c):
-        return c.transpose(0, 2, 3, 1).reshape(lam.size, 2, 10)
-
-    rhs = np.zeros((lam.size, 2 * m))
-    rhs[:, m:] = k * forcing
-    return powers, as_coef(step), _apply_flow(powers, as_coef(h * s3), rhs)
-
-
-def _apply_flow(powers, coef, y):
-    """``sum_p C_jp (x) (hK)^p`` applied to every row ``y_j``."""
-    n_modes, m = y.shape[0], powers.shape[0]
-    by_power = (y.reshape(2 * n_modes, m) @ powers).reshape(n_modes, 10, m)
-    return (coef @ by_power).reshape(n_modes, 2 * m)
+    eye = np.eye(m)
+    step = np.empty((lam.size, 2 * m, 2 * m))
+    offset = np.empty((lam.size, 2 * m))
+    # one mode at a time keeps the temporaries at a single block's size
+    for j, g in enumerate(gamma * lam):
+        block = np.zeros((2 * m, 2 * m))
+        block[:m, m:] = g * eye
+        block[m:, :m] = -g * eye
+        block[m:, m:] = k * drift - g * eye
+        _, s = rk4_propagator(block, h)
+        step[j] = block @ s
+        offset[j] = s[:, m:] @ (k * forcing[j])
+    return step, offset
 
 
 def _coupling(lap: np.ndarray, n: int) -> np.ndarray:
@@ -430,9 +392,10 @@ class _Runner:
     Inside an interval the run state is: ``state`` = (x, xhat_1..N) (x
     alone in state_feedback mode), the gain and dual flows ``zx``,
     ``wy`` as ``(N, 2 n^2)`` rows of modal coordinates, the size
-    estimator ``sz`` = (psi, zeta) over informer and agents, and the
-    stacked inverse-filter holds.  At an event the per-agent rows are
-    taken back to agent coordinates and restacked.
+    estimator ``sz`` = (psi, zeta) over informer and agents.  Each
+    active agent's :class:`ControlAgent` holds its inverse filters and
+    gains and lives from its join to its leave.  At an event the
+    per-agent rows are taken back to agent coordinates and restacked.
     """
 
     def __init__(self, scenario: Scenario):
@@ -453,12 +416,16 @@ class _Runner:
         # -(M X + X M^T) and -(M^T Y + Y M) on row-major vec
         self.drift_x = -(np.kron(m_mat, eye) + np.kron(eye, m_mat))
         self.drift_y = -(np.kron(m_mat.T, eye) + np.kron(eye, m_mat.T))
-        self.norm_a = induced_2norm(self.A)
+        self.agents: dict[int, ControlAgent] = {}
 
     def _ensure_channel(self, aid: int, event: Event | None):
         if aid not in self.channels:
             chan = _channel_for(self.s, aid, event)
             self.channels[aid] = normalize_channel(chan)
+
+    def _make_agent(self, aid: int) -> ControlAgent:
+        mode = "state_feedback" if self.mode == "state_feedback" else "observer"
+        return ControlAgent(self.A, self.channels[aid], self.s.params, mode=mode)
 
     # -- per-interval set-up ---------------------------------------------
 
@@ -482,7 +449,10 @@ class _Runner:
         for i, ch in enumerate(chans):
             self.b[i, :, : ch.m] = ch.B
             self.c[i, : ch.p, :] = ch.C
-        self.hold = {k: agents[k] for k in agents if k.startswith("phi")}
+        self.members = [self.agents[a] for a in actives]
+        self.f = np.zeros((n_agents, m_max, n))
+        self.l = np.zeros((n_agents, n, p_max))
+        self.gamma = np.zeros(n_agents)
 
         xhat = agents["xhat"]
         if mode == "state_feedback":
@@ -495,14 +465,13 @@ class _Runner:
             for a in actives:
                 if a not in sg.F or a not in sg.L:
                     raise ScenarioError(f"static gains missing for agent {a}")
-            f = np.zeros((n_agents, m_max, n))
+            f = self.f
             for i, a in enumerate(actives):
                 f[i, : chans[i].m] = np.asarray(sg.F[a], dtype=float)
             jm = np.stack(
                 [n_agents * np.asarray(sg.L[a], dtype=float) @ chans[i].C for i, a in enumerate(actives)]
             )
             k0 = self.b @ f
-            self.f = f
             self.g = _observer_map(
                 self.A, k0, jm, self.A + n_agents * k0 + jm, np.full(n_agents, sg.gamma), self.coupling
             )
@@ -517,7 +486,7 @@ class _Runner:
             [agents["Z"].reshape(n_agents, nn), agents["X"].reshape(n_agents, nn)], axis=1
         )
         bbt = 2.0 * self.b @ np.swapaxes(self.b, 1, 2)
-        self.prop_zx = _pi_flow_propagator(
+        self.prop_zx = _pi_flow_map(
             self.drift_x, p.k_c, p.gamma_c, lam, v.T @ bbt.reshape(n_agents, nn), h
         )
         if mode != "algorithm1":
@@ -526,7 +495,7 @@ class _Runner:
             [agents["W"].reshape(n_agents, nn), agents["Y"].reshape(n_agents, nn)], axis=1
         )
         ctc = 2.0 * np.swapaxes(self.c, 1, 2) @ self.c
-        self.prop_wy = _pi_flow_propagator(
+        self.prop_wy = _pi_flow_map(
             self.drift_y, p.k_o, p.gamma_o, lam, v.T @ ctc.reshape(n_agents, nn), h
         )
         # size estimator over (psi, zeta) of informer 0 and the agents:
@@ -551,7 +520,7 @@ class _Runner:
         mode = self.mode
         x = self.state[:n].copy()
         zeros = np.zeros((n_agents, n, n))
-        agents = {**self.hold, "Z": zeros, "X": zeros, "W": zeros, "Y": zeros,
+        agents = {"Z": zeros, "X": zeros, "W": zeros, "Y": zeros,
                   "psi": np.zeros(n_agents), "zeta": np.zeros(n_agents)}
         if mode == "state_feedback":
             agents["xhat"] = np.zeros((n_agents, n))
@@ -574,58 +543,44 @@ class _Runner:
 
     # -- one step ------------------------------------------------------------
 
-    def _matrices(self, which: str) -> np.ndarray:
-        n, n_agents = self.n, len(self.actives)
-        flow = self.zx if which == "X" else self.wy
-        return (self.v @ flow[:, n * n :]).reshape(n_agents, n, n)
-
-    def _refresh_gains(self, t: float, record: bool) -> None:
+    def _refresh_gains(self, t: float) -> None:
         """Freeze every agent's gains at time t for the coming step."""
-        p = self.s.params
-        hold = self.hold
-        k = sample_index(t, p.t_phi)
-        x_mats = self._matrices("X") if record or k > hold["phix_index"].min() else None
-        if x_mats is not None:
-            self.x_mats = x_mats
-            hold["phix_held"], hold["phix_svals"], hold["phix_index"], _ = hold_inverse(
-                hold["phix_held"], hold["phix_svals"], hold["phix_index"], x_mats, t, p.t_phi
-            )
-        phi_x = hold["phix_held"]
+        n, n_agents = self.n, len(self.actives)
+        nn = n * n
+        self.x_mats = (self.v @ self.zx[:, nn:]).reshape(n_agents, n, n)
         if self.mode == "state_feedback":
-            self.f = -(np.swapaxes(self.b, 1, 2) @ phi_x)
+            for i, ag in enumerate(self.members):
+                ag.X = self.x_mats[i]
+                ag.refresh_gains(t)
+                self.f[i, : self.widths[i][0]] = -(ag.B.T @ ag.phi_x.value)
             self.g = self.A + (self.b @ self.f).sum(axis=0)
             return
-        y_mats = self._matrices("Y")
-        self.y_mats = y_mats
-        if k > hold["phiy_index"].min():
-            hold["phiy_held"], hold["phiy_svals"], hold["phiy_index"], _ = hold_inverse(
-                hold["phiy_held"], hold["phiy_svals"], hold["phiy_index"], y_mats, t, p.t_phi
-            )
-        nb = len(self.actives) + 1
-        zeta = self.sz[nb + 1 :]
-        f, l = stacked_gains(self.b, self.c, phi_x, hold["phiy_held"], zeta)
-        gamma = threshold_gain(
-            y_mats, zeta, hold["phix_svals"], hold["phiy_svals"], self.norm_a, p.beta, p.gamma_cap
-        )
+        self.y_mats = (self.v @ self.wy[:, nn:]).reshape(n_agents, n, n)
+        zeta = self.sz[n_agents + 2 :]
+        for i, ag in enumerate(self.members):
+            ag.X, ag.Y, ag.zeta = self.x_mats[i], self.y_mats[i], float(zeta[i])
+            ag.refresh_gains(t)
+            m_i, p_i = self.widths[i]
+            self.f[i, :m_i] = gain_F(ag, t)
+            self.l[i, :, :p_i] = gain_L(ag, t)
+            self.gamma[i] = gamma_i(ag, t)
         zs = zeta[:, None, None]
-        k0 = self.b @ f
-        jm = zs * (l @ self.c)
-        self.f, self.l, self.gamma = f, l, gamma
-        self.g = _observer_map(
-            self.A, k0, jm, self.A + zs * k0 + jm, np.minimum(gamma, p.gamma_cap), self.coupling
-        )
+        k0 = self.b @ self.f
+        jm = zs * (self.l @ self.c)
+        geff = np.minimum(self.gamma, self.s.params.gamma_cap)
+        self.g = _observer_map(self.A, k0, jm, self.A + zs * k0 + jm, geff, self.coupling)
 
     def _advance(self, t: float) -> None:
         g = self.g
         self.state = rk4_step(lambda _t, y: g @ y, self.state, t, self.h)
         if self.mode == "static_gains":
             return
-        powers, coef, offset = self.prop_zx
-        self.zx = self.zx + (_apply_flow(powers, coef, self.zx) + offset)
+        step, offset = self.prop_zx
+        self.zx = self.zx + ((step @ self.zx[..., None])[..., 0] + offset)
         flows = [self.zx]
         if self.mode == "algorithm1":
-            powers, coef, offset = self.prop_wy
-            self.wy = self.wy + (_apply_flow(powers, coef, self.wy) + offset)
+            step, offset = self.prop_wy
+            self.wy = self.wy + ((step @ self.wy[..., None])[..., 0] + offset)
             t_sz, d_sz = self.prop_sz
             self.sz = t_sz @ self.sz + d_sz
             flows += [self.wy, self.sz]
@@ -670,8 +625,9 @@ class _Runner:
             tr.u[a] = np.full((n_samples, self.channels[a].m), np.nan)
 
         actives = tuple(sorted(s.initial_agents))
-        fresh = [_fresh_agent(n, None) for _ in actives]
+        fresh = [_coerce_initial_state(n, None) for _ in actives]
         agents = {key: np.array([st[key] for st in fresh]) for key in fresh[0]}
+        self.agents = {a: self._make_agent(a) for a in actives}
         iv_idx = 0
         self._enter(self.intervals[iv_idx], s.x0, agents, (0.0, 0.0))
 
@@ -685,10 +641,12 @@ class _Runner:
                 rows = {a: {key: arr[i] for key, arr in agents.items()} for i, a in enumerate(actives)}
                 for _, e in fired:
                     if e.kind == "join":
-                        rows[e.agent_id] = _fresh_agent(n, e.initial_state)
+                        rows[e.agent_id] = _coerce_initial_state(n, e.initial_state)
+                        self.agents[e.agent_id] = self._make_agent(e.agent_id)
                         actives = tuple(sorted(actives + (e.agent_id,)))
                     else:
                         del rows[e.agent_id]
+                        del self.agents[e.agent_id]
                         actives = tuple(a for a in actives if a != e.agent_id)
                 pending = [pe for pe in pending if pe[0] != step]
                 iv_idx += len(fired)
@@ -702,7 +660,7 @@ class _Runner:
 
             record = step % re_every == 0
             if self.mode != "static_gains":
-                self._refresh_gains(t, record)
+                self._refresh_gains(t)
             if record:
                 self._record(tr, step // re_every)
             if step >= self.total_steps:

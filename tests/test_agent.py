@@ -11,12 +11,9 @@ from plugplay.agent import (
     gain_F,
     gain_L,
     gamma_i,
-    hold_inverse,
     observer_derivative,
     phi_update,
-    stacked_gains,
     state_feedback_output,
-    threshold_gain,
 )
 from plugplay.graph import Graph
 from plugplay.matlib import induced_2norm, spectral_abscissa
@@ -335,8 +332,9 @@ def oracle_gamma(y, zeta, phi_x, phi_y, a, beta, cap):
     return float(g) if np.isfinite(g) else cap
 
 
-class TestStackedRefresh:
-    """The simulator's all-agents gain refresh against per-agent oracles."""
+class TestGainRefresh:
+    """refresh_gains of agents that differ in width, hold and history,
+    against oracles built from plain np.linalg.inv and svd."""
 
     PERIOD = 0.1
 
@@ -344,84 +342,71 @@ class TestStackedRefresh:
         rng = np.random.default_rng(7)
         n = 3
         self.a = rng.normal(size=(n, n))
-        # channels of different widths, zero-padded to m = 2 and p = 2
-        self.b_list = [rng.normal(size=(n, 1)), rng.normal(size=(n, 2)), rng.normal(size=(n, 1))]
-        self.c_list = [rng.normal(size=(2, n)), rng.normal(size=(1, n)), rng.normal(size=(1, n))]
-        self.b = np.zeros((3, n, 2))
-        self.c = np.zeros((3, 2, n))
-        for i in range(3):
-            self.b[i, :, : self.b_list[i].shape[1]] = self.b_list[i]
-            self.c[i, : self.c_list[i].shape[0], :] = self.c_list[i]
-        # agents 0 and 1 last sampled at index 2 (t = 0.2); agent 2 is a
-        # fresh joiner holding the identity
-        self.prev = np.stack([rng.normal(size=(n, n)) + 3 * np.eye(n) for _ in range(2)] + [np.eye(n)])
-        self.prev_svals = np.linalg.svd(self.prev, compute_uv=False)
-        self.prev_index = np.array([2, 2, -1])
+        self.params = AgentParams(beta=0.5, t_phi=self.PERIOD)
+        widths = [(1, 2), (2, 1), (1, 1)]  # (m, p) per agent
+        chans = [
+            Channel(i + 1, rng.normal(size=(n, m)), rng.normal(size=(p, n)))
+            for i, (m, p) in enumerate(widths)
+        ]
+        # agents 0 and 1 sample at t = 0.2 and run on; agent 2 joins at
+        # t = 0.35, mid-period, holding the identity
+        self.agents = [ControlAgent(self.a, ch, self.params) for ch in chans]
+        self.prev = [rng.normal(size=(n, n)) + 3 * np.eye(n) for _ in range(2)]
+        for ag, x in zip(self.agents, self.prev):
+            ag.X = ag.Y = x
+            ag.refresh_gains(0.2)
         good = rng.normal(size=(n, n)) + 2 * np.eye(n)
         singular = np.outer(rng.normal(size=n), rng.normal(size=n))  # rank one
         joiner = rng.normal(size=(n, n)) + 2 * np.eye(n)
-        self.x = np.stack([good, singular, joiner])
+        self.x = [good, singular, joiner]
+        for ag, x in zip(self.agents, self.x):
+            ag.X = x
 
-    def test_sample_and_hold_mask(self):
-        # t = 0.35 is mid-period: sample index 3 is due for all three
-        held, svals, index, taken = hold_inverse(
-            self.prev, self.prev_svals, self.prev_index, self.x, 0.35, self.PERIOD
-        )
-        assert index.tolist() == [3, 3, 3]
-        assert taken.tolist() == [True, False, True]
+    def test_sample_and_hold(self):
+        for ag in self.agents:
+            ag.refresh_gains(0.35)
+        held = [ag.phi_x.value for ag in self.agents]
+        assert [ag.phi_x.last_sample_index for ag in self.agents] == [3, 3, 3]
         assert np.allclose(held[0], np.linalg.inv(self.x[0]), rtol=1e-12, atol=1e-12)
-        assert np.array_equal(held[1], self.prev[1])  # rejected: previous hold kept
-        assert np.array_equal(svals[1], self.prev_svals[1])
+        assert np.array_equal(held[1], np.linalg.inv(self.prev[1]))  # rejected: hold kept
         assert np.allclose(held[2], np.linalg.inv(self.x[2]), rtol=1e-12, atol=1e-12)
-        for i in (0, 2):
-            assert np.allclose(svals[i], np.linalg.svd(held[i], compute_uv=False), rtol=1e-12)
-        # the inputs are not modified
-        assert np.array_equal(self.prev_index, [2, 2, -1])
+        for ag in self.agents:
+            svals = np.linalg.svd(ag.phi_x.value, compute_uv=False)
+            assert np.isclose(ag.phi_x.sigma_max, svals[0], rtol=1e-12)
+            assert np.isclose(ag.phi_x.sigma_min, svals[-1], rtol=1e-12)
         # nothing is due again before t = 0.4 (up to the 1e-9 slack)
-        again = hold_inverse(held, svals, index, self.x, 0.4 - 1e-6, self.PERIOD)
-        assert again[0] is held and again[2] is index and not again[3].any()
-        assert hold_inverse(held, svals, index, self.x, 0.4 - 1e-11, self.PERIOD)[2].tolist() == [4, 4, 4]
+        ag = self.agents[0]
+        ag.X = self.x[2]
+        ag.refresh_gains(0.4 - 1e-6)
+        assert ag.phi_x.value is held[0] and ag.phi_x.last_sample_index == 3
+        ag.refresh_gains(0.4 - 1e-11)
+        assert ag.phi_x.last_sample_index == 4
+        assert np.allclose(ag.phi_x.value, np.linalg.inv(self.x[2]), rtol=1e-12, atol=1e-12)
 
     def test_gains_and_threshold_against_oracle(self):
-        held, svals, _, _ = hold_inverse(
-            self.prev, self.prev_svals, self.prev_index, self.x, 0.35, self.PERIOD
-        )
         rng = np.random.default_rng(8)
-        phi_y = np.stack([rng.normal(size=(3, 3)) + 3 * np.eye(3) for _ in range(3)])
-        phi_y_svals = np.linalg.svd(phi_y, compute_uv=False)
-        zeta = np.array([0.4, 2.5, 3.0])  # agent 0 clamps to 1
-        y = np.stack([
+        zeta = [0.4, 2.5, 3.0]  # agent 0 clamps to 1
+        ys = [
             rng.normal(size=(3, 3)) + 2 * np.eye(3),
             np.zeros((3, 3)),  # vanishing denominator: the cap
             np.diag([1.0, 1.0, 1e-200]),  # overflowing value: the cap
-        ])
-        beta, cap = 0.5, 1e6
-        f, l = stacked_gains(self.b, self.c, held, phi_y, zeta)
-        gamma = threshold_gain(y, zeta, svals, phi_y_svals, induced_2norm(self.a), beta, cap)
-        for i in range(3):
-            zc = max(zeta[i], 1.0)
-            m_i, p_i = self.b_list[i].shape[1], self.c_list[i].shape[0]
-            assert np.allclose(f[i, :m_i], -self.b_list[i].T @ held[i] / zc, rtol=1e-13, atol=1e-13)
-            assert np.all(f[i, m_i:] == 0.0)
-            assert np.allclose(l[i, :, :p_i], -phi_y[i] @ self.c_list[i].T / zc, rtol=1e-13, atol=1e-13)
-            assert np.all(l[i, :, p_i:] == 0.0)
-            want = oracle_gamma(y[i], zeta[i], held[i], phi_y[i], self.a, beta, cap)
-            assert np.isclose(gamma[i], want, rtol=1e-12, atol=0), i
-        assert gamma[0] < cap
-        assert gamma[1] == cap and gamma[2] == cap
-
-    def test_single_agent_wrapper_is_a_stack_of_one(self):
-        params = AgentParams(beta=0.5, t_phi=self.PERIOD)
-        chan = Channel(1, self.b_list[1], self.c_list[1])
-        ag = ControlAgent(self.a, chan, params)
-        ag.X = self.x[0]
-        ag.Y = self.x[2]
-        ag.zeta = 2.5
-        ag.refresh_gains(0.35)
-        held_x = np.linalg.inv(self.x[0])
-        held_y = np.linalg.inv(self.x[2])
-        zc = 2.5
-        assert np.allclose(gain_F(ag, 0.35), -ag.B.T @ held_x / zc, rtol=1e-12, atol=1e-12)
-        assert np.allclose(gain_L(ag, 0.35), -held_y @ ag.C.T / zc, rtol=1e-12, atol=1e-12)
-        want = oracle_gamma(self.x[2], 2.5, held_x, held_y, self.a, 0.5, params.gamma_cap)
-        assert np.isclose(gamma_i(ag, 0.35), want, rtol=1e-12)
+        ]
+        cap = self.params.gamma_cap
+        gammas = []
+        for ag, y, z in zip(self.agents, ys, zeta):
+            ag.Y, ag.zeta = y, z
+            ag.refresh_gains(0.35)
+            zc = max(z, 1.0)
+            phi_x, phi_y = ag.phi_x.value, ag.phi_y.value
+            assert np.allclose(gain_F(ag, 0.35), -ag.B.T @ phi_x / zc, rtol=1e-13, atol=1e-13)
+            assert np.allclose(gain_L(ag, 0.35), -phi_y @ ag.C.T / zc, rtol=1e-13, atol=1e-13)
+            want = oracle_gamma(y, z, phi_x, phi_y, self.a, self.params.beta, cap)
+            assert np.isclose(gamma_i(ag, 0.35), want, rtol=1e-12, atol=0)
+            gammas.append(gamma_i(ag, 0.35))
+        # the first agent's Y is sampled now; the other two are rejected and
+        # keep their sample from t = 0.2 and the joiner's identity
+        assert np.allclose(self.agents[0].phi_y.value, np.linalg.inv(ys[0]), rtol=1e-12, atol=1e-12)
+        assert np.array_equal(self.agents[1].phi_y.value, np.linalg.inv(self.prev[1]))
+        assert np.array_equal(self.agents[2].phi_y.value, np.eye(3))
+        assert gammas[0] < cap
+        assert gammas[1] == cap and gammas[2] == cap
