@@ -9,6 +9,7 @@ are pure.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 __all__ = [
     "SingularMatrixError",
@@ -88,32 +89,40 @@ def unvec(v, rows: int, cols: int | None = None) -> np.ndarray:
 def solve_lyapunov(a, q, rtol: float = 1e-8) -> np.ndarray:
     """Solve the continuous Lyapunov equation A X + X A^T = -Q.
 
-    Uses the vectorized form (A (+) A) vec(X) = -vec(Q) with a dense
-    solve; at the matrix sizes handled here the n^2 x n^2 system is
-    cheap.  The result is symmetrized when Q is symmetric.
+    Bartels-Stewart (1972): one real Schur factorisation A = U T U^T,
+    then the quasi-triangular Sylvester equation T Y + Y T^T = -U^T Q U
+    (LAPACK ``trsyl``) and X = U Y U^T.  This costs O(n^3), where the
+    vectorized form (A (+) A) vec(X) = -vec(Q) costs O(n^6); the
+    equation is unique-solvable iff no two eigenvalues of A sum to zero,
+    which is read off the same Schur form.  The result is symmetrized
+    when Q is symmetric, and the residual is checked against ``rtol``.
 
     Raises
     ------
     LyapunovError
-        If some pair of eigenvalues of A sums to (numerically) zero,
-        i.e. the equation has no unique solution, or if the residual
-        check fails.
+        If ``min |l_i + l_j|`` over the eigenvalues of A is at most
+        ``SINGULARITY_RTOL * 2 |A|_2``, i.e. the equation has no unique
+        solution, or if the residual check fails.
     """
     a = _square(a, "A")
     q = _square(q, "Q")
     if a.shape != q.shape:
         raise ValueError(f"A and Q must have equal shapes, got {a.shape} vs {q.shape}")
-    k = kron_sum(a, a)
-    sv = np.linalg.svd(k, compute_uv=False)
-    if sv[-1] <= SINGULARITY_RTOL * sv[0]:
+    norm_a = induced_2norm(a)
+    t, u = scipy.linalg.schur(a, output="real")
+    w = np.linalg.eigvals(t)
+    if np.abs(w[:, None] + w[None, :]).min() <= SINGULARITY_RTOL * 2.0 * norm_a:
         raise LyapunovError(
             "no unique Lyapunov solution: an eigenvalue pair of A sums to ~0"
         )
-    x = unvec(np.linalg.solve(k, -vec(q)), a.shape[0])
+    # trsyl returns Y scaled by s <= 1 to avoid overflow; the residual
+    # check below catches its perturbed (info == 1) solutions
+    y, s, _ = scipy.linalg.lapack.dtrsyl(t, t, -(u.T @ q @ u), tranb="T")
+    x = u @ (y / s) @ u.T
     if np.allclose(q, q.T, rtol=0, atol=1e-13 * max(1.0, induced_2norm(q))):
         x = 0.5 * (x + x.T)
     resid = induced_2norm(a @ x + x @ a.T + q)
-    scale = induced_2norm(a) * induced_2norm(x) + induced_2norm(q)
+    scale = norm_a * induced_2norm(x) + induced_2norm(q)
     if resid > rtol * max(scale, 1e-30):
         raise LyapunovError(
             f"Lyapunov residual {resid:.3e} exceeds {rtol:.1e} * {scale:.3e}"

@@ -282,8 +282,8 @@ def _flow_error_series(a, b_by_id, beta, params, g, target, t_grid, rng, dual=Fa
     return errs
 
 
-def _loose_horizon(a, maps, beta, params, g, dual) -> float:
-    """Horizon long enough for the slowest decaying mode to contract 1e8x."""
+def _loose_horizon(a, maps, beta, params, g, dual, contraction) -> float:
+    """Horizon long enough for the slowest decaying mode to contract by ``contraction``."""
     ids = tuple(sorted(maps))
     n = a.shape[0]
     zero = consensus.BassConsensusState.zeros(ids, n)
@@ -296,7 +296,7 @@ def _loose_horizon(a, maps, beta, params, g, dual) -> float:
     w = np.linalg.eigvals(m)
     decaying = w.real[w.real < -1e-9]
     slow = float(-decaying.max())
-    return float(np.log(1e8) / slow)
+    return float(np.log(contraction) / slow)
 
 
 def suite_consensus(seed: int = 0, graphs: int = 3) -> list[CheckResult]:
@@ -325,8 +325,11 @@ def suite_consensus(seed: int = 0, graphs: int = 3) -> list[CheckResult]:
                 bagg = np.hstack([maps[i] for i in ids])
                 target = bass.bass_solve(a, bagg, beta, check_controllability=False).X_star / n_agents
             params = consensus.bass_rate_params(a, beta, g, delta)
+            # the initial flow error is ~err0_scale per agent; both runs
+            # below contract it past 1e-8 at their slowest rate
             err0_scale = 10.0
-            t_final = float(np.log(err0_scale * n_agents / 1e-8) / delta)
+            budget = err0_scale * n_agents / 1e-8
+            t_final = float(np.log(budget) / delta)
             t_grid = np.linspace(0.0, t_final, 241)
             errs = _flow_error_series(a, maps, beta, params, g, target, t_grid, rng, dual=dual)
             rate = fit_decay_rate(t_grid, errs)
@@ -339,7 +342,7 @@ def suite_consensus(seed: int = 0, graphs: int = 3) -> list[CheckResult]:
             # (uncertified) rate: read the slow mode off the lifted
             # operator and size the horizon with it
             loose = FlowParams(float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.2, 2.0)))
-            t2 = _loose_horizon(a, maps, beta, loose, g, dual)
+            t2 = _loose_horizon(a, maps, beta, loose, g, dual, budget)
             t_grid2 = np.linspace(0.0, t2, 201)
             errs2 = _flow_error_series(a, maps, beta, loose, g, target, t_grid2, rng, dual=dual)
             if errs2[-1] >= 1e-6:

@@ -3,6 +3,14 @@ import pytest
 import scipy.linalg
 
 from plugplay import matlib as ml
+from plugplay.consensus import bass_rate_params
+from plugplay.graph import Graph, lambda2
+
+
+def kron_lyapunov(a, q):
+    """Oracle: solve (A (+) A) vec X = -vec Q densely, O(n^6)."""
+    a = np.asarray(a, dtype=float)
+    return ml.unvec(np.linalg.solve(ml.kron_sum(a, a), -ml.vec(q)), a.shape[0])
 
 
 class TestKron:
@@ -110,6 +118,89 @@ class TestSolveLyapunov:
         # A has eigenvalues +1 and -1, which sum to zero
         with pytest.raises(ml.LyapunovError):
             ml.solve_lyapunov(np.diag([1.0, -1.0]), np.eye(2))
+        # a pair sum of 1e-14 against 2|A| = 2 is zero to working precision
+        with pytest.raises(ml.LyapunovError):
+            ml.solve_lyapunov(np.diag([1.0, -1.0 + 1e-14]), np.eye(2))
+
+
+class TestKroneckerOracle:
+    """The production Bartels-Stewart solve against the vectorized system."""
+
+    @staticmethod
+    def _agree(a, q):
+        x = ml.solve_lyapunov(a, q)
+        x_ref = kron_lyapunov(a, q)
+        assert np.abs(x - x_ref).max() <= 1e-9 * max(1.0, np.abs(x_ref).max())
+
+    def test_non_normal(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            n = int(rng.integers(2, 13))
+            # non-normal: stable diagonal, strictly upper part of the same size
+            t = np.diag(-rng.uniform(0.5, 2.0, size=n)) + np.triu(rng.normal(size=(n, n)), 1)
+            s, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            self._agree(s @ t @ s.T, rng.normal(size=(n, n)))
+
+    def test_mixed_sign_spectrum(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            n = int(rng.integers(2, 13))
+            # eigenvalues of both signs, every pair sum at least 0.3 from zero
+            mags = 0.5 + 0.4 * np.arange(n) + rng.uniform(0.0, 0.1, size=n)
+            lam = mags * rng.choice([-1.0, 1.0], size=n)
+            v = rng.normal(size=(n, n)) + 2.0 * np.eye(n)
+            a = v @ np.diag(lam) @ np.linalg.inv(v)
+            w = np.linalg.eigvals(a)
+            assert np.abs(w[:, None] + w[None, :]).min() > 0.29
+            q = rng.normal(size=(n, n))
+            self._agree(a, q + q.T)
+
+    def test_defective_jordan_block(self):
+        for lam in (-1.0, 0.7):
+            a = np.array([[lam, 1.0], [0.0, lam]])
+            self._agree(a, np.array([[1.0, 0.2], [0.2, 3.0]]))
+            self._agree(a, np.array([[0.0, 1.0], [-2.0, 0.5]]))
+
+    def test_large_n_residual_and_spd(self):
+        rng = np.random.default_rng(13)
+        n = 64
+        a = rng.normal(size=(n, n)) / np.sqrt(n)
+        a = a - (ml.spectral_abscissa(a) + 0.3) * np.eye(n)
+        b = rng.normal(size=(n, n))
+        q = b @ b.T + np.eye(n)
+        x = ml.solve_lyapunov(a, q)
+        resid = ml.induced_2norm(a @ x + x @ a.T + q)
+        scale = ml.induced_2norm(a) * ml.induced_2norm(x) + ml.induced_2norm(q)
+        assert resid <= 1e-8 * scale
+        assert np.linalg.eigvalsh(x)[0] > 0
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_rate_params_against_kronecker_route(self, n):
+        rng = np.random.default_rng(100 + n)
+        a = rng.normal(size=(n, n)) / np.sqrt(n)
+        beta = 0.5 - ml.min_real_part(a)
+        g = Graph.from_edges([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (4, 1)])
+        delta = 0.5
+        # the docstring's formula, with P from the n^4 x n^4 vectorized system
+        neg = -(a + beta * np.eye(n))
+        abar = ml.kron_sum(neg, neg)
+        p = kron_lyapunov(abar.T, 2.0 * np.eye(n * n))
+        w = np.linalg.eigvalsh(0.5 * (p + p.T))
+        k = w[-1] * delta
+        gamma = (6.0 + np.sqrt(4.0 + np.linalg.norm(p, 2) ** 2 * np.linalg.norm(abar, 2) ** 2)) / (
+            2.0 * lambda2(g) * w[0]
+        ) * k
+        params = bass_rate_params(a, beta, g, delta)
+        assert np.isclose(params.k, k, rtol=1e-9, atol=0)
+        assert np.isclose(params.gamma, gamma, rtol=1e-9, atol=0)
+
+    def test_rate_params_n8_finite(self):
+        rng = np.random.default_rng(108)
+        a = rng.normal(size=(8, 8)) / np.sqrt(8)
+        g = Graph.from_edges([1, 2, 3], [(1, 2), (2, 3)])
+        params = bass_rate_params(a, 0.5 - ml.min_real_part(a), g, 0.5)
+        assert np.isfinite(params.k) and params.k > 0
+        assert np.isfinite(params.gamma) and params.gamma > 0
 
 
 class TestEigen:
