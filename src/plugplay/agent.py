@@ -1,11 +1,11 @@
 """The self-organizing control agent.
 
-Each agent owns one plant channel plus the local states it integrates:
-an observer estimate, the matrix gain flow pair (Z_i, X_i), the dual
-pair (W_i, Y_i), and the size-estimator pair (psi_i, zeta_i).  From
-those it derives its time-varying feedback gain, injection gain, and
-coupling gain; the sample-and-hold inverse filter keeps the gains
-bounded while the matrix iterates pass through singular transients.
+Each agent owns one plant channel and reads three of its local flow
+states: the gain-flow iterate X_i, the dual iterate Y_i and the size
+estimate zeta_i.  From those it derives its time-varying feedback gain,
+injection gain, and coupling gain; the sample-and-hold inverse filter
+keeps the gains bounded while the matrix iterates pass through singular
+transients.
 
 An agent never sees another agent's channel maps or the plant state,
 only its own measurement and the neighbors' broadcast states.
@@ -25,14 +25,9 @@ __all__ = [
     "AgentParams",
     "PhiFilter",
     "ControlAgent",
-    "phi_update",
     "gain_F",
     "gain_L",
     "gamma_i",
-    "effective_gamma",
-    "observer_derivative",
-    "control_output",
-    "state_feedback_output",
 ]
 
 # Conditioning threshold standing in for the exact det != 0 test.
@@ -90,11 +85,6 @@ class PhiFilter:
         return self.held
 
 
-def phi_update(f: PhiFilter, x: np.ndarray, t: float) -> np.ndarray:
-    """Sample-and-hold update; see :class:`PhiFilter`."""
-    return f.update(x, t)
-
-
 @dataclass(frozen=True)
 class AgentParams:
     """Flow and filter parameters shared by one agent's subsystems.
@@ -124,8 +114,8 @@ class AgentParams:
 class ControlAgent:
     """One agent's states and self-computed gains.
 
-    The caller writes the states (xhat, Z, X, W, Y, psi, zeta) into the
-    agent and calls :meth:`refresh_gains`; the gains then read through
+    The caller writes the states (X, Y, zeta) into the agent and calls
+    :meth:`refresh_gains`; the gains then read through
     :func:`gain_F`, :func:`gain_L` and :func:`gamma_i` depend on this
     agent's states and channel only.  The simulator drives one agent
     per active channel this way, once per step.
@@ -136,10 +126,7 @@ class ControlAgent:
         a: np.ndarray,
         channel: Channel,
         params: AgentParams,
-        mode: str = "observer",
     ):
-        if mode not in ("observer", "state_feedback"):
-            raise ValueError(f"unknown agent mode {mode!r}")
         self.A = as_matrix(a, "A")
         n = self.A.shape[0]
         chan = normalize_channel(channel)
@@ -151,14 +138,9 @@ class ControlAgent:
         self.input_scale = chan.input_scale
         self.output_scale = chan.output_scale
         self.params = params
-        self.mode = mode
         self.n = n
-        self.xhat = np.zeros(n)
-        self.Z = np.zeros((n, n))
         self.X = np.zeros((n, n))
-        self.W = np.zeros((n, n))
         self.Y = np.zeros((n, n))
-        self.psi = 0.0
         self.zeta = 0.0
         self.phi_x = PhiFilter(params.t_phi, n)
         self.phi_y = PhiFilter(params.t_phi, n)
@@ -226,45 +208,3 @@ def gamma_i(a: ControlAgent, t: float) -> float:
     """
     a._ensure(t)
     return a._gamma
-
-
-def effective_gamma(a: ControlAgent, t: float) -> float:
-    """Coupling gain actually applied by the observer: gamma_i capped."""
-    a._ensure(t)
-    return min(a._gamma, a.params.gamma_cap)
-
-
-def observer_derivative(a: ControlAgent, y_i: np.ndarray, neighbor_xhats, t: float) -> np.ndarray:
-    """Observer right-hand side with the self-computed gains.
-
-    ``A xhat + zeta B_i F_i xhat + zeta L_i (C_i xhat - y_i)
-    + min(gamma_i, gamma_cap) * sum_j (xhat_j - xhat)``
-    """
-    a._ensure(t)
-    y_i = np.asarray(y_i, dtype=float).ravel()
-    d = a.A @ a.xhat
-    d = d + a.zeta * (a.B @ (a._F @ a.xhat))
-    d = d + a.zeta * (a._L @ (a.C @ a.xhat - y_i))
-    gam = min(a._gamma, a.params.gamma_cap)
-    for xj in neighbor_xhats:
-        d = d + gam * (np.asarray(xj, dtype=float) - a.xhat)
-    return d
-
-
-def control_output(a: ControlAgent, t: float) -> np.ndarray:
-    """Channel input u_i = F_i(t) xhat_i."""
-    a._ensure(t)
-    return a._F @ a.xhat
-
-
-def state_feedback_output(a: ControlAgent, x: np.ndarray, t: float) -> np.ndarray:
-    """Full-state feedback u_i = -B_i^T Phi(X_i)(t) x.
-
-    Only valid when the agent was configured for state feedback (the
-    plant state is measurable, C_i = I).  Needs neither the observer
-    nor the size estimator.
-    """
-    if a.mode != "state_feedback":
-        raise ValueError("agent is configured for observer mode")
-    a._ensure(t)
-    return -(a.B.T @ (a.phi_x.value @ np.asarray(x, dtype=float).ravel()))

@@ -9,10 +9,14 @@ network equilibrium onto the blended one despite heterogeneous drifts.
 * network-size estimator: scalar (psi_i, zeta_i) plus a distinguished
   informer node whose leak term anchors zeta_i -> N.
 
-The functions here are pure derivative evaluations; integration belongs
-to the sim module.  The agent count deliberately never appears in any
-right-hand side, so agents can join or leave without touching the flow
-code.
+Every flow is affine, ``sdot = M s + c``, and each is written once, as
+its closed-form Kronecker operator (:func:`pi_flow_operator`,
+:func:`size_flow_operator`, over the layout of the state containers'
+``pack()``).  The simulator builds its per-interval maps from them, the
+suites propagate them exactly, and the ``*_flow_derivative`` functions
+evaluate them on a state.  The agent count is never a parameter of an
+operator, only its size, so agents can join or leave without touching
+the flow code.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ __all__ = [
     "BassConsensusState",
     "DualConsensusState",
     "SizeEstState",
+    "flow_drift",
+    "pi_flow_operator",
+    "size_flow_operator",
     "bass_flow_derivative",
     "dual_flow_derivative",
     "size_flow_derivative",
@@ -83,20 +90,6 @@ class BassConsensusState:
         k = len(tuple(ids))
         return cls(tuple(ids), np.zeros((k, n, n)), np.zeros((k, n, n)))
 
-    @classmethod
-    def from_maps(cls, z_by_id: Mapping[int, np.ndarray], x_by_id: Mapping[int, np.ndarray]) -> "BassConsensusState":
-        ids = tuple(sorted(z_by_id))
-        if tuple(sorted(x_by_id)) != ids:
-            raise ValueError("Z and X maps must share the same agent ids")
-        return cls(ids, np.stack([as_matrix(z_by_id[i]) for i in ids]),
-                   np.stack([as_matrix(x_by_id[i]) for i in ids]))
-
-    def z_of(self, agent_id: int) -> np.ndarray:
-        return self.Z[self.ids.index(agent_id)]
-
-    def x_of(self, agent_id: int) -> np.ndarray:
-        return self.X[self.ids.index(agent_id)]
-
     def pack(self) -> np.ndarray:
         return np.concatenate([self.Z.ravel(), self.X.ravel()])
 
@@ -119,12 +112,6 @@ class DualConsensusState(BassConsensusState):
     @property
     def Y(self) -> np.ndarray:
         return self.X
-
-    def w_of(self, agent_id: int) -> np.ndarray:
-        return self.z_of(agent_id)
-
-    def y_of(self, agent_id: int) -> np.ndarray:
-        return self.x_of(agent_id)
 
 
 @dataclass(frozen=True)
@@ -152,12 +139,6 @@ class SizeEstState:
         k = len(tuple(ids))
         return cls(tuple(ids), np.zeros(k), np.zeros(k))
 
-    def psi_of(self, node_id: int) -> float:
-        return float(self.psi[self.ids.index(node_id)])
-
-    def zeta_of(self, node_id: int) -> float:
-        return float(self.zeta[self.ids.index(node_id)])
-
     def pack(self) -> np.ndarray:
         return np.concatenate([self.psi, self.zeta])
 
@@ -170,6 +151,71 @@ def _check_graph(ids, g: Graph) -> np.ndarray:
     if g.nodes != tuple(ids):
         raise ValueError(f"graph nodes {g.nodes} must equal state ids {tuple(ids)}")
     return laplacian(g)
+
+
+def flow_drift(a, beta: float) -> np.ndarray:
+    """The gain flow's local drift on row-major vec X.
+
+    ``X -> -(A + beta I) X - X (A + beta I)^T`` is the Kronecker sum
+    ``(-(A + beta I)) (+) (-(A + beta I))``; the dual flow's drift is
+    ``flow_drift(A^T, beta)``.
+    """
+    a = as_matrix(a, "A")
+    neg = -(a + beta * np.eye(a.shape[0]))
+    return kron_sum(neg, neg)
+
+
+def pi_flow_operator(drift, k: float, gamma: float, lap, q) -> tuple[np.ndarray, np.ndarray]:
+    """The PI-coupled flow as ``sdot = M s + c``, returned as ``(M, c)``.
+
+    For N agents over the graph Laplacian ``lap`` (N x N)::
+
+        Zdot_i = gamma sum_j L_ij X_j
+        Xdot_i = k (drift X_i + Q_i) - gamma sum_j L_ij (X_j + Z_j)
+
+    with ``q`` the N rows vec Q_i.  The state ``s = (vec Z_1..Z_N,
+    vec X_1..X_N)`` is laid out as ``BassConsensusState.pack()`` lays it
+    out, so ``drift`` acts on row-major vec (see :func:`flow_drift`).
+    The gain flow has ``Q_i = 2 B_i B_i^T``, its dual ``2 C_i^T C_i``.
+    Passing the 1 x 1 Laplacian ``[[lam_j]]`` gives the flow's block on
+    one Laplacian eigenmode.
+    """
+    drift = np.asarray(drift, dtype=float)
+    lap = np.asarray(lap, dtype=float)
+    n_agents, m = lap.shape[0], drift.shape[0]
+    q = np.asarray(q, dtype=float).reshape(n_agents, m)
+    half = n_agents * m
+    coupling = gamma * np.kron(lap, np.eye(m))
+    op = np.zeros((2 * half, 2 * half))
+    op[:half, half:] = coupling
+    op[half:, :half] = -coupling
+    op[half:, half:] = k * np.kron(np.eye(n_agents), drift) - coupling
+    c = np.zeros(2 * half)
+    c[half:] = k * q.ravel()
+    return op, c
+
+
+def size_flow_operator(k: float, gamma: float, lap_b, informer_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """The network-size estimator as ``sdot = M s + c``, returned as ``(M, c)``.
+
+    Over ``s = (psi, zeta)`` on the nodes of the Laplacian ``lap_b``
+    (informer included, at row ``informer_index``), as
+    ``SizeEstState.pack()`` lays it out: every node runs ``psidot_i =
+    gamma sum_j L_ij zeta_j``; ordinary nodes integrate ``zetadot_i = k
+    - gamma sum_j L_ij (zeta_j + psi_j)``, and the informer leaks,
+    ``zetadot_0 = -k zeta_0 - gamma sum_j L_0j (zeta_j + psi_j)``.
+    """
+    lap_b = np.asarray(lap_b, dtype=float)
+    nb = lap_b.shape[0]
+    op = np.zeros((2 * nb, 2 * nb))
+    op[:nb, nb:] = gamma * lap_b
+    op[nb:, :nb] = -gamma * lap_b
+    op[nb:, nb:] = -gamma * lap_b
+    op[nb + informer_index, nb + informer_index] -= k
+    c = np.zeros(2 * nb)
+    c[nb:] = k
+    c[nb + informer_index] = 0.0
+    return op, c
 
 
 def bass_flow_derivative(
@@ -189,7 +235,8 @@ def bass_flow_derivative(
         Xdot_i = k * [-(A + beta I) X_i - X_i (A + beta I)^T + 2 B_i B_i^T]
                  + gamma * sum_j (X_j - X_i) + gamma * sum_j (Z_j - Z_i)
 
-    `lap` may carry a precomputed Laplacian for hot loops.
+    evaluated as :func:`pi_flow_operator` applied to ``state.pack()``.
+    `lap` may carry a precomputed Laplacian.
     """
     if lap is None:
         lap = _check_graph(state.ids, g)
@@ -197,17 +244,13 @@ def bass_flow_derivative(
     n = a.shape[0]
     if state.X.shape[-1] != n:
         raise ValueError(f"state dimension {state.X.shape[-1]} does not match A ({n})")
-    m = a + beta * np.eye(n)
-    bmaps = []
+    q = []
     for i in state.ids:
         b = np.asarray(b_by_id[i], dtype=float)
-        bmaps.append(b.reshape(n, -1) if b.ndim == 1 else b)
-    w2 = np.stack([2.0 * b @ b.T for b in bmaps])
-    lx = np.tensordot(lap, state.X, axes=(1, 0))
-    lz = np.tensordot(lap, state.Z, axes=(1, 0))
-    dz = params.gamma * lx
-    dx = params.k * (-(m @ state.X) - state.X @ m.T + w2) - params.gamma * (lx + lz)
-    return BassConsensusState(state.ids, dz, dx)
+        b = b.reshape(n, -1) if b.ndim == 1 else b
+        q.append(2.0 * b @ b.T)
+    op, c = pi_flow_operator(flow_drift(a, beta), params.k, params.gamma, lap, np.stack(q))
+    return state.unpack(op @ state.pack() + c)
 
 
 def dual_flow_derivative(
@@ -222,10 +265,7 @@ def dual_flow_derivative(
     """Dual flow for (W_i, Y_i): the primal flow on (A^T, C_i^T)."""
     a = as_matrix(a, "A")
     ct = {i: np.asarray(c).T for i, c in c_by_id.items()}
-    d = bass_flow_derivative(
-        BassConsensusState(state.ids, state.W, state.Y), a.T, ct, beta, params, g, lap=lap
-    )
-    return DualConsensusState(state.ids, d.Z, d.X)
+    return bass_flow_derivative(state, a.T, ct, beta, params, g, lap=lap)
 
 
 def size_flow_derivative(
@@ -238,20 +278,15 @@ def size_flow_derivative(
 
     Ordinary nodes integrate ``zetadot_i = k + coupling``; the informer
     (node 0) integrates ``zetadot_0 = -k zeta_0 + coupling``; all nodes
-    run ``psidot_i = -gamma * sum_j (zeta_j - zeta_i)``.
+    run ``psidot_i = -gamma * sum_j (zeta_j - zeta_i)``.  Evaluated as
+    :func:`size_flow_operator` applied to ``state.pack()``.
     """
     if INFORMER_ID not in state.ids:
         raise ValueError(f"informer node {INFORMER_ID} missing from state")
     if lap is None:
         lap = _check_graph(state.ids, g_bar)
-    idx0 = state.ids.index(INFORMER_ID)
-    lz = lap @ state.zeta
-    lp = lap @ state.psi
-    dpsi = params.gamma * lz
-    drive = np.full(state.zeta.size, params.k)
-    drive[idx0] = -params.k * state.zeta[idx0]
-    dzeta = drive - params.gamma * lz - params.gamma * lp
-    return SizeEstState(state.ids, dpsi, dzeta)
+    op, c = size_flow_operator(params.k, params.gamma, lap, state.ids.index(INFORMER_ID))
+    return state.unpack(op @ state.pack() + c)
 
 
 def bass_rate_params(a, beta: float, g: Graph, delta: float) -> FlowParams:
@@ -274,8 +309,7 @@ def bass_rate_params(a, beta: float, g: Graph, delta: float) -> FlowParams:
         raise ValueError(f"shift beta={beta} must exceed {lo:.6g}")
     if not is_connected(g):
         raise ValueError("graph must be connected")
-    neg = -(a + beta * np.eye(a.shape[0]))
-    abar = kron_sum(neg, neg)
+    abar = flow_drift(a, beta)
     p = solve_lyapunov(abar.T, 2.0 * np.eye(abar.shape[0]))
     w = np.linalg.eigvalsh(0.5 * (p + p.T))
     lam2 = lambda2(g) if g.n >= 2 else 4.0

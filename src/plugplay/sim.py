@@ -15,10 +15,10 @@ and splits in two:
   interval and never read the plant or the observers.  RK4 on
   ``ydot = A y + c`` is exactly ``y <- T4(hA) y + h S3(hA) c``
   (:func:`matlib.rk4_propagator`), so each flow gets its one-step map
-  once per interval.  The two matrix flows are kept in the eigenbasis
-  of the agent-graph Laplacian, where they split into one 2 n^2 system
-  per mode, so their maps take O(N n^4) memory.  The size estimator
-  gets one small dense map.
+  once per interval, from its operator in :mod:`consensus`.  The two
+  matrix flows are kept in the eigenbasis of the agent-graph Laplacian,
+  where they split into one 2 n^2 system per mode, so their maps take
+  O(N n^4) memory.  The size estimator gets one small dense map.
 * Plant plus observers, of size n (N + 1), form one matrix per step,
   built from every agent's frozen gains; :func:`rk4_step` advances it.
 
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import bass
 from .agent import AgentParams, ControlAgent, gain_F, gain_L, gamma_i
-from .consensus import INFORMER_ID
+from .consensus import INFORMER_ID, flow_drift, pi_flow_operator, size_flow_operator
 from .graph import Graph, is_connected, laplacian
 from .matlib import min_real_part, rk4_propagator
 from .plant import Channel, PlantModel, is_controllable, is_observable, normalize_channel, normalize_plant
@@ -332,12 +332,10 @@ def _coerce_initial_state(n: int, init: dict | None) -> dict:
 def _pi_flow_map(drift, k, gamma, lam, forcing, h):
     """Per-step RK4 map of one PI flow in the agent-Laplacian eigenbasis.
 
-    With Laplacian eigenvalues ``lam`` the flow ``Zdot_i = gamma sum_j
-    L_ij X_j``, ``Xdot_i = k (drift X_i + Q_i) - gamma sum_j L_ij (X_j +
-    Z_j)`` splits into one system per mode j over ``y_j = (vec Z_j,
-    vec X_j)`` (row-major vec), with drift ``B_j = [[0, g_j I],
-    [-g_j I, k drift - g_j I]]``, ``g_j = gamma lam_j``, and forcing
-    ``(0, k Q_j)``; ``forcing`` holds the rows vec Q_j.
+    With Laplacian eigenvalues ``lam`` the flow splits into one system
+    per mode j over ``y_j = (vec Z_j, vec X_j)``, whose operator is
+    :func:`consensus.pi_flow_operator` on the 1 x 1 Laplacian
+    ``[[lam_j]]``; ``forcing`` holds the modal forcing rows vec Q_j.
 
     Returns ``(step, offset)``: ``step`` is the stack of
     ``T4(h B_j) - I = B_j h S3(h B_j)`` and one RK4 step is
@@ -346,18 +344,14 @@ def _pi_flow_map(drift, k, gamma, lam, forcing, h):
     the fixed point of the map by about ``eps / (h * rate)`` of |y|.
     """
     m = drift.shape[0]
-    eye = np.eye(m)
     step = np.empty((lam.size, 2 * m, 2 * m))
     offset = np.empty((lam.size, 2 * m))
     # one mode at a time keeps the temporaries at a single block's size
-    for j, g in enumerate(gamma * lam):
-        block = np.zeros((2 * m, 2 * m))
-        block[:m, m:] = g * eye
-        block[m:, :m] = -g * eye
-        block[m:, m:] = k * drift - g * eye
+    for j, lam_j in enumerate(lam):
+        block, c = pi_flow_operator(drift, k, gamma, [[lam_j]], forcing[j])
         _, s = rk4_propagator(block, h)
         step[j] = block @ s
-        offset[j] = s[:, m:] @ (k * forcing[j])
+        offset[j] = s @ c
     return step, offset
 
 
@@ -409,13 +403,9 @@ class _Runner:
         self.total_steps = int(round(scenario.solver.t_end / self.h))
         self.record_every = scenario.solver.record_every
         self.channels: dict[int, Channel] = {c.id: c for c in self.plant.channels}
-        p = scenario.params
-        n = self.n
-        m_mat = self.A + p.beta * np.eye(n)
-        eye = np.eye(n)
-        # -(M X + X M^T) and -(M^T Y + Y M) on row-major vec
-        self.drift_x = -(np.kron(m_mat, eye) + np.kron(eye, m_mat))
-        self.drift_y = -(np.kron(m_mat.T, eye) + np.kron(eye, m_mat.T))
+        beta = scenario.params.beta
+        self.drift_x = flow_drift(self.A, beta)
+        self.drift_y = flow_drift(self.A.T, beta)
         self.agents: dict[int, ControlAgent] = {}
 
     def _ensure_channel(self, aid: int, event: Event | None):
@@ -424,8 +414,7 @@ class _Runner:
             self.channels[aid] = normalize_channel(chan)
 
     def _make_agent(self, aid: int) -> ControlAgent:
-        mode = "state_feedback" if self.mode == "state_feedback" else "observer"
-        return ControlAgent(self.A, self.channels[aid], self.s.params, mode=mode)
+        return ControlAgent(self.A, self.channels[aid], self.s.params)
 
     # -- per-interval set-up ---------------------------------------------
 
@@ -498,18 +487,9 @@ class _Runner:
         self.prop_wy = _pi_flow_map(
             self.drift_y, p.k_o, p.gamma_o, lam, v.T @ ctc.reshape(n_agents, nn), h
         )
-        # size estimator over (psi, zeta) of informer 0 and the agents:
-        # psidot = gs Lb zeta, zetadot = ks (1 - e0) - ks e0 zeta_0 - gs Lb (zeta + psi)
-        lap_b = np.asarray(laplacian(iv.graph), dtype=float)
-        k_s, g_s = p.k_s, p.gamma_s
-        nb = n_agents + 1
-        ops = np.zeros((2 * nb, 2 * nb))
-        ops[:nb, nb:] = g_s * lap_b
-        ops[nb:, :nb] = -g_s * lap_b
-        ops[nb:, nb:] = -g_s * lap_b
-        ops[nb, nb] -= k_s
-        drive = np.full(2 * nb, k_s)
-        drive[: nb + 1] = 0.0
+        # size estimator over (psi, zeta) of informer 0 (first in id
+        # order) and the agents
+        ops, drive = size_flow_operator(p.k_s, p.gamma_s, laplacian(iv.graph), 0)
         t_sz, s_sz = rk4_propagator(ops, h)
         self.prop_sz = (t_sz, s_sz @ drive)
         self.sz = np.concatenate([[informer[0]], agents["psi"], [informer[1]], agents["zeta"]])
@@ -549,10 +529,11 @@ class _Runner:
         nn = n * n
         self.x_mats = (self.v @ self.zx[:, nn:]).reshape(n_agents, n, n)
         if self.mode == "state_feedback":
+            # Y and zeta stay 0: the zeta clamp makes F_i = -B_i^T Phi(X_i)
             for i, ag in enumerate(self.members):
                 ag.X = self.x_mats[i]
                 ag.refresh_gains(t)
-                self.f[i, : self.widths[i][0]] = -(ag.B.T @ ag.phi_x.value)
+                self.f[i, : self.widths[i][0]] = gain_F(ag, t)
             self.g = self.A + (self.b @ self.f).sum(axis=0)
             return
         self.y_mats = (self.v @ self.wy[:, nn:]).reshape(n_agents, n, n)
@@ -966,8 +947,8 @@ def scenario_from_json(d: dict) -> Scenario:
             static=static,
             metadata=d.get("metadata", {}),
         )
-    except (KeyError, TypeError) as exc:
-        raise ScenarioError(f"malformed scenario: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"invalid scenario: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

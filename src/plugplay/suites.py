@@ -17,7 +17,7 @@ from scipy.linalg import expm
 
 from . import analysis, bass, consensus
 from .consensus import INFORMER_ID, FlowParams
-from .graph import Graph, r_matrix
+from .graph import Graph, laplacian, r_matrix
 from .matlib import induced_2norm, min_real_part, rk4_propagator, spectral_abscissa, unvec
 from .plant import Channel, PlantModel, aggregate, normalize_channel
 
@@ -132,22 +132,9 @@ def random_normalized_plant(
     return PlantModel(a, tuple(chans))
 
 
-def _affine_from(fn, dim: int):
-    """Recover (M, w) of an affine map fn(s) = M s + w by probing."""
-    w = fn(np.zeros(dim))
-    m = np.empty((dim, dim))
-    e = np.zeros(dim)
-    for j in range(dim):
-        e[j] = 1.0
-        m[:, j] = fn(e) - w
-        e[j] = 0.0
-    return m, w
-
-
-def propagate_affine(fn, s0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
-    """Exact sampling of sdot = fn(s) (affine) on a uniform time grid."""
+def propagate_affine(m: np.ndarray, w: np.ndarray, s0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
+    """Exact sampling of ``sdot = M s + w`` on a uniform time grid."""
     dim = s0.size
-    m, w = _affine_from(fn, dim)
     dt = float(t_grid[1] - t_grid[0])
     aug = np.zeros((dim + 1, dim + 1))
     aug[:dim, :dim] = m
@@ -255,44 +242,30 @@ def suite_bass(seed: int = 0, count: int = 200, envelopes: int = 50) -> list[Che
 # suite: distributed flows
 
 
-def _flow_error_series(a, b_by_id, beta, params, g, target, t_grid, rng, dual=False):
-    ids = tuple(sorted(b_by_id))
-    n = a.shape[0]
-    seed_z = rng.normal(size=(len(ids), n, n))
-    seed_x = rng.normal(size=(len(ids), n, n))
+def _gain_flow_operator(a, maps, beta, params, g, dual):
+    """(M, c) of the gain flow over ``pack()`` order, or of its dual on (A^T, C_i^T)."""
     if dual:
-        proto = consensus.DualConsensusState(ids, seed_z, seed_x)
+        a = a.T
+        maps = {i: c.T for i, c in maps.items()}
+    q = np.stack([2.0 * maps[i] @ maps[i].T for i in sorted(maps)])
+    return consensus.pi_flow_operator(
+        consensus.flow_drift(a, beta), params.k, params.gamma, laplacian(g), q
+    )
 
-        def fn(flat):
-            d = consensus.dual_flow_derivative(proto.unpack(flat), a, b_by_id, beta, params, g)
-            return d.pack()
-    else:
-        proto = consensus.BassConsensusState(ids, seed_z, seed_x)
 
-        def fn(flat):
-            d = consensus.bass_flow_derivative(proto.unpack(flat), a, b_by_id, beta, params, g)
-            return d.pack()
-    state0 = proto
-
-    series = propagate_affine(fn, state0.pack(), t_grid)
-    errs = np.empty(t_grid.size)
-    for k in range(t_grid.size):
-        st = proto.unpack(series[k])
-        errs[k] = max(induced_2norm(st.X[i] - target) for i in range(len(ids)))
-    return errs
+def _flow_error_series(a, maps, beta, params, g, target, t_grid, rng, dual=False):
+    n_agents, n = len(maps), a.shape[0]
+    seed_z = rng.normal(size=(n_agents, n, n))
+    seed_x = rng.normal(size=(n_agents, n, n))
+    m, c = _gain_flow_operator(a, maps, beta, params, g, dual)
+    series = propagate_affine(m, c, np.concatenate([seed_z.ravel(), seed_x.ravel()]), t_grid)
+    x = series[:, seed_z.size :].reshape(t_grid.size, n_agents, n, n)
+    return np.linalg.norm(x - target, 2, axis=(2, 3)).max(axis=1)
 
 
 def _loose_horizon(a, maps, beta, params, g, dual, contraction) -> float:
     """Horizon long enough for the slowest decaying mode to contract by ``contraction``."""
-    ids = tuple(sorted(maps))
-    n = a.shape[0]
-    zero = consensus.BassConsensusState.zeros(ids, n)
-    if dual:
-        zero = consensus.DualConsensusState(ids, zero.Z, zero.X)
-        fn = lambda y: consensus.dual_flow_derivative(zero.unpack(y), a, maps, beta, params, g).pack()
-    else:
-        fn = lambda y: consensus.bass_flow_derivative(zero.unpack(y), a, maps, beta, params, g).pack()
-    m, _ = _affine_from(fn, zero.pack().size)
+    m, _ = _gain_flow_operator(a, maps, beta, params, g, dual)
     w = np.linalg.eigvals(m)
     decaying = w.real[w.real < -1e-9]
     slow = float(-decaying.max())
@@ -368,12 +341,10 @@ def suite_consensus(seed: int = 0, graphs: int = 3) -> list[CheckResult]:
             params = consensus.size_rate_params(n_agents, g_bar, delta_s)
             t_final = float(np.log(max(n_agents, 1) / 1e-5) / delta_s)
             t_grid = np.linspace(0.0, t_final, 201)
-            state0 = consensus.SizeEstState.zeros(g_bar.nodes)
-
-            def fn(flat):
-                return consensus.size_flow_derivative(state0.unpack(flat), params, g_bar).pack()
-
-            series = propagate_affine(fn, state0.pack(), t_grid)
+            m, c = consensus.size_flow_operator(
+                params.k, params.gamma, laplacian(g_bar), g_bar.nodes.index(INFORMER_ID)
+            )
+            series = propagate_affine(m, c, np.zeros(2 * g_bar.n), t_grid)
             zeta_final = series[-1][g_bar.n :]
             err = float(np.abs(zeta_final - n_agents).max())
             if err >= 1e-3:

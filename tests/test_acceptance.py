@@ -76,8 +76,8 @@ def test_c4_gain_flow_equilibria():
 
     # simulated convergence to the closed-form equilibria in transformed
     # coordinates, on one representative instance
-    from plugplay.consensus import BassConsensusState, bass_flow_derivative
-    from plugplay.graph import r_matrix
+    from plugplay.consensus import BassConsensusState, flow_drift, pi_flow_operator
+    from plugplay.graph import laplacian, r_matrix
 
     rng = np.random.default_rng(SEED)
     a = rng.normal(size=(2, 2))
@@ -88,8 +88,9 @@ def test_c4_gain_flow_equilibria():
     params = FlowParams(1.0, 1.0)
     nu_star, chi_star = analysis.bass_equilibria(a, maps, 1.0, params, g)
     proto = BassConsensusState(ids, rng.normal(size=(3, 2, 2)), rng.normal(size=(3, 2, 2)))
-    fn = lambda y: bass_flow_derivative(proto.unpack(y), a, maps, 1.0, params, g).pack()
-    series = suites.propagate_affine(fn, proto.pack(), np.linspace(0.0, 60.0, 61))
+    q = np.stack([2.0 * maps[i] @ maps[i].T for i in ids])
+    m, c = pi_flow_operator(flow_drift(a, 1.0), params.k, params.gamma, laplacian(g), q)
+    series = suites.propagate_affine(m, c, proto.pack(), np.linspace(0.0, 60.0, 61))
     final = proto.unpack(series[-1])
     rmat, _ = r_matrix(g)
     chi = np.stack([m.ravel(order="F") for m in final.X])

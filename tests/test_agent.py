@@ -1,53 +1,44 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from plugplay import bass
-from plugplay.agent import (
-    AgentParams,
-    ControlAgent,
-    PhiFilter,
-    control_output,
-    effective_gamma,
-    gain_F,
-    gain_L,
-    gamma_i,
-    observer_derivative,
-    phi_update,
-    state_feedback_output,
-)
-from plugplay.graph import Graph
+from plugplay import bass, sim
+from plugplay.agent import AgentParams, ControlAgent, PhiFilter, gain_F, gain_L, gamma_i
+from plugplay.graph import Graph, laplacian
 from plugplay.matlib import induced_2norm, spectral_abscissa
 from plugplay.plant import Channel, aggregate
+from plugplay.sim import build_load_transport_scenario, run_scenario
 
 from test_plant import load_transport_plant
 
 
-def make_agent(channel=None, beta=1.0, mode="observer", **kw):
+def make_agent(channel=None, beta=1.0, **kw):
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     if channel is None:
         channel = Channel(1, [[0.0], [1.0]], [[1.0, 0.0]])
     params = AgentParams(beta=beta, **kw)
-    return ControlAgent(a, channel, params, mode=mode)
+    return ControlAgent(a, channel, params)
 
 
 class TestPhiFilter:
     def test_constant_invertible_input(self):
         f = PhiFilter(0.1, 2)
-        out = phi_update(f, 2 * np.eye(2), 0.0)
+        out = f.update(2 * np.eye(2), 0.0)
         assert np.allclose(out, 0.5 * np.eye(2))
 
     def test_singular_input_keeps_initial_hold(self):
         f = PhiFilter(0.1, 2)
         for k in range(30):
-            out = phi_update(f, np.zeros((2, 2)), k * 0.1)
+            out = f.update(np.zeros((2, 2)), k * 0.1)
         assert np.array_equal(out, np.eye(2))
 
     def test_piecewise_constant_between_samples(self):
         f = PhiFilter(0.5, 2)
-        phi_update(f, 2 * np.eye(2), 0.0)
-        mid = phi_update(f, 5 * np.eye(2), 0.49)  # not a sample instant
+        f.update(2 * np.eye(2), 0.0)
+        mid = f.update(5 * np.eye(2), 0.49)  # not a sample instant
         assert np.allclose(mid, 0.5 * np.eye(2))
-        after = phi_update(f, 5 * np.eye(2), 0.5)
+        after = f.update(5 * np.eye(2), 0.5)
         assert np.allclose(after, 0.2 * np.eye(2))
 
     def test_limit_tracks_inverse_of_limit(self):
@@ -59,21 +50,21 @@ class TestPhiFilter:
         n_agents = 3
         for k in range(20):
             xt = x_star / n_agents + np.exp(-k) * np.array([[0.1, 0.0], [0.0, -0.2]])
-            out = phi_update(f, xt, 0.1 * k)
+            out = f.update(xt, 0.1 * k)
         assert np.allclose(out, n_agents * np.linalg.inv(x_star), atol=1e-6)
 
     def test_time_must_not_decrease(self):
         f = PhiFilter(0.1, 2)
-        phi_update(f, np.eye(2), 1.0)
+        f.update(np.eye(2), 1.0)
         with pytest.raises(ValueError):
-            phi_update(f, np.eye(2), 0.5)
+            f.update(np.eye(2), 0.5)
 
     def test_output_always_finite(self):
         rng = np.random.default_rng(0)
         f = PhiFilter(0.1, 3)
         for k in range(100):
             x = rng.normal(size=(3, 3)) * rng.choice([0.0, 1e-14, 1.0])
-            out = phi_update(f, x, 0.1 * k)
+            out = f.update(x, 0.1 * k)
             assert np.all(np.isfinite(out))
 
 
@@ -182,16 +173,31 @@ class TestGains:
         assert got >= cert.gamma_min
 
     def test_effective_gamma_capped(self):
+        # the agent reports the certificate uncapped; the simulator applies
+        # min(gamma_i, gamma_cap) and reports both
         ag = make_agent(gamma_cap=50.0)
         ag.Y = 1e-12 * np.eye(2)  # conditioning pushes the formula sky-high
         ag.zeta = 1.0
         assert gamma_i(ag, 0.0) > 50.0
-        assert effective_gamma(ag, 0.0) == 50.0
+        scen = build_load_transport_scenario(t_end=0.1, leave_slot=None, join_slots=())
+        scen = replace(scen, params=replace(scen.params, gamma_cap=50.0))
+        for gains in run_scenario(scen).final_gains.values():
+            assert gains["gamma"] > 50.0
+            assert gains["gamma_effective"] == 50.0
+
+
+def frozen_loop(agents, zeta, gamma, lap, t=0.0):
+    """The simulator's frozen-gain matrix over (x, xhat_1..N) for these agents."""
+    a = agents[0].A
+    k0 = np.stack([ag.B @ gain_F(ag, t) for ag in agents])
+    jm = np.stack([zeta * gain_L(ag, t) @ ag.C for ag in agents])
+    geff = np.full(len(agents), gamma)
+    return sim._observer_map(a, k0, jm, a + zeta * k0 + jm, geff, sim._coupling(lap, a.shape[0]))
 
 
 class TestObserverAndOutputs:
     def test_error_zero_stays_zero(self):
-        # converged single agent with xhat = x: derivative equals the
+        # converged single agent with xhat = x: the observer follows the
         # closed-loop field, so the observer error stays on the diagonal
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         b = np.array([[0.0], [1.0]])
@@ -201,87 +207,54 @@ class TestObserverAndOutputs:
         ag = make_agent()
         converge_agent(ag, 1, sol.X_star, dual.Y_star)
         x = np.array([0.7, -0.3])
-        ag.xhat = x.copy()
-        d = observer_derivative(ag, c @ x, [], 0.0)
+        d = frozen_loop([ag], 1.0, 1.0, np.zeros((1, 1))) @ np.concatenate([x, x])
         f_inf = -b.T @ np.linalg.inv(sol.X_star)
-        assert np.allclose(d, a @ x + b @ (f_inf @ x), atol=1e-9)
+        assert np.allclose(d[:2], a @ x + b @ (f_inf @ x), atol=1e-9)
+        assert np.allclose(d[2:], d[:2], atol=1e-9)
 
     def test_no_neighbors_no_coupling(self):
-        ag = make_agent()
-        ag.xhat = np.array([1.0, 2.0])
-        d0 = observer_derivative(ag, [0.0], [], 0.0)
-        d1 = observer_derivative(ag, [0.0], [ag.xhat.copy()], 0.0)
-        assert np.allclose(d0, d1)  # identical xhat contributes nothing
-
-    def test_static_gain_agreement_with_block_matrix(self):
-        # converged agents + plant assembled by hand must match the flat
-        # closed-loop matrix column by column
-        from plugplay.analysis import flat_closed_loop_matrix
-
-        p = load_transport_plant((0, 3))
-        b, c = aggregate(p)
-        beta = 0.25
-        sol = bass.bass_solve(p.A, b, beta, widths=[1, 1])
-        dual = bass.dual_bass_solve(p.A, c, beta, heights=[2, 2])
-        g = Graph.from_edges([1, 2], [(1, 2)])
-        gamma = 3.0
-        agents = []
-        for chan in p.channels:
-            ag = ControlAgent(p.A, chan, AgentParams(beta=beta, gamma_cap=gamma))
-            converge_agent(ag, 2, sol.X_star, dual.Y_star)
-            ag._gamma = gamma  # pin the coupling gain for the comparison
-            agents.append(ag)
-        flat = flat_closed_loop_matrix(p, sol.F_blocks, dual.L_blocks, gamma, g)
-        n = p.n
-        dim = n + 2 * n
-        got = np.zeros((dim, dim))
-        for col in range(dim):
-            e = np.zeros(dim)
-            e[col] = 1.0
-            x = e[:n]
-            xh = [e[n : 2 * n], e[2 * n :]]
-            dx = p.A @ x
-            for i, ag in enumerate(agents):
-                ag.xhat = xh[i]
-                dx = dx + ag.B @ (ag._F @ xh[i])
-            drows = [
-                observer_derivative(agents[0], p.channels[0].C @ x, [xh[1]], 0.0),
-                observer_derivative(agents[1], p.channels[1].C @ x, [xh[0]], 0.0),
-            ]
-            got[:, col] = np.concatenate([dx, *drows])
-        assert np.allclose(got, flat, atol=1e-10)
+        # identical estimates contribute nothing through the coupling gain
+        agents = [make_agent(), make_agent(channel=Channel(2, [[1.0], [0.0]], [[0.0, 1.0]]))]
+        lap = laplacian(Graph.from_edges([1, 2], [(1, 2)]))
+        z = np.array([0.3, -0.6, 1.0, 2.0, 1.0, 2.0])  # x, then xhat_1 = xhat_2
+        d0 = frozen_loop(agents, 2.0, 0.0, lap) @ z
+        d1 = frozen_loop(agents, 2.0, 7.0, lap) @ z
+        assert np.allclose(d0, d1)
 
     def test_control_output(self):
+        # u_i = F_i(t) xhat_i
         ag = make_agent()
-        ag.xhat = np.zeros(2)
-        assert np.allclose(control_output(ag, 0.0), [0.0])
+        assert np.allclose(gain_F(ag, 0.0) @ np.zeros(2), [0.0])
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         b = np.array([[0.0], [1.0]])
         sol = bass.bass_solve(a, b, 1.0)
         dual = bass.dual_bass_solve(a, np.array([[1.0, 0.0]]), 1.0)
         # advance past the filter period so the converged state is sampled
         converge_agent(ag, 1, sol.X_star, dual.Y_star, t=1.0)
-        ag.xhat = np.array([1.0, 0.0])
-        u = control_output(ag, 1.0)
+        u = gain_F(ag, 1.0) @ np.array([1.0, 0.0])
         assert u.shape == (1,)
         assert np.isclose(u[0], -2.0, atol=1e-9)
 
     def test_state_feedback_output(self):
+        # u_i = -B_i^T Phi(X_i) x: zeta stays 0 and clamps to 1
         chan = Channel(1, [[0.0], [1.0]], np.eye(2))
-        ag = make_agent(channel=chan, mode="state_feedback")
+        ag = make_agent(channel=chan)
         x = np.array([0.4, -1.2])
+        u = gain_F(ag, 0.0) @ x
         # fresh filter holds the identity
-        assert np.allclose(state_feedback_output(ag, x, 0.0), -(ag.B.T @ x))
+        assert np.array_equal(ag.phi_x.value, np.eye(2))
+        assert np.allclose(u, -(ag.B.T @ (ag.phi_x.value @ x)))
+        assert np.allclose(u, -(ag.B.T @ x))
 
     def test_state_feedback_converged_single_agent(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         b = np.array([[0.0], [1.0]])
         sol = bass.bass_solve(a, b, 1.0)
         chan = Channel(1, b, np.eye(2))
-        ag = make_agent(channel=chan, mode="state_feedback")
+        ag = make_agent(channel=chan)
         ag.X = sol.X_star
         x = np.array([1.0, 1.0])
-        u = state_feedback_output(ag, x, 0.0)
+        u = gain_F(ag, 0.0) @ x
         assert np.allclose(u, sol.F @ x, atol=1e-9)
 
     def test_state_feedback_two_agent_limit_is_hurwitz(self):
@@ -292,11 +265,6 @@ class TestObserverAndOutputs:
         x_inv = np.linalg.inv(sol.X_star)
         acl = p.A - 2 * (b @ b.T @ x_inv)
         assert spectral_abscissa(acl) < 0
-
-    def test_mode_error(self):
-        ag = make_agent(mode="observer")
-        with pytest.raises(ValueError):
-            state_feedback_output(ag, np.zeros(2), 0.0)
 
 
 class TestBoundedness:

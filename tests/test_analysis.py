@@ -164,8 +164,8 @@ class TestBassEquilibria:
             assert induced_2norm(unvec(chi_b, n) - x_star / n_agents) < 1e-10
 
     def test_flow_converges_to_equilibria_in_transformed_coordinates(self):
-        from plugplay.consensus import BassConsensusState, bass_flow_derivative
-        from plugplay.graph import r_matrix
+        from plugplay.consensus import BassConsensusState, flow_drift, pi_flow_operator
+        from plugplay.graph import laplacian, r_matrix
 
         rng = np.random.default_rng(3)
         a = rng.normal(size=(2, 2))
@@ -178,9 +178,10 @@ class TestBassEquilibria:
         nu_t_star, chi_b_star = analysis.bass_equilibria(a, maps, beta, params, g)
 
         proto = BassConsensusState(ids, rng.normal(size=(3, 2, 2)), rng.normal(size=(3, 2, 2)))
-        fn = lambda y: bass_flow_derivative(proto.unpack(y), a, maps, beta, params, g).pack()
+        q = np.stack([2.0 * maps[i] @ maps[i].T for i in ids])
+        m, c = pi_flow_operator(flow_drift(a, beta), params.k, params.gamma, laplacian(g), q)
         t_grid = np.linspace(0.0, 60.0, 61)
-        series = propagate_affine(fn, proto.pack(), t_grid)
+        series = propagate_affine(m, c, proto.pack(), t_grid)
         final = proto.unpack(series[-1])
         rmat, _ = r_matrix(g)
         eye4 = np.eye(4)

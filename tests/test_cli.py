@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +44,24 @@ class TestRun:
         code = cli.main(["run", str(bad), "-o", str(tmp_path / "out")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d["params"].update(beta=-1),
+            lambda d: d["events"][0].update(kind="teleport"),
+        ],
+        ids=["negative_beta", "unknown_event_kind"],
+    )
+    def test_out_of_range_value_exit_2(self, tmp_path, capsys, edit):
+        packaged = Path(__file__).resolve().parents[1] / "scenarios" / "load_transport.json"
+        d = json.loads(packaged.read_text())
+        edit(d)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(d))
+        code = cli.main(["run", str(path), "-o", str(tmp_path / "out")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_demo_rejects_truncation_before_events(self, tmp_path, capsys):
         # the embedded schedule has events at t=15 and t=30

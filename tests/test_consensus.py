@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from plugplay import bass, consensus
-from plugplay.analysis import bass_equilibria, size_equilibrium
+from plugplay import bass, sim
+from plugplay.agent import AgentParams, ControlAgent, gain_F, gain_L
+from plugplay.analysis import bass_equilibria, flat_closed_loop_matrix, size_equilibrium
 from plugplay.consensus import (
+    INFORMER_ID,
     BassConsensusState,
     DualConsensusState,
     FlowParams,
@@ -11,12 +13,17 @@ from plugplay.consensus import (
     bass_flow_derivative,
     bass_rate_params,
     dual_flow_derivative,
+    flow_drift,
+    pi_flow_operator,
     size_flow_derivative,
+    size_flow_operator,
     size_rate_params,
 )
-from plugplay.graph import Graph, lambda2, r_matrix
+from plugplay.graph import Graph, lambda2, laplacian, r_matrix
 from plugplay.matlib import unvec
+from plugplay.plant import aggregate
 from plugplay.sim import rk4_step
+from plugplay.suites import informer_topology, propagate_affine, random_connected_graph
 
 from test_plant import load_transport_plant
 
@@ -24,6 +31,72 @@ from test_plant import load_transport_plant
 def star4():
     # informer 0 in the middle of three agents
     return Graph.from_edges([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
+
+
+# Direct-form right-hand sides, written independently of the Kronecker
+# operators in ``consensus``: the oracle every operator is checked against.
+
+
+def oracle_gain_derivative(st, a, maps, beta, params, g):
+    """Zdot_i = gamma sum_j L_ij X_j,
+    Xdot_i = k [-(A + beta I) X_i - X_i (A + beta I)^T + 2 B_i B_i^T]
+    - gamma sum_j L_ij (X_j + Z_j)."""
+    lap = laplacian(g)
+    m = a + beta * np.eye(a.shape[0])
+    w2 = np.stack([2.0 * maps[i] @ maps[i].T for i in st.ids])
+    lx = np.tensordot(lap, st.X, axes=(1, 0))
+    lz = np.tensordot(lap, st.Z, axes=(1, 0))
+    dz = params.gamma * lx
+    dx = params.k * (-(m @ st.X) - st.X @ m.T + w2) - params.gamma * (lx + lz)
+    return type(st)(st.ids, dz, dx)
+
+
+def oracle_dual_derivative(st, a, cmaps, beta, params, g):
+    """Wdot_i = gamma sum_j L_ij Y_j,
+    Ydot_i = k [-(A + beta I)^T Y_i - Y_i (A + beta I) + 2 C_i^T C_i]
+    - gamma sum_j L_ij (Y_j + W_j)."""
+    lap = laplacian(g)
+    m = a + beta * np.eye(a.shape[0])
+    w2 = np.stack([2.0 * cmaps[i].T @ cmaps[i] for i in st.ids])
+    ly = np.tensordot(lap, st.Y, axes=(1, 0))
+    lw = np.tensordot(lap, st.W, axes=(1, 0))
+    dw = params.gamma * ly
+    dy = params.k * (-(m.T @ st.Y) - st.Y @ m + w2) - params.gamma * (ly + lw)
+    return DualConsensusState(st.ids, dw, dy)
+
+
+def oracle_size_derivative(st, params, g_bar):
+    """psidot_i = gamma sum_j L_ij zeta_j; zetadot_i = k (or -k zeta_0 at
+    the informer) - gamma sum_j L_ij (zeta_j + psi_j)."""
+    lap = laplacian(g_bar)
+    idx0 = st.ids.index(INFORMER_ID)
+    lz = lap @ st.zeta
+    lp = lap @ st.psi
+    drive = np.full(st.zeta.size, params.k)
+    drive[idx0] = -params.k * st.zeta[idx0]
+    return SizeEstState(st.ids, params.gamma * lz, drive - params.gamma * lz - params.gamma * lp)
+
+
+def probed(fn, proto):
+    """(M, c) of the affine map ``s -> fn(proto.unpack(s)).pack()``, probed
+    at 0 and at every unit vector."""
+    dim = proto.pack().size
+    c = fn(proto.unpack(np.zeros(dim))).pack()
+    m = np.empty((dim, dim))
+    for j in range(dim):
+        e = np.zeros(dim)
+        e[j] = 1.0
+        m[:, j] = fn(proto.unpack(e)).pack() - c
+    return m, c
+
+
+def gain_operator(a, maps, beta, params, g):
+    q = np.stack([2.0 * maps[i] @ maps[i].T for i in g.nodes])
+    return pi_flow_operator(flow_drift(a, beta), params.k, params.gamma, laplacian(g), q)
+
+
+def size_operator(params, g_bar):
+    return size_flow_operator(params.k, params.gamma, laplacian(g_bar), g_bar.nodes.index(INFORMER_ID))
 
 
 class TestBassFlow:
@@ -88,7 +161,8 @@ class TestBassFlow:
         st0 = BassConsensusState(ids, rng.normal(size=(4, 2, 2)), rng.normal(size=(4, 2, 2)))
         total0 = st0.Z.sum(axis=0)
         flat = st0.pack()
-        f = lambda t, y: bass_flow_derivative(st0.unpack(y), a, maps, beta, params, g).pack()
+        m, c = gain_operator(a, maps, beta, params, g)
+        f = lambda t, y: m @ y + c
         h = 1e-3
         for k in range(1000):
             flat = rk4_step(f, flat, k * h, h)
@@ -98,8 +172,6 @@ class TestBassFlow:
 
 class TestInitializationFree:
     def test_twenty_random_starts_share_one_limit(self):
-        from plugplay.suites import propagate_affine
-
         rng = np.random.default_rng(7)
         a = rng.normal(size=(2, 2))
         a = a + (0.2 - np.linalg.eigvals(a).real.min()) * np.eye(2)
@@ -114,8 +186,8 @@ class TestInitializationFree:
             proto = BassConsensusState(
                 ids, 5 * rng.normal(size=(3, 2, 2)), 5 * rng.normal(size=(3, 2, 2))
             )
-            fn = lambda y: bass_flow_derivative(proto.unpack(y), a, maps, 1.0, params, g).pack()
-            final = proto.unpack(propagate_affine(fn, proto.pack(), t_grid)[-1])
+            m, c = gain_operator(a, maps, 1.0, params, g)
+            final = proto.unpack(propagate_affine(m, c, proto.pack(), t_grid)[-1])
             for i in range(3):
                 assert np.linalg.norm(final.X[i] - target, 2) < 1e-6
 
@@ -163,9 +235,9 @@ class TestSizeFlow:
     def test_zero_state_star(self):
         st = SizeEstState.zeros((0, 1, 2, 3))
         d = size_flow_derivative(st, FlowParams(1.5, 1.0), star4())
-        assert d.zeta_of(0) == 0.0
+        assert d.zeta[0] == 0.0
         for i in (1, 2, 3):
-            assert d.zeta_of(i) == 1.5
+            assert d.zeta[i] == 1.5
         assert np.abs(d.psi).max() == 0.0
 
     def test_single_agent_blended_equilibrium(self):
@@ -198,7 +270,8 @@ class TestSizeFlow:
         st0 = SizeEstState(g.nodes, rng.normal(size=4), rng.normal(size=4))
         total0 = st0.psi.sum()
         flat = st0.pack()
-        f = lambda t, y: size_flow_derivative(st0.unpack(y), params, g).pack()
+        m, c = size_operator(params, g)
+        f = lambda t, y: m @ y + c
         for k in range(1000):
             flat = rk4_step(f, flat, k * 1e-3, 1e-3)
         assert abs(st0.unpack(flat).psi.sum() - total0) < 1e-9
@@ -215,12 +288,113 @@ class TestSizeFlow:
         params = FlowParams(1.0, 1.0)
         st0 = SizeEstState.zeros(g.nodes)
         flat = st0.pack()
-        f = lambda t, y: size_flow_derivative(st0.unpack(y), params, g).pack()
+        m, c = size_operator(params, g)
+        f = lambda t, y: m @ y + c
         h = 1e-3
         for k in range(120_000):
             flat = rk4_step(f, flat, k * h, h)
         zeta = st0.unpack(flat).zeta
         assert np.abs(zeta - 3.0).max() < 1e-3
+
+
+class TestSingleOperator:
+    """The closed-form operators against the direct-form oracles above."""
+
+    def test_operators_equal_probed_oracle_jacobians(self):
+        rng = np.random.default_rng(11)
+        for idx in range(24):
+            n = int(rng.integers(1, 5))
+            n_agents = 1 + idx % 6  # N = 1 included
+            ids = tuple(range(1, n_agents + 1))
+            g = random_connected_graph(rng, ids)
+            a = rng.normal(size=(n, n))
+            beta = float(rng.uniform(0.1, 2.0))
+            params = FlowParams(float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.2, 3.0)))
+            # mixed channel widths
+            bmaps = {i: rng.normal(size=(n, int(rng.integers(1, 4)))) for i in ids}
+            cmaps = {i: rng.normal(size=(int(rng.integers(1, 4)), n)) for i in ids}
+            primal = BassConsensusState(ids, rng.normal(size=(n_agents, n, n)), rng.normal(size=(n_agents, n, n)))
+            dual = DualConsensusState(ids, primal.Z, primal.X)
+            cases = (
+                (gain_operator(a, bmaps, beta, params, g),
+                 probed(lambda st: oracle_gain_derivative(st, a, bmaps, beta, params, g), primal),
+                 bass_flow_derivative(primal, a, bmaps, beta, params, g),
+                 oracle_gain_derivative(primal, a, bmaps, beta, params, g)),
+                (gain_operator(a.T, {i: c.T for i, c in cmaps.items()}, beta, params, g),
+                 probed(lambda st: oracle_dual_derivative(st, a, cmaps, beta, params, g), dual),
+                 dual_flow_derivative(dual, a, cmaps, beta, params, g),
+                 oracle_dual_derivative(dual, a, cmaps, beta, params, g)),
+            )
+            for (m, c), (m_ref, c_ref), d, d_ref in cases:
+                scale = np.abs(m_ref).max()
+                assert np.abs(m - m_ref).max() <= 1e-14 * scale
+                assert np.abs(c - c_ref).max() <= 1e-14 * np.abs(c_ref).max()
+                assert np.abs(d.pack() - d_ref.pack()).max() <= 1e-13 * np.abs(d_ref.pack()).max()
+        for n_agents in range(1, 9):
+            for topo in ("star", "ring", "path"):
+                g_bar = informer_topology(topo, n_agents)
+                params = size_rate_params(n_agents, g_bar, 0.2)
+                proto = SizeEstState(g_bar.nodes, rng.normal(size=g_bar.n), rng.normal(size=g_bar.n))
+                m, c = size_operator(params, g_bar)
+                m_ref, c_ref = probed(lambda st: oracle_size_derivative(st, params, g_bar), proto)
+                assert np.abs(m - m_ref).max() <= 1e-14 * np.abs(m_ref).max()
+                assert np.array_equal(c, c_ref)
+                d = size_flow_derivative(proto, params, g_bar).pack()
+                d_ref = oracle_size_derivative(proto, params, g_bar).pack()
+                assert np.abs(d - d_ref).max() <= 1e-13 * np.abs(d_ref).max()
+
+    def test_mode_block_is_eigenbasis_transform_of_full_operator(self):
+        rng = np.random.default_rng(12)
+        n, n_agents = 3, 5
+        nn = n * n
+        ids = tuple(range(1, n_agents + 1))
+        g = random_connected_graph(rng, ids)
+        a = rng.normal(size=(n, n))
+        maps = {i: rng.normal(size=(n, 2)) for i in ids}
+        params = FlowParams(1.7, 2.3)
+        drift = flow_drift(a, 0.8)
+        q = np.stack([2.0 * maps[i] @ maps[i].T for i in ids]).reshape(n_agents, nn)
+        m, c = pi_flow_operator(drift, params.k, params.gamma, laplacian(g), q)
+        lam, v = np.linalg.eigh(laplacian(g))
+        # modal coordinates of (Z, X): V^T acting on the agent index of each half
+        t = np.kron(np.eye(2), np.kron(v.T, np.eye(nn)))
+        m_modal = t @ m @ t.T
+        c_modal = t @ c
+        q_modal = v.T @ q
+        scale = np.abs(m).max()
+        for j in range(n_agents):
+            rows = np.r_[j * nn : (j + 1) * nn, (n_agents + j) * nn : (n_agents + j + 1) * nn]
+            block, offset = pi_flow_operator(drift, params.k, params.gamma, [[lam[j]]], q_modal[j])
+            assert np.abs(m_modal[np.ix_(rows, rows)] - block).max() <= 1e-13 * scale
+            assert np.abs(c_modal[rows] - offset).max() <= 1e-13 * np.abs(c).max()
+            others = np.setdiff1d(np.arange(2 * n_agents * nn), rows)
+            assert np.abs(m_modal[np.ix_(rows, others)]).max() <= 1e-13 * scale
+
+    def test_observer_map_equals_flat_closed_loop(self):
+        # converged agents' gains in the simulator's frozen-gain matrix
+        # give the closed loop assembled independently in analysis
+        p = load_transport_plant((0, 3, 6))
+        b, c = aggregate(p)
+        beta = 0.25
+        n_agents, n = 3, p.n
+        sol = bass.bass_solve(p.A, b, beta, widths=[1, 1, 1])
+        dual = bass.dual_bass_solve(p.A, c, beta, heights=[2, 2, 2])
+        g = Graph.from_edges([1, 2, 3], [(1, 2), (2, 3)])
+        gamma = 3.0
+        agents = []
+        for chan in p.channels:
+            ag = ControlAgent(p.A, chan, AgentParams(beta=beta))
+            ag.X, ag.Y, ag.zeta = sol.X_star / n_agents, dual.Y_star / n_agents, float(n_agents)
+            ag.refresh_gains(0.0)
+            agents.append(ag)
+        k0 = np.stack([ag.B @ gain_F(ag, 0.0) for ag in agents])
+        jm = np.stack([n_agents * gain_L(ag, 0.0) @ ag.C for ag in agents])
+        got = sim._observer_map(
+            p.A, k0, jm, p.A + n_agents * k0 + jm, np.full(n_agents, gamma),
+            sim._coupling(laplacian(g), n),
+        )
+        flat = flat_closed_loop_matrix(p, sol.F_blocks, dual.L_blocks, gamma, g)
+        assert np.allclose(got, flat, rtol=0, atol=1e-10)
 
 
 class TestRateParams:

@@ -7,13 +7,8 @@ from scipy.linalg import expm
 
 from plugplay import analysis, bass, sim
 from plugplay.agent import AgentParams
-from plugplay.consensus import (
-    BassConsensusState,
-    FlowParams,
-    bass_flow_derivative,
-    bass_rate_params,
-)
-from plugplay.graph import Graph, lambda2
+from plugplay.consensus import bass_rate_params, flow_drift, pi_flow_operator
+from plugplay.graph import Graph, lambda2, laplacian
 from plugplay.matlib import rk4_propagator, spectral_abscissa
 from plugplay.plant import Channel, PlantModel, aggregate, normalize_plant
 from plugplay.sim import (
@@ -30,7 +25,6 @@ from plugplay.sim import (
     scenario_to_json,
     validate_scenario,
 )
-from plugplay.suites import _affine_from
 
 from parity_pins import PINS
 
@@ -412,24 +406,20 @@ class TestLoadTransportScenario:
         assert np.allclose([p.k_c, p.gamma_c], [primal.k, primal.gamma], rtol=1e-12, atol=0)
         assert np.allclose([p.k_o, p.gamma_o], [dual.k, dual.gamma], rtol=1e-12, atol=0)
 
-        n = a.shape[0]
         for iv in intervals:
             g = iv.agent_graph
             ids = g.nodes
-            proto = BassConsensusState.zeros(ids, n)
             flows = (
-                (FlowParams(p.k_c, p.gamma_c), a, {i: plant.channel(i).B for i in ids}),
-                (FlowParams(p.k_o, p.gamma_o), a.T, {i: plant.channel(i).C.T for i in ids}),
+                (p.k_c, p.gamma_c, a, [plant.channel(i).B for i in ids]),
+                (p.k_o, p.gamma_o, a.T, [plant.channel(i).C.T for i in ids]),
             )
-            for fp, mat, maps in flows:
+            for k, gamma, mat, maps in flows:
                 # the certificate's gamma/k ratio does not depend on delta;
                 # equality holds on the worst graph, up to rounding
                 cert = bass_rate_params(mat, p.beta, g, self.RATE)
-                assert fp.gamma / fp.k >= cert.gamma / cert.k * (1.0 - 1e-12)
-                fn = lambda y: bass_flow_derivative(
-                    proto.unpack(y), mat, maps, p.beta, fp, g
-                ).pack()
-                m, _ = _affine_from(fn, proto.pack().size)
+                assert gamma / k >= cert.gamma / cert.k * (1.0 - 1e-12)
+                q = np.stack([2.0 * b @ b.T for b in maps])
+                m, _ = pi_flow_operator(flow_drift(mat, p.beta), k, gamma, laplacian(g), q)
                 rho = np.max(np.abs(np.linalg.eigvals(m)))
                 assert scen.solver.h * rho < self.RK4_REAL_LIMIT
 
