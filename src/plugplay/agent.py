@@ -14,7 +14,7 @@ only its own measurement and the neighbors' broadcast states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -106,9 +106,9 @@ class AgentParams:
     gamma_cap: float = 1e6
 
     def __post_init__(self):
-        for name in ("beta", "k_c", "gamma_c", "k_o", "gamma_o", "k_s", "gamma_s", "t_phi", "gamma_cap"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be positive")
 
 
 class ControlAgent:

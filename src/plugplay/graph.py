@@ -86,9 +86,6 @@ class Graph:
                 out.append(i)
         return tuple(sorted(out))
 
-    def has_node(self, node: int) -> bool:
-        return node in self.nodes
-
     # --- functional edits used by the scenario runner ---
 
     def with_node(self, node: int, edges: Iterable[tuple[int, int]] = ()) -> "Graph":

@@ -6,6 +6,11 @@ and leave events between steps.  Leaving removes an agent's states and
 edges without touching anyone else; joining inserts fresh states
 (zeros unless configured); survivors' integral states are never reset.
 
+:func:`validate_scenario` is the one reader of a scenario: it checks
+every input and returns the interval table (interval i + 1 is opened by
+``events[i]``), which the runner walks once.  An interval whose closing
+event snaps to its opening step is folded into the next one.
+
 Gains are refreshed once per step, at t = step * h, and held constant
 across the four stages, so within a step the whole system is affine
 and splits in two:
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +47,7 @@ import numpy as np
 from . import bass
 from .agent import AgentParams, ControlAgent, gain_F, gain_L, gamma_i
 from .consensus import INFORMER_ID, flow_drift, pi_flow_operator, size_flow_operator
-from .graph import Graph, is_connected, laplacian
+from .graph import Graph, is_connected, lambda2, laplacian
 from .matlib import min_real_part, rk4_propagator
 from .plant import Channel, PlantModel, is_controllable, is_observable, normalize_channel, normalize_plant
 
@@ -160,6 +165,7 @@ class Interval:
     t_start: float
     t_end: float
     actives: tuple[int, ...]
+    channels: tuple[Channel, ...]  # normalized, in ``actives`` order
     graph: Graph            # full graph (informer included when present)
     agent_graph: Graph      # induced subgraph on the agents
     X_star: np.ndarray | None
@@ -193,17 +199,12 @@ class Trace:
 # validation
 
 
-def _channel_for(scenario: Scenario, aid: int, event: Event | None = None) -> Channel:
-    if event is not None and event.channel is not None:
-        return event.channel
-    try:
-        return scenario.plant.channel(aid)
-    except KeyError:
-        raise ScenarioError(f"agent {aid} has no channel in the plant and none supplied") from None
-
-
 def validate_scenario(scenario: Scenario) -> list[Interval]:
-    """Check every structural invariant and return the interval table."""
+    """Check every input and return the interval table the runner walks.
+
+    Interval i + 1 is opened by ``events[i]``.  Join states and static
+    gains are checked here too, so a run never stops on a bad input.
+    """
     s = scenario
     if s.mode not in MODES:
         raise ScenarioError(f"unknown controller mode {s.mode!r}")
@@ -239,11 +240,26 @@ def validate_scenario(scenario: Scenario) -> list[Interval]:
             + (" plus the informer 0" if informer_needed else "")
         )
 
-    plant_norm = normalize_plant(s.plant)
-    channels: dict[int, Channel] = {c.id: c for c in plant_norm.channels}
+    channels: dict[int, Channel] = {c.id: c for c in normalize_plant(s.plant).channels}
+    missing = [a for a in s.initial_agents if a not in channels]
+    if missing:
+        raise ScenarioError(f"initial agents {missing} have no channel in the plant")
 
-    def refs(actives: tuple[int, ...]):
-        chans = [channels[a] for a in actives]
+    def check_static(chans: tuple[Channel, ...]):
+        for ch in chans:
+            for name, gains, shape in (("F", s.static.F, (ch.m, n)), ("L", s.static.L, (n, ch.p))):
+                if ch.id not in gains:
+                    raise ScenarioError(f"static gains: agent {ch.id} has no {name}")
+                got = np.shape(gains[ch.id])
+                if got != shape:
+                    raise ScenarioError(
+                        f"static gains: agent {ch.id} has {name} of shape {got}, expected {shape}"
+                    )
+
+    def interval(t_start: float, t_stop: float, g: Graph, actives: tuple[int, ...]) -> Interval:
+        chans = tuple(channels[a] for a in actives)
+        if s.mode == "static_gains":
+            check_static(chans)
         b = np.hstack([c.B for c in chans])
         c = np.vstack([c.C for c in chans])
         if not is_controllable(s.plant.A, b):
@@ -252,7 +268,7 @@ def validate_scenario(scenario: Scenario) -> list[Interval]:
             raise ScenarioError(f"plant not observable with agents {actives}")
         x_star = bass.bass_solve(s.plant.A, b, s.params.beta, check_controllability=False).X_star
         y_star = bass.dual_bass_solve(s.plant.A, c, s.params.beta, check_observability=False).Y_star
-        return x_star, y_star
+        return Interval(t_start, t_stop, actives, chans, g, g.subgraph(actives), x_star, y_star)
 
     def check_graph(g: Graph, actives: tuple[int, ...], when: str):
         ga = g.subgraph(actives)
@@ -267,17 +283,17 @@ def validate_scenario(scenario: Scenario) -> list[Interval]:
     check_graph(g, actives, "initially")
     t_prev = 0.0
     for e in s.events:
-        x_star, y_star = refs(actives)
-        intervals.append(
-            Interval(t_prev, e.time, actives, g, g.subgraph(actives), x_star, y_star)
-        )
+        intervals.append(interval(t_prev, e.time, g, actives))
         if e.kind == "join":
             if e.agent_id in actives:
                 raise ScenarioError(f"agent {e.agent_id} already active at t={e.time}")
-            chan = _channel_for(s, e.agent_id, e)
+            if e.channel is None and e.agent_id not in s.plant.ids:
+                raise ScenarioError(f"agent {e.agent_id} has no channel in the plant and none supplied")
+            chan = e.channel if e.channel is not None else s.plant.channel(e.agent_id)
             if chan.id != e.agent_id:
                 raise ScenarioError(f"event channel id {chan.id} != agent id {e.agent_id}")
             channels[e.agent_id] = normalize_channel(chan)
+            _coerce_initial_state(n, e.initial_state, e.agent_id)
             g = g.with_node(e.agent_id, e.add_edges)
             if e.remove_edges:
                 g = g.without_edges(e.remove_edges)
@@ -295,8 +311,7 @@ def validate_scenario(scenario: Scenario) -> list[Interval]:
                 raise ScenarioError(f"no agents left after t={e.time}")
         check_graph(g, actives, f"after event at t={e.time}")
         t_prev = e.time
-    x_star, y_star = refs(actives)
-    intervals.append(Interval(t_prev, t_end, actives, g, g.subgraph(actives), x_star, y_star))
+    intervals.append(interval(t_prev, t_end, g, actives))
     return intervals
 
 
@@ -316,16 +331,23 @@ def _agent_state_zeros(n: int) -> dict:
     }
 
 
-def _coerce_initial_state(n: int, init: dict | None) -> dict:
+def _coerce_initial_state(n: int, init: dict | None, aid: int) -> dict:
+    """Agent ``aid``'s state at its join: zeros, overridden by ``init``."""
     st = _agent_state_zeros(n)
-    if init:
-        for key, val in init.items():
-            if key not in st:
-                raise ScenarioError(f"unknown agent state field {key!r}")
+    for key, val in (init or {}).items():
+        if key not in st:
+            raise ScenarioError(
+                f"agent {aid}: unknown initial state field {key!r}, expected one of {sorted(st)}"
+            )
+        try:
             arr = np.asarray(val, dtype=float)
-            if np.shape(st[key]) != arr.shape and not (key in ("psi", "zeta") and arr.shape == ()):
-                raise ScenarioError(f"agent state field {key!r} has wrong shape {arr.shape}")
-            st[key] = float(arr) if key in ("psi", "zeta") else arr
+        except (TypeError, ValueError):
+            raise ScenarioError(f"agent {aid}: initial state field {key!r} is not numeric") from None
+        if arr.shape != np.shape(st[key]):
+            raise ScenarioError(
+                f"agent {aid}: initial state field {key!r} has shape {arr.shape}, expected {np.shape(st[key])}"
+            )
+        st[key] = float(arr) if key in ("psi", "zeta") else arr
     return st
 
 
@@ -388,38 +410,32 @@ class _Runner:
     ``wy`` as ``(N, 2 n^2)`` rows of modal coordinates, the size
     estimator ``sz`` = (psi, zeta) over informer and agents.  Each
     active agent's :class:`ControlAgent` holds its inverse filters and
-    gains and lives from its join to its leave.  At an event the
-    per-agent rows are taken back to agent coordinates and restacked.
+    gains and lives from its join to its leave.  At an event the state
+    leaves the interval as one row per agent id (:meth:`_export`) and the
+    next interval stacks the rows of its members (:meth:`_enter`).
     """
 
     def __init__(self, scenario: Scenario):
         self.s = scenario
         self.intervals = validate_scenario(scenario)
         self.mode = scenario.mode
-        self.plant = normalize_plant(scenario.plant)
-        self.n = self.plant.n
-        self.A = self.plant.A
+        self.n = scenario.plant.n
+        self.A = scenario.plant.A
         self.h = scenario.solver.h
         self.total_steps = int(round(scenario.solver.t_end / self.h))
         self.record_every = scenario.solver.record_every
-        self.channels: dict[int, Channel] = {c.id: c for c in self.plant.channels}
         beta = scenario.params.beta
         self.drift_x = flow_drift(self.A, beta)
         self.drift_y = flow_drift(self.A.T, beta)
         self.agents: dict[int, ControlAgent] = {}
 
-    def _ensure_channel(self, aid: int, event: Event | None):
-        if aid not in self.channels:
-            chan = _channel_for(self.s, aid, event)
-            self.channels[aid] = normalize_channel(chan)
-
-    def _make_agent(self, aid: int) -> ControlAgent:
-        return ControlAgent(self.A, self.channels[aid], self.s.params)
-
     # -- per-interval set-up ---------------------------------------------
 
-    def _enter(self, iv: Interval, x: np.ndarray, agents: dict, informer) -> None:
-        """Build the interval's maps and load the state into them."""
+    def _enter(self, iv: Interval, x: np.ndarray, rows: dict, informer) -> None:
+        """Build the interval's maps and load the members' rows into them.
+
+        A member without a :class:`ControlAgent` (a joiner) gets a fresh one.
+        """
         p = self.s.params
         n, h, mode = self.n, self.h, self.mode
         actives = iv.actives
@@ -428,32 +444,33 @@ class _Runner:
         self.iv = iv
         lap = np.asarray(laplacian(iv.agent_graph), dtype=float)
         self.coupling = _coupling(lap, n)
-        chans = [self.channels[a] for a in actives]
+        chans = iv.channels
         self.scale = [c.input_scale for c in chans]
         self.widths = [(c.m, c.p) for c in chans]
         m_max = max(c.m for c in chans)
         p_max = max(c.p for c in chans)
         self.b = np.zeros((n_agents, n, m_max))
         self.c = np.zeros((n_agents, p_max, n))
-        for i, ch in enumerate(chans):
+        for i, (a, ch) in enumerate(zip(actives, chans)):
             self.b[i, :, : ch.m] = ch.B
             self.c[i, : ch.p, :] = ch.C
+            if a not in self.agents:
+                self.agents[a] = ControlAgent(self.A, ch, p)
         self.members = [self.agents[a] for a in actives]
         self.f = np.zeros((n_agents, m_max, n))
         self.l = np.zeros((n_agents, n, p_max))
         self.gamma = np.zeros(n_agents)
 
-        xhat = agents["xhat"]
+        def stack(key):
+            return np.array([rows[a][key] for a in actives])
+
         if mode == "state_feedback":
             self.state = x.copy()
         else:
-            self.state = np.concatenate([x, xhat.ravel()])
+            self.state = np.concatenate([x, stack("xhat").ravel()])
 
         if mode == "static_gains":
             sg = self.s.static
-            for a in actives:
-                if a not in sg.F or a not in sg.L:
-                    raise ScenarioError(f"static gains missing for agent {a}")
             f = self.f
             for i, a in enumerate(actives):
                 f[i, : chans[i].m] = np.asarray(sg.F[a], dtype=float)
@@ -472,7 +489,7 @@ class _Runner:
         self.v = v
         nn = n * n
         self.zx = v.T @ np.concatenate(
-            [agents["Z"].reshape(n_agents, nn), agents["X"].reshape(n_agents, nn)], axis=1
+            [stack("Z").reshape(n_agents, nn), stack("X").reshape(n_agents, nn)], axis=1
         )
         bbt = 2.0 * self.b @ np.swapaxes(self.b, 1, 2)
         self.prop_zx = _pi_flow_map(
@@ -481,7 +498,7 @@ class _Runner:
         if mode != "algorithm1":
             return
         self.wy = v.T @ np.concatenate(
-            [agents["W"].reshape(n_agents, nn), agents["Y"].reshape(n_agents, nn)], axis=1
+            [stack("W").reshape(n_agents, nn), stack("Y").reshape(n_agents, nn)], axis=1
         )
         ctc = 2.0 * np.swapaxes(self.c, 1, 2) @ self.c
         self.prop_wy = _pi_flow_map(
@@ -492,34 +509,29 @@ class _Runner:
         ops, drive = size_flow_operator(p.k_s, p.gamma_s, laplacian(iv.graph), 0)
         t_sz, s_sz = rk4_propagator(ops, h)
         self.prop_sz = (t_sz, s_sz @ drive)
-        self.sz = np.concatenate([[informer[0]], agents["psi"], [informer[1]], agents["zeta"]])
+        self.sz = np.concatenate([[informer[0]], stack("psi"), [informer[1]], stack("zeta")])
 
     def _export(self) -> tuple[np.ndarray, dict, tuple[float, float]]:
-        """The state in agent coordinates: x, per-agent stacks, informer."""
-        n, n_agents = self.n, len(self.actives)
-        mode = self.mode
-        x = self.state[:n].copy()
-        zeros = np.zeros((n_agents, n, n))
-        agents = {"Z": zeros, "X": zeros, "W": zeros, "Y": zeros,
-                  "psi": np.zeros(n_agents), "zeta": np.zeros(n_agents)}
-        if mode == "state_feedback":
-            agents["xhat"] = np.zeros((n_agents, n))
-        else:
-            agents["xhat"] = self.state[n:].reshape(n_agents, n).copy()
-        informer = (0.0, 0.0)
+        """The state in agent coordinates: x, one row per agent id, informer."""
+        n, nn, mode = self.n, self.n * self.n, self.mode
+        cols = {}
+        if mode != "state_feedback":
+            cols["xhat"] = self.state[n:].reshape(-1, n)
         if mode != "static_gains":
             zx = self.v @ self.zx
-            agents["Z"] = zx[:, : n * n].reshape(n_agents, n, n)
-            agents["X"] = zx[:, n * n :].reshape(n_agents, n, n)
+            cols["Z"], cols["X"] = zx[:, :nn].reshape(-1, n, n), zx[:, nn:].reshape(-1, n, n)
+        informer = (0.0, 0.0)
         if mode == "algorithm1":
             wy = self.v @ self.wy
-            agents["W"] = wy[:, : n * n].reshape(n_agents, n, n)
-            agents["Y"] = wy[:, n * n :].reshape(n_agents, n, n)
-            nb = n_agents + 1
-            agents["psi"] = self.sz[1:nb].copy()
-            agents["zeta"] = self.sz[nb + 1 :].copy()
+            cols["W"], cols["Y"] = wy[:, :nn].reshape(-1, n, n), wy[:, nn:].reshape(-1, n, n)
+            nb = len(self.actives) + 1
+            cols["psi"], cols["zeta"] = self.sz[1:nb], self.sz[nb + 1 :]
             informer = (float(self.sz[0]), float(self.sz[nb]))
-        return x, agents, informer
+        rows = {a: _agent_state_zeros(n) for a in self.actives}
+        for key, col in cols.items():
+            for a, val in zip(self.actives, col):
+                rows[a][key] = val
+        return self.state[:n].copy(), rows, informer
 
     # -- one step ------------------------------------------------------------
 
@@ -576,9 +588,8 @@ class _Runner:
         h = self.h
         n = self.n
         re_every = self.record_every
-        all_ids = sorted(
-            set(s.initial_agents) | {e.agent_id for e in s.events if e.kind == "join"}
-        )
+        widths = {a: c.m for iv in self.intervals for a, c in zip(iv.actives, iv.channels)}
+        all_ids = sorted(widths)
         n_samples = self.total_steps // re_every + 1
         times = np.array([i * re_every * h for i in range(n_samples)])
         tr = Trace(
@@ -587,7 +598,7 @@ class _Runner:
             agent_ids=tuple(all_ids),
             xhat={a: np.full((n_samples, n), np.nan) for a in all_ids},
             zeta={a: np.full(n_samples, np.nan) for a in all_ids},
-            u={},
+            u={a: np.full((n_samples, widths[a]), np.nan) for a in all_ids},
             err_obs={a: np.full(n_samples, np.nan) for a in all_ids},
             err_x={a: np.full(n_samples, np.nan) for a in all_ids},
             err_y={a: np.full(n_samples, np.nan) for a in all_ids},
@@ -597,57 +608,33 @@ class _Runner:
             mode=self.mode,
         )
 
-        # events snapped to step boundaries
-        pending = [(int(round(e.time / h)), e) for e in s.events]
-        for e in s.events:
-            if e.kind == "join":
-                self._ensure_channel(e.agent_id, e)
-        for a in all_ids:
-            tr.u[a] = np.full((n_samples, self.channels[a].m), np.nan)
-
-        actives = tuple(sorted(s.initial_agents))
-        fresh = [_coerce_initial_state(n, None) for _ in actives]
-        agents = {key: np.array([st[key] for st in fresh]) for key in fresh[0]}
-        self.agents = {a: self._make_agent(a) for a in actives}
-        iv_idx = 0
-        self._enter(self.intervals[iv_idx], s.x0, agents, (0.0, 0.0))
-
-        step = 0
-        while True:
-            t = step * h
-            # apply events scheduled at this boundary
-            fired = [pe for pe in pending if pe[0] == step]
-            if fired:
-                x_now, agents, informer = self._export()
-                rows = {a: {key: arr[i] for key, arr in agents.items()} for i, a in enumerate(actives)}
-                for _, e in fired:
-                    if e.kind == "join":
-                        rows[e.agent_id] = _coerce_initial_state(n, e.initial_state)
-                        self.agents[e.agent_id] = self._make_agent(e.agent_id)
-                        actives = tuple(sorted(actives + (e.agent_id,)))
-                    else:
-                        del rows[e.agent_id]
-                        del self.agents[e.agent_id]
-                        actives = tuple(a for a in actives if a != e.agent_id)
-                pending = [pe for pe in pending if pe[0] != step]
-                iv_idx += len(fired)
-                iv = self.intervals[iv_idx]
-                if iv.actives != actives:
-                    raise ScenarioError("interval table out of sync with events")
-                if not is_connected(iv.agent_graph):
-                    raise ScenarioError(f"agent graph disconnected at t={t}")
-                agents = {key: np.array([rows[a][key] for a in actives]) for key in agents}
-                self._enter(iv, x_now, agents, informer)
-
-            record = step % re_every == 0
-            if self.mode != "static_gains":
-                self._refresh_gains(t)
-            if record:
-                self._record(tr, step // re_every)
-            if step >= self.total_steps:
-                break
-            self._advance(t)
-            step += 1
+        # interval i owns steps first[i] .. last[i] - 1; events snap to
+        # step boundaries, and the last interval also owns the final
+        # sample, which records without stepping
+        first = [0] + [int(round(e.time / h)) for e in s.events]
+        last = first[1:] + [self.total_steps + 1]
+        x, informer = s.x0, (0.0, 0.0)
+        rows = {a: _agent_state_zeros(n) for a in s.initial_agents}
+        for i, iv in enumerate(self.intervals):
+            if i:
+                e = s.events[i - 1]
+                if e.kind == "join":
+                    rows[e.agent_id] = _coerce_initial_state(n, e.initial_state, e.agent_id)
+                else:
+                    del rows[e.agent_id]
+                    self.agents.pop(e.agent_id, None)  # none if it joined at this step
+            if first[i] == last[i]:
+                continue  # no step of its own: the next event fires at the same step
+            self._enter(iv, x, rows, informer)
+            for step in range(first[i], last[i]):
+                t = step * h
+                if self.mode != "static_gains":
+                    self._refresh_gains(t)
+                if step % re_every == 0:
+                    self._record(tr, step // re_every)
+                if step < self.total_steps:
+                    self._advance(t)
+            x, rows, informer = self._export()
 
         if self.mode == "algorithm1":
             cap = s.params.gamma_cap
@@ -758,7 +745,8 @@ def build_load_transport_scenario(
     plant = PlantModel(a, tuple(chans))
 
     init_ids = tuple(ids[k] for k in initial_slots)
-    if params is None:
+    default_params = params is None
+    if default_params:
         # gamma_cap keeps the effective coupling inside the explicit
         # integrator's stability region; the certificate value itself is
         # reported uncapped.  The gain and dual flows run at the rate
@@ -767,7 +755,8 @@ def build_load_transport_scenario(
         #   bass_rate_params(A, 0.25, ring5, 0.05)    -> (k_c, gamma_c)
         #   bass_rate_params(A.T, 0.25, ring5, 0.05)  -> (k_o, gamma_o)
         # The two agree to 1e-15 on this plant.  Stored as literals so the
-        # build does no Lyapunov solves.
+        # build does no Lyapunov solves; the schedule is checked against
+        # them below.
         params = AgentParams(
             beta=0.25,
             k_c=3.27319985097194,
@@ -798,24 +787,43 @@ def build_load_transport_scenario(
 
     events = []
     active_slots = set(initial_slots)
+    # the agent graph after each event, for the check of the default gains
+    agent_graph = g.subgraph(init_ids)
+    stages = [(0.0, agent_graph)]
     if leave_slot is not None:
         if leave_slot not in initial_slots:
             raise ValueError("leave_slot must be one of the initial slots")
         events.append(Event(time=t_leave, kind="leave", agent_id=ids[leave_slot]))
         active_slots.discard(leave_slot)
+        agent_graph = agent_graph.without_node(ids[leave_slot])
+        stages.append((t_leave, agent_graph))
 
     final_ring = sorted(active_slots | set(join_slots))
     for slot in join_slots:
         pos = final_ring.index(slot)
         ring_nbrs = {final_ring[pos - 1], final_ring[(pos + 1) % len(final_ring)]}
         present = set(active_slots)
-        new_edges = [(ids[slot], ids[s]) for s in sorted(ring_nbrs & present)]
-        if mode == "algorithm1":
-            new_edges.append((ids[slot], INFORMER_ID))
+        ring = [(ids[slot], ids[s]) for s in sorted(ring_nbrs & present)]
+        new_edges = ring + ([(ids[slot], INFORMER_ID)] if mode == "algorithm1" else [])
         events.append(
             Event(time=t_join, kind="join", agent_id=ids[slot], add_edges=tuple(new_edges))
         )
         active_slots.add(slot)
+        agent_graph = agent_graph.with_node(ids[slot], ring)
+        stages.append((t_join, agent_graph))
+
+    if default_params:
+        # the certified gamma/k ratio scales as 1 / lambda2 and k does not
+        # depend on the graph, so the literals hold for lambda2 >= ring5's
+        ring5 = 2.0 - 2.0 * np.cos(2.0 * np.pi / 5.0)
+        ends = [t for t, _ in stages[1:]] + [t_end]
+        for (t0, ga), t1 in zip(stages, ends):
+            if t1 > t0 and ga.n >= 2 and lambda2(ga) < ring5 * (1.0 - 1e-12):
+                raise ValueError(
+                    f"the default flow gains certify agent graphs with lambda2 >= {ring5:.4g}, "
+                    f"but the graph on [{t0:g}, {t1:g}) has lambda2 = {lambda2(ga):.4g}; "
+                    "pass params certified for it (consensus.bass_rate_params)"
+                )
 
     pd = np.asarray(p_desired, dtype=float)
     p0 = np.asarray(p_start, dtype=float)
@@ -858,22 +866,8 @@ def scenario_to_json(s: Scenario) -> dict:
         "initial_agents": list(s.initial_agents),
         "graph": {"edges": [list(e) for e in s.graph.edges]},
         "events": [],
-        "solver": {
-            "h": s.solver.h,
-            "t_end": s.solver.t_end,
-            "record_every": s.solver.record_every,
-        },
-        "params": {
-            "beta": s.params.beta,
-            "k_c": s.params.k_c,
-            "gamma_c": s.params.gamma_c,
-            "k_o": s.params.k_o,
-            "gamma_o": s.params.gamma_o,
-            "k_s": s.params.k_s,
-            "gamma_s": s.params.gamma_s,
-            "t_phi": s.params.t_phi,
-            "gamma_cap": s.params.gamma_cap,
-        },
+        "solver": asdict(s.solver),
+        "params": asdict(s.params),
         "mode": s.mode,
         "metadata": s.metadata,
     }

@@ -99,6 +99,19 @@ class TestDual:
             primal = bass.bass_solve(a.T, c.T, 1.0)
             assert np.allclose(dual.Y_star, primal.X_star, atol=1e-10)
 
+    def test_equals_transposed_primal_exactly(self):
+        rng = np.random.default_rng(2)
+        a = rng.normal(size=(4, 4))
+        a = a - min(0.0, np.linalg.eigvals(a).real.min() - 0.1) * np.eye(4)
+        c = rng.normal(size=(3, 4))
+        dual = bass.dual_bass_solve(a, c, 1.0, heights=[1, 2])
+        primal = bass.bass_solve(a.T, c.T, 1.0, widths=[1, 2])
+        assert np.array_equal(dual.Y_star, primal.X_star)
+        assert np.array_equal(dual.L, primal.F.T)
+        assert len(dual.L_blocks) == 2
+        for l_blk, f_blk in zip(dual.L_blocks, primal.F_blocks):
+            assert np.array_equal(l_blk, f_blk.T)
+
     def test_load_transport_observer(self):
         p = load_transport_plant((0, 3, 6))
         _, c = aggregate(p)

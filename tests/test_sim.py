@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy.linalg import expm
 
 from plugplay import analysis, bass, sim
 from plugplay.agent import AgentParams
-from plugplay.consensus import bass_rate_params, flow_drift, pi_flow_operator
+from plugplay.consensus import INFORMER_ID, bass_rate_params, flow_drift, pi_flow_operator
 from plugplay.graph import Graph, lambda2, laplacian
 from plugplay.matlib import rk4_propagator, spectral_abscissa
 from plugplay.plant import Channel, PlantModel, aggregate, normalize_plant
@@ -132,6 +133,17 @@ def two_agent_state_feedback_scenario(t_end=2.0):
     )
 
 
+def rejoin_scenario():
+    """The C10 scenario, then agent 1 leaves and re-joins at one instant."""
+    scen = build_load_transport_scenario(t_leave=0.5, t_join=1.0, t_end=1.5)
+    events = scen.events + (
+        Event(time=1.25, kind="leave", agent_id=1),
+        Event(time=1.25, kind="join", agent_id=1, initial_state={"zeta": 1.0},
+              add_edges=((1, 4), (1, 6), (1, INFORMER_ID))),
+    )
+    return replace(scen, events=events)
+
+
 class TestValidation:
     def test_builder_scenario_validates(self):
         scen = build_load_transport_scenario()
@@ -186,10 +198,39 @@ class TestValidation:
 
     def test_wrong_x0_rejected(self):
         scen, *_ = scalar_static_scenario(t_end=1.0)
-        from dataclasses import replace
-
         with pytest.raises(ScenarioError):
             validate_scenario(replace(scen, x0=np.array([1.0, 2.0])))
+
+    @staticmethod
+    def _join_with_state(initial_state):
+        scen = build_load_transport_scenario(t_leave=0.5, t_join=1.0, t_end=1.5)
+        events = tuple(
+            replace(e, initial_state=initial_state) if e.agent_id == 4 else e for e in scen.events
+        )
+        return replace(scen, events=events)
+
+    def test_join_state_unknown_field_rejected(self):
+        scen = self._join_with_state({"Q": np.zeros((4, 4))})
+        with pytest.raises(ScenarioError, match=r"agent 4: unknown initial state field 'Q'"):
+            validate_scenario(scen)
+
+    def test_join_state_wrong_shape_rejected(self):
+        scen = self._join_with_state({"X": np.zeros((3, 3))})
+        with pytest.raises(ScenarioError, match=r"agent 4: initial state field 'X' has shape \(3, 3\)"):
+            validate_scenario(scen)
+
+    def test_static_joiner_without_gains_rejected(self):
+        scen, *_ = scalar_static_scenario(t_end=1.0)
+        plant = PlantModel(scen.plant.A, scen.plant.channels + (Channel(3, [[1.0]], [[1.0]]),))
+        join = Event(time=0.5, kind="join", agent_id=3, add_edges=((3, 2),))
+        with pytest.raises(ScenarioError, match="agent 3 has no F"):
+            validate_scenario(replace(scen, plant=plant, events=(join,)))
+
+    def test_static_gain_of_wrong_shape_rejected(self):
+        scen, *_ = scalar_static_scenario(t_end=1.0)
+        static = replace(scen.static, F={**scen.static.F, 1: np.zeros((1, 3))})
+        with pytest.raises(ScenarioError, match=r"agent 1 has F of shape \(1, 3\), expected \(1, 1\)"):
+            validate_scenario(replace(scen, static=static))
 
 
 class TestStaticMode:
@@ -289,6 +330,25 @@ class TestAlgorithm1Mode:
         assert abs(z_after - z_before) < 0.05  # continuous, not reset
         assert len(tr.intervals) == 5
         assert tr.informer_zeta.shape == tr.times.shape
+
+    def test_join_event_channel_overrides_plant_channel(self):
+        # the plant gives agent 3 one input; its join event supplies two
+        p = PlantModel(np.array([[1.0]]), tuple(Channel(i, [[1.0]], [[1.0]]) for i in (1, 2, 3)))
+        join = Event(time=0.05, kind="join", agent_id=3, channel=Channel(3, [[1.0, 0.5]], [[1.0]]),
+                     add_edges=((3, 2), (3, INFORMER_ID)))
+        scen = Scenario(
+            plant=p,
+            x0=[1.0],
+            initial_agents=(1, 2),
+            graph=Graph.from_edges([0, 1, 2], [(0, 1), (1, 2)]),
+            solver=SolverSettings(t_end=0.1),
+            params=AgentParams(beta=2.0),
+            events=(join,),
+        )
+        assert validate_scenario(scen)[1].channels[2].m == 2
+        tr = run_scenario(scen)
+        assert tr.u[3].shape[1] == 2
+        assert np.all(np.isfinite(tr.u[3][-1]))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_uncapped_coupling_gain_fails_loudly(self):
@@ -390,6 +450,21 @@ class TestLoadTransportScenario:
     RATE = 0.05  # the certified decay rate the demo's flow gains come from
     RK4_REAL_LIMIT = 2.785  # RK4's stability interval on the negative real axis
 
+    @pytest.mark.parametrize("slots", [
+        {},
+        {"initial_slots": (0, 3), "leave_slot": None, "join_slots": ()},
+        {"leave_slot": None, "join_slots": ()},
+        {"mode": "state_feedback"},
+    ])
+    def test_default_gains_certify_slot_sets_in_use(self, slots):
+        build_load_transport_scenario(**slots)
+
+    def test_uncertified_slot_set_refused(self):
+        # agent graphs with lambda2 = 2, 1 and 0.586 need gamma/k of 36.6,
+        # 73.2 and 124.9; the default literals certify 52.94 (lambda2 >= 1.382)
+        with pytest.raises(ValueError, match="lambda2 = 1;"):
+            build_load_transport_scenario(initial_slots=(0, 1, 2, 3), leave_slot=3, join_slots=(4, 5, 6, 7, 8))
+
     def test_packaged_file_matches_builder(self):
         path = Path(__file__).resolve().parents[1] / "scenarios" / "load_transport.json"
         assert json.loads(path.read_text()) == scenario_to_json(build_load_transport_scenario())
@@ -445,17 +520,19 @@ class TestParityWithPreviousEngine:
     """
 
     RTOL = 1e-9
-    SCENARIOS = {
-        "algorithm1": lambda: build_load_transport_scenario(t_leave=0.5, t_join=1.0, t_end=1.5),
-        "static_gains": lambda: scalar_static_scenario()[0],
-        "state_feedback": two_agent_state_feedback_scenario,
+    SCENARIOS = {  # pin name -> (mode, scenario)
+        "algorithm1": ("algorithm1", lambda: build_load_transport_scenario(t_leave=0.5, t_join=1.0, t_end=1.5)),
+        "static_gains": ("static_gains", lambda: scalar_static_scenario()[0]),
+        "state_feedback": ("state_feedback", two_agent_state_feedback_scenario),
+        "rejoin": ("algorithm1", rejoin_scenario),
     }
 
-    @pytest.mark.parametrize("mode", ["algorithm1", "static_gains", "state_feedback"])
-    def test_pinned_run(self, mode):
-        tr = run_scenario(self.SCENARIOS[mode]())
+    @pytest.mark.parametrize("case", list(SCENARIOS))
+    def test_pinned_run(self, case):
+        mode, build = self.SCENARIOS[case]
+        tr = run_scenario(build())
         assert tr.mode == mode
-        pins = PINS[mode]
+        pins = PINS[case]
         names = {"x", "informer_zeta"}
         for field in ("xhat", "zeta", "u", "err_obs", "err_x", "err_y"):
             names |= {f"{field}/{a}" for a in tr.agent_ids}
