@@ -13,7 +13,6 @@ only its own measurement and the neighbors' broadcast states.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -66,16 +65,20 @@ class PhiFilter:
     def sigma_min(self) -> float:
         return float(self._held_svals[-1])
 
-    def update(self, x: np.ndarray, t: float) -> np.ndarray:
-        """Advance the sample clock to time t and return the held value.
+    def sample_index(self, t):
+        """The index ``floor(t / T + 1e-9)`` of the sample instant due at t.
 
-        The 1e-9 slack in the sample index keeps an instant reached as
+        t may be an array.  The 1e-9 slack keeps an instant reached as
         ``step * h`` from rounding down to the previous one.
         """
+        return np.floor(np.asarray(t, dtype=float) / self.period + 1e-9).astype(np.int64)
+
+    def update(self, x: np.ndarray, t: float) -> np.ndarray:
+        """Advance the sample clock to time t and return the held value."""
         if t < self._last_t - 1e-12:
             raise ValueError(f"filter time must be nondecreasing ({t} < {self._last_t})")
         self._last_t = t
-        k = math.floor(t / self.period + 1e-9)
+        k = int(self.sample_index(t))
         if k > self.last_sample_index:
             self.last_sample_index = k
             sv = singular_values(x)
@@ -83,6 +86,32 @@ class PhiFilter:
                 self.held = inverse(x)
                 self._held_svals = sv[::-1].copy() ** -1.0
         return self.held
+
+    def hold(self, xs: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Run the sample clock over the nondecreasing times ``ts``.
+
+        ``xs[j]`` is the input at ``ts[j]``.  :meth:`update` is called
+        only at the steps where a sample falls due, so the holds are the
+        ones a call at every step would give.  Returns ``(held, svals,
+        which)``: the distinct held values and their singular values
+        (descending) as stacks, and per step the index of its hold.
+        """
+        ts = np.asarray(ts, dtype=float)
+        if ts.size and (ts[0] < self._last_t - 1e-12 or np.any(ts[1:] < ts[:-1])):
+            raise ValueError("filter times must be nondecreasing")
+        ks = self.sample_index(ts)
+        before = np.maximum.accumulate(np.concatenate([[self.last_sample_index], ks[:-1]]))
+        due = np.flatnonzero(ks > before)
+        held, svals = [self.held], [self._held_svals]
+        for j in due:
+            self.update(xs[j], float(ts[j]))
+            held.append(self.held)
+            svals.append(self._held_svals)
+        which = np.zeros(ts.size, dtype=np.intp)
+        which[due] = 1
+        if ts.size:
+            self._last_t = max(self._last_t, float(ts[-1]))
+        return np.stack(held), np.stack(svals), np.cumsum(which)
 
 
 @dataclass(frozen=True)
@@ -118,7 +147,9 @@ class ControlAgent:
     :meth:`refresh_gains`; the gains then read through
     :func:`gain_F`, :func:`gain_L` and :func:`gamma_i` depend on this
     agent's states and channel only.  The simulator drives one agent
-    per active channel this way, once per step.
+    per active channel this way, once per chunk of steps, with the
+    agent's states at every step of the chunk; for an array of times
+    the three readers return stacks over them.
     """
 
     def __init__(
@@ -150,55 +181,71 @@ class ControlAgent:
         self._L = None
         self._gamma = None
 
-    def refresh_gains(self, t: float) -> None:
-        """Sample the inverse filters at time t and recompute all gains."""
-        phi_x = self.phi_x.update(self.X, t)
-        phi_y = self.phi_y.update(self.Y, t)
-        zc = max(float(self.zeta), 1.0)
-        self._F = -(self.B.T @ phi_x) / zc
-        self._L = -(phi_y @ self.C.T) / zc
-        self._gamma = self._gamma_formula(zc)
-        self._gain_time = t
+    def refresh_gains(self, t) -> None:
+        """Sample the inverse filters and recompute all gains at time t.
 
-    def _gamma_formula(self, zc: float) -> float:
-        # Python floats: an overflow gives inf or nan here, never an
-        # exception, and both take the cap below.
+        t may also be a 1-D array of K nondecreasing times, one call for a
+        stretch of steps: X and Y are then ``(K, n, n)`` stacks and zeta a
+        length-K array (an ``(n, n)`` matrix or a scalar stands for every
+        step), and F, L and gamma come out as stacks over the K times,
+        bit for bit what K scalar calls in turn would give.  The filters
+        are updated only where a sample instant falls due, and the gains
+        of all K times are computed at once.
+        """
+        times = np.asarray(t, dtype=float)
+        ts = times.reshape(-1)
+        k, n = ts.size, self.n
+        xs = np.broadcast_to(self.X, (k, n, n))
+        ys = np.broadcast_to(self.Y, (k, n, n))
+        zc = np.maximum(np.broadcast_to(np.asarray(self.zeta, dtype=float), (k,)), 1.0)
+        phi_x, sx, ix = self.phi_x.hold(xs, ts)
+        phi_y, sy_phi, iy = self.phi_y.hold(ys, ts)
+        zs = zc[:, None, None]
+        f = (-(self.B.T @ phi_x))[ix] / zs
+        l = (-(phi_y @ self.C.T))[iy] / zs
+        gamma = self._gamma_formula(zc, sx[ix], sy_phi[iy, 0], np.linalg.svd(ys, compute_uv=False))
+        if times.ndim == 0:
+            f, l, gamma = f[0], l[0], float(gamma[0])
+        self._F, self._L, self._gamma = f, l, gamma
+        self._gain_time = times
+
+    def _gamma_formula(self, zc, sx, phi_y_max, sy) -> np.ndarray:
+        """The threshold formula at K steps, from the clamped zeta ``zc``,
+        the singular values ``sx`` of the held Phi(X) (descending), the
+        largest one of the held Phi(Y) and those of Y (descending).  A
+        vanishing denominator, an overflow and a NaN all take the cap."""
         cap = self.params.gamma_cap
-        sx_max, sx_min = self.phi_x.sigma_max, self.phi_x.sigma_min
-        sy = np.linalg.svd(self.Y, compute_uv=False)
-        zc2 = zc * zc
-        den = self.params.beta * min(sx_min, zc2 * float(sy[-1]))
-        if den <= 0.0:
-            return cap
-        kappa = max(sx_max, zc2 * float(sy[0])) / den
-        theta = self._norm_a + self.phi_y.sigma_max + 2.0 * sx_max
-        gamma = 1.0 + (zc2 / 4.0) * (
-            theta
-            + theta * theta * kappa
-            + 4.0 * (sx_max * sx_max) * kappa * math.sqrt(1.0 + (theta * theta) * (kappa * kappa))
-        )
-        if not math.isfinite(gamma):
-            return cap
-        return gamma
+        sx_max, sx_min = sx[:, 0], sx[:, -1]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            zc2 = zc * zc
+            den = self.params.beta * np.minimum(sx_min, zc2 * sy[:, -1])
+            kappa = np.maximum(sx_max, zc2 * sy[:, 0]) / den
+            theta = self._norm_a + phi_y_max + 2.0 * sx_max
+            gamma = 1.0 + (zc2 / 4.0) * (
+                theta
+                + theta * theta * kappa
+                + 4.0 * (sx_max * sx_max) * kappa * np.sqrt(1.0 + (theta * theta) * (kappa * kappa))
+            )
+        return np.where((den <= 0.0) | ~np.isfinite(gamma), cap, gamma)
 
-    def _ensure(self, t: float) -> None:
-        if self._gain_time != t:
+    def _ensure(self, t) -> None:
+        if self._gain_time is None or not np.array_equal(self._gain_time, t):
             self.refresh_gains(t)
 
 
-def gain_F(a: ControlAgent, t: float) -> np.ndarray:
+def gain_F(a: ControlAgent, t) -> np.ndarray:
     """Time-varying feedback gain -B_i^T Phi(X_i)(t) / max(zeta_i, 1)."""
     a._ensure(t)
     return a._F
 
 
-def gain_L(a: ControlAgent, t: float) -> np.ndarray:
+def gain_L(a: ControlAgent, t) -> np.ndarray:
     """Time-varying injection gain -Phi(Y_i)(t) C_i^T / max(zeta_i, 1)."""
     a._ensure(t)
     return a._L
 
 
-def gamma_i(a: ControlAgent, t: float) -> float:
+def gamma_i(a: ControlAgent, t):
     """Self-computed coupling-gain certificate value (>= 1).
 
     Exact formula; returns params.gamma_cap when the conditioning ratio

@@ -11,9 +11,8 @@ every input and returns the interval table (interval i + 1 is opened by
 ``events[i]``), which the runner walks once.  An interval whose closing
 event snaps to its opening step is folded into the next one.
 
-Gains are refreshed once per step, at t = step * h, and held constant
-across the four stages, so within a step the whole system is affine
-and splits in two:
+Gains are frozen over each step at their value at t = step * h, so
+within a step the whole system is affine and splits in two:
 
 * The gain flow (Z, X), the dual flow (W, Y) and the size estimator
   (psi, zeta and the informer) are linear time-invariant for a whole
@@ -27,12 +26,20 @@ and splits in two:
 * Plant plus observers, of size n (N + 1), form one matrix per step,
   built from every agent's frozen gains; :func:`rk4_step` advances it.
 
-Each active agent is a :class:`agent.ControlAgent`: once per step the
-runner writes the agent's X, Y and zeta into it and calls
-``refresh_gains``, which samples the agent's inverse filters and
-recomputes its gains from its own states only.  After every step a
-non-finite state raises IntegrationError with the step's time.  Traces
-are bit-reproducible for a given scenario.
+Since an agent's gains depend on its own X, Y and zeta only, the runner
+works in chunks of K steps that never cross an event.  (a) The flows
+advance K steps and keep every step's value.  (b) Each active agent, a
+:class:`agent.ControlAgent`, gets its X, Y and zeta stacks over the
+chunk and refreshes its gains for all K steps in one ``refresh_gains``
+call: its inverse filters sample only where a sample instant falls due,
+and F, L and gamma are computed over the chunk at once.  (c) The K
+frozen-gain observer maps are built in one batched pass, ``rk4_step``
+advances plant and observers step by step, and the chunk's samples are
+recorded together.  K is set per interval by a fixed byte budget for the
+chunk's stacks (``CHUNK_BYTES``); the results do not depend on it.  A
+non-finite state raises IntegrationError with the time of the first step
+that produced it, whether plant, observers or a flow.  Traces are
+bit-reproducible for a given scenario.
 """
 
 from __future__ import annotations
@@ -72,6 +79,12 @@ __all__ = [
 ]
 
 MODES = ("algorithm1", "static_gains", "state_feedback")
+
+# Bytes of per-step stacks one chunk of steps may hold: a chunk is
+# CHUNK_BYTES // (8 * (s^2 + 10 N n^2)) steps long, where s^2 is one
+# observer map and 10 n^2 per agent covers its flow values, X, Y, gains
+# and observer-map terms.
+CHUNK_BYTES = 1 << 20
 
 
 class IntegrationError(RuntimeError):
@@ -387,32 +400,39 @@ def _observer_map(a, k0, jm, omega, geff, coupling):
 
     ``xdot = A x + sum_i K0_i xhat_i`` and
     ``xhatdot_i = Omega_i xhat_i - Jm_i x - geff_i sum_j L_ij xhat_j``,
-    with ``coupling`` from :func:`_coupling`.
+    with ``coupling`` from :func:`_coupling`.  ``k0``, ``jm``, ``omega``
+    are ``(..., N, n, n)`` and ``geff`` is ``(..., N)``: leading axes give
+    a stack of maps.
     """
-    n_agents, n = k0.shape[0], a.shape[0]
-    g = np.empty((n_agents + 1, n, n_agents + 1, n))
-    g[0, :, 0, :] = a
-    g[0, :, 1:, :] = k0.transpose(1, 0, 2)
-    g[1:, :, 0, :] = -jm
-    obs = g[1:, :, 1:, :]
-    np.multiply(-geff[:, None, None, None], coupling, out=obs)
+    *batch, n_agents, n, _ = k0.shape
+    g = np.empty((*batch, n_agents + 1, n, n_agents + 1, n))
+    g[..., 0, :, 0, :] = a
+    g[..., 0, :, 1:, :] = np.swapaxes(k0, -3, -2)
+    g[..., 1:, :, 0, :] = -jm
+    obs = g[..., 1:, :, 1:, :]
+    np.multiply(-geff[..., None, None, None], coupling, out=obs)
     idx = np.arange(n_agents)
-    obs[idx, :, idx, :] += omega
+    # the diagonal blocks come out agent-first: (N, ..., n, n)
+    obs[..., idx, :, idx, :] += np.moveaxis(omega, -3, 0)
     size = (n_agents + 1) * n
-    return g.reshape(size, size)
+    return g.reshape(*batch, size, size)
 
 
 class _Runner:
-    """Fixed-step integration of one scenario; see the module docstring.
+    """Chunked fixed-step integration of one scenario; see the module docstring.
 
     Inside an interval the run state is: ``state`` = (x, xhat_1..N) (x
     alone in state_feedback mode), the gain and dual flows ``zx``,
     ``wy`` as ``(N, 2 n^2)`` rows of modal coordinates, the size
     estimator ``sz`` = (psi, zeta) over informer and agents.  Each
     active agent's :class:`ControlAgent` holds its inverse filters and
-    gains and lives from its join to its leave.  At an event the state
-    leaves the interval as one row per agent id (:meth:`_export`) and the
-    next interval stacks the rows of its members (:meth:`_enter`).
+    gains and lives from its join to its leave.  :meth:`_chunk` runs
+    ``chunk`` steps at a time, keeping per-step stacks of the flows
+    (``*_steps``), X and Y in agent coordinates (``x_mats``, ``y_mats``),
+    the gains (``f``, ``l``, ``gamma``) and the observer maps (``g``).
+    At an event the state leaves the interval as one row per agent id
+    (:meth:`_export`) and the next interval stacks the rows of its
+    members (:meth:`_enter`).
     """
 
     def __init__(self, scenario: Scenario):
@@ -457,9 +477,8 @@ class _Runner:
             if a not in self.agents:
                 self.agents[a] = ControlAgent(self.A, ch, p)
         self.members = [self.agents[a] for a in actives]
-        self.f = np.zeros((n_agents, m_max, n))
-        self.l = np.zeros((n_agents, n, p_max))
-        self.gamma = np.zeros(n_agents)
+        self.f_shape = (n_agents, m_max, n)
+        self.l_shape = (n_agents, n, p_max)
 
         def stack(key):
             return np.array([rows[a][key] for a in actives])
@@ -468,19 +487,22 @@ class _Runner:
             self.state = x.copy()
         else:
             self.state = np.concatenate([x, stack("xhat").ravel()])
+        size = self.state.size
+        self.chunk = max(1, CHUNK_BYTES // (8 * (size * size + 10 * n_agents * n * n)))
 
         if mode == "static_gains":
             sg = self.s.static
-            f = self.f
+            f = np.zeros(self.f_shape)
             for i, a in enumerate(actives):
                 f[i, : chans[i].m] = np.asarray(sg.F[a], dtype=float)
             jm = np.stack(
                 [n_agents * np.asarray(sg.L[a], dtype=float) @ chans[i].C for i, a in enumerate(actives)]
             )
             k0 = self.b @ f
-            self.g = _observer_map(
+            g = _observer_map(
                 self.A, k0, jm, self.A + n_agents * k0 + jm, np.full(n_agents, sg.gamma), self.coupling
             )
+            self.static_maps = (f, g)
             return
 
         # gain flow (and, in algorithm1, dual flow and size estimator)
@@ -533,53 +555,118 @@ class _Runner:
                 rows[a][key] = val
         return self.state[:n].copy(), rows, informer
 
-    # -- one step ------------------------------------------------------------
+    # -- one chunk -----------------------------------------------------------
 
-    def _refresh_gains(self, t: float) -> None:
-        """Freeze every agent's gains at time t for the coming step."""
-        n, n_agents = self.n, len(self.actives)
+    def _chunk(self, tr: Trace, s0: int, s1: int) -> None:
+        """Steps s0 .. s1 - 1 of the current interval: flows, gains, plant.
+
+        A flow step that turns non-finite cuts the chunk after it; once
+        the plant has taken that step too, IntegrationError reports its
+        time, as after any other non-finite step.
+        """
+        h = self.h
+        n_adv = min(s1, self.total_steps) - s0  # the final step records only
+        failed = None
+        if self.mode != "static_gains":
+            failed = self._flows(n_adv)
+            if failed is not None:
+                s1 = s0 + failed + 1
+                n_adv = s1 - s0
+        steps = np.arange(s0, s1)
+        if self.mode == "static_gains":
+            f, g = self.static_maps
+            self.f = np.broadcast_to(f, (steps.size,) + f.shape)
+            self.g = np.broadcast_to(g, (steps.size,) + g.shape)
+        else:
+            self._gains(steps * h)
+        states = np.empty((steps.size, self.state.size))
+        state = self.state
+        for j in range(steps.size):
+            states[j] = state
+            if j < n_adv:
+                state = rk4_step(lambda _t, y, g=self.g[j]: g @ y, state, (s0 + j) * h, h)
+        self.state = state
+        rec = np.flatnonzero(steps % self.record_every == 0)
+        if rec.size:
+            self._record(tr, steps[rec] // self.record_every, rec, states[rec])
+        if failed is not None:
+            raise IntegrationError("non-finite state after RK4 stage", (s0 + failed) * h)
+
+    def _flows(self, n_adv: int) -> int | None:
+        """Advance the flows n_adv steps, keeping each step's value.
+
+        ``self.zx_steps[j]`` (likewise ``wy``, ``sz``) is the value at the
+        chunk's step j; the last advance leaves the current value.
+        Returns the first j whose advance gave a non-finite value, or
+        None; the kept values then stop at step j.
+        """
+        algorithm1 = self.mode == "algorithm1"
+        current = [self.zx] + ([self.wy, self.sz] if algorithm1 else [])
+        hists = [np.empty((n_adv + 1,) + y.shape) for y in current]
+        for hist, y in zip(hists, current):
+            hist[0] = y
+        zx = hists[0]
+        step_x, off_x = self.prop_zx
+        if algorithm1:
+            wy, sz = hists[1:]
+            step_y, off_y = self.prop_wy
+            t_sz, d_sz = self.prop_sz
+        # a step that overflows is found below and reported as
+        # IntegrationError; the steps after it need no warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(n_adv):
+                y = zx[j]
+                zx[j + 1] = y + ((step_x @ y[..., None])[..., 0] + off_x)
+                if algorithm1:
+                    y = wy[j]
+                    wy[j + 1] = y + ((step_y @ y[..., None])[..., 0] + off_y)
+                    sz[j + 1] = t_sz @ sz[j] + d_sz
+        bad = np.zeros(n_adv, dtype=bool)
+        for hist in hists:
+            bad |= ~np.isfinite(hist[1:].reshape(n_adv, hist[0].size)).all(axis=1)
+        failed = int(np.argmax(bad)) if bad.any() else None
+        last = n_adv if failed is None else failed
+        self.zx_steps, self.zx = zx[: last + 1], zx[last].copy()
+        if algorithm1:
+            self.wy_steps, self.wy = wy[: last + 1], wy[last].copy()
+            self.sz_steps, self.sz = sz[: last + 1], sz[last].copy()
+        return failed
+
+    def _gains(self, ts: np.ndarray) -> None:
+        """Every agent's gains at the times ts, then the K observer maps.
+
+        Each agent refreshes once over the whole chunk from its own X, Y
+        and zeta stacks; ``self.f``, ``self.l``, ``self.gamma`` and
+        ``self.g`` are stacks over the chunk's steps.
+        """
+        n, n_agents, k = self.n, len(self.actives), ts.size
         nn = n * n
-        self.x_mats = (self.v @ self.zx[:, nn:]).reshape(n_agents, n, n)
+        self.x_mats = (self.v @ self.zx_steps[:k, :, nn:]).reshape(k, n_agents, n, n)
+        self.f = np.zeros((k,) + self.f_shape)
         if self.mode == "state_feedback":
             # Y and zeta stay 0: the zeta clamp makes F_i = -B_i^T Phi(X_i)
             for i, ag in enumerate(self.members):
-                ag.X = self.x_mats[i]
-                ag.refresh_gains(t)
-                self.f[i, : self.widths[i][0]] = gain_F(ag, t)
-            self.g = self.A + (self.b @ self.f).sum(axis=0)
+                ag.X = self.x_mats[:, i]
+                ag.refresh_gains(ts)
+                self.f[:, i, : self.widths[i][0]] = gain_F(ag, ts)
+            self.g = self.A + (self.b @ self.f).sum(axis=1)
             return
-        self.y_mats = (self.v @ self.wy[:, nn:]).reshape(n_agents, n, n)
-        zeta = self.sz[n_agents + 2 :]
+        self.y_mats = (self.v @ self.wy_steps[:k, :, nn:]).reshape(k, n_agents, n, n)
+        zeta = self.sz_steps[:k, n_agents + 2 :]
+        self.l = np.zeros((k,) + self.l_shape)
+        self.gamma = np.zeros((k, n_agents))
         for i, ag in enumerate(self.members):
-            ag.X, ag.Y, ag.zeta = self.x_mats[i], self.y_mats[i], float(zeta[i])
-            ag.refresh_gains(t)
+            ag.X, ag.Y, ag.zeta = self.x_mats[:, i], self.y_mats[:, i], zeta[:, i]
+            ag.refresh_gains(ts)
             m_i, p_i = self.widths[i]
-            self.f[i, :m_i] = gain_F(ag, t)
-            self.l[i, :, :p_i] = gain_L(ag, t)
-            self.gamma[i] = gamma_i(ag, t)
-        zs = zeta[:, None, None]
+            self.f[:, i, :m_i] = gain_F(ag, ts)
+            self.l[:, i, :, :p_i] = gain_L(ag, ts)
+            self.gamma[:, i] = gamma_i(ag, ts)
+        zs = zeta[..., None, None]
         k0 = self.b @ self.f
         jm = zs * (self.l @ self.c)
         geff = np.minimum(self.gamma, self.s.params.gamma_cap)
         self.g = _observer_map(self.A, k0, jm, self.A + zs * k0 + jm, geff, self.coupling)
-
-    def _advance(self, t: float) -> None:
-        g = self.g
-        self.state = rk4_step(lambda _t, y: g @ y, self.state, t, self.h)
-        if self.mode == "static_gains":
-            return
-        step, offset = self.prop_zx
-        self.zx = self.zx + ((step @ self.zx[..., None])[..., 0] + offset)
-        flows = [self.zx]
-        if self.mode == "algorithm1":
-            step, offset = self.prop_wy
-            self.wy = self.wy + ((step @ self.wy[..., None])[..., 0] + offset)
-            t_sz, d_sz = self.prop_sz
-            self.sz = t_sz @ self.sz + d_sz
-            flows += [self.wy, self.sz]
-        for arr in flows:
-            if not np.isfinite(arr).all():
-                raise IntegrationError("non-finite state after RK4 stage", t)
 
     # -- the loop ----------------------------------------------------------
 
@@ -626,59 +713,55 @@ class _Runner:
             if first[i] == last[i]:
                 continue  # no step of its own: the next event fires at the same step
             self._enter(iv, x, rows, informer)
-            for step in range(first[i], last[i]):
-                t = step * h
-                if self.mode != "static_gains":
-                    self._refresh_gains(t)
-                if step % re_every == 0:
-                    self._record(tr, step // re_every)
-                if step < self.total_steps:
-                    self._advance(t)
+            for s0 in range(first[i], last[i], self.chunk):
+                self._chunk(tr, s0, min(s0 + self.chunk, last[i]))
             x, rows, informer = self._export()
 
         if self.mode == "algorithm1":
             cap = s.params.gamma_cap
             for i, aid in enumerate(self.actives):
                 m_i, p_i = self.widths[i]
-                gamma = float(self.gamma[i])
+                gamma = float(self.gamma[-1, i])
                 tr.final_gains[aid] = {
-                    "F": self.f[i, :m_i].copy(),
-                    "L": self.l[i, :, :p_i].copy(),
+                    "F": self.f[-1, i, :m_i].copy(),
+                    "L": self.l[-1, i, :, :p_i].copy(),
                     "gamma": gamma,
                     "gamma_effective": min(gamma, cap),
                     "zeta": float(self.sz[len(self.actives) + 2 + i]),
                 }
         return tr
 
-    def _record(self, tr: Trace, k: int) -> None:
+    def _record(self, tr: Trace, ks: np.ndarray, rec: np.ndarray, states: np.ndarray) -> None:
+        """Write the samples ``ks``, taken at the chunk's steps ``rec``."""
         n, mode, iv = self.n, self.mode, self.iv
         actives = self.actives
         n_agents = len(actives)
-        x = self.state[:n]
-        tr.x[k] = x
+        x = states[:, :n]
+        tr.x[ks] = x
+        f = self.f[rec]
         if mode == "state_feedback":
-            u = self.f @ x
+            u = (f @ x[:, None, :, None])[..., 0]
         else:
-            xhat = self.state[n:].reshape(n_agents, n)
-            u = (self.f @ xhat[..., None])[..., 0]
-            err_obs = np.linalg.norm(xhat - x, axis=1)
+            xhat = states[:, n:].reshape(-1, n_agents, n)
+            u = (f @ xhat[..., None])[..., 0]
+            err_obs = np.linalg.norm(xhat - x[:, None, :], axis=-1)
         if mode != "static_gains":
-            err_x = np.linalg.norm(self.x_mats - iv.X_star / n_agents, 2, axis=(1, 2))
+            err_x = np.linalg.norm(self.x_mats[rec] - iv.X_star / n_agents, 2, axis=(-2, -1))
         if mode == "algorithm1":
-            err_y = np.linalg.norm(self.y_mats - iv.Y_star / n_agents, 2, axis=(1, 2))
+            err_y = np.linalg.norm(self.y_mats[rec] - iv.Y_star / n_agents, 2, axis=(-2, -1))
             nb = n_agents + 1
-            zeta = self.sz[nb + 1 :]
-            tr.informer_zeta[k] = self.sz[nb]
+            zeta = self.sz_steps[rec, nb + 1 :]
+            tr.informer_zeta[ks] = self.sz_steps[rec, nb]
         for i, aid in enumerate(actives):
             if mode != "state_feedback":
-                tr.xhat[aid][k] = xhat[i]
-                tr.err_obs[aid][k] = err_obs[i]
+                tr.xhat[aid][ks] = xhat[:, i]
+                tr.err_obs[aid][ks] = err_obs[:, i]
             if mode == "algorithm1":
-                tr.zeta[aid][k] = zeta[i]
-                tr.err_y[aid][k] = err_y[i]
+                tr.zeta[aid][ks] = zeta[:, i]
+                tr.err_y[aid][ks] = err_y[:, i]
             if mode != "static_gains":
-                tr.err_x[aid][k] = err_x[i]
-            tr.u[aid][k] = u[i, : self.widths[i][0]] / self.scale[i]
+                tr.err_x[aid][ks] = err_x[:, i]
+            tr.u[aid][ks] = u[:, i, : self.widths[i][0]] / self.scale[i]
 
 
 def run_scenario(scenario: Scenario) -> Trace:
@@ -950,7 +1033,7 @@ def scenario_from_json(d: dict) -> Scenario:
 
 
 def write_trace_csv(tr: Trace, path) -> None:
-    """Uniform trace CSV; absent agents emit empty fields."""
+    """Uniform trace CSV; absent agents and unrecorded series emit empty fields."""
     n = tr.x.shape[1]
     header = ["t"] + [f"x_{j+1}" for j in range(n)]
     for a in tr.agent_ids:
@@ -958,7 +1041,8 @@ def write_trace_csv(tr: Trace, path) -> None:
         header += [f"a{a}_xhat_{j+1}" for j in range(n)]
         header += [f"a{a}_zeta"]
         header += [f"a{a}_u_{j+1}" for j in range(m)]
-        header += [f"a{a}_err_obs", f"a{a}_err_X"]
+        header += [f"a{a}_err_obs", f"a{a}_err_X", f"a{a}_err_Y"]
+    header.append("informer_zeta")
 
     def fmt(val) -> str:
         return "" if not np.isfinite(val) else repr(float(val))
@@ -974,6 +1058,8 @@ def write_trace_csv(tr: Trace, path) -> None:
                 row += [fmt(v) for v in tr.u[a][k]]
                 row.append(fmt(tr.err_obs[a][k]))
                 row.append(fmt(tr.err_x[a][k]))
+                row.append(fmt(tr.err_y[a][k]))
+            row.append(fmt(tr.informer_zeta[k]))
             w.writerow(row)
 
 
@@ -1007,6 +1093,7 @@ def summary_dict(tr: Trace, scenario: Scenario) -> dict:
             "zeta": None if not np.isfinite(tr.zeta[a][last]) else float(tr.zeta[a][last]),
             "err_obs": None if not np.isfinite(tr.err_obs[a][last]) else float(tr.err_obs[a][last]),
             "err_X": None if not np.isfinite(tr.err_x[a][last]) else float(tr.err_x[a][last]),
+            "err_Y": None if not np.isfinite(tr.err_y[a][last]) else float(tr.err_y[a][last]),
         }
     out = {
         "mode": tr.mode,

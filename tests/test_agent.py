@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -58,6 +59,20 @@ class TestPhiFilter:
         f.update(np.eye(2), 1.0)
         with pytest.raises(ValueError):
             f.update(np.eye(2), 0.5)
+
+    def test_hold_gathers_the_per_step_values(self):
+        rng = np.random.default_rng(3)
+        ts = np.arange(5, 40) * 0.01
+        xs = rng.normal(size=(ts.size, 2, 2)) + 2 * np.eye(2)
+        xs[15] = 0.0  # the sample at t = 0.2 is rejected
+        stacked, twin = PhiFilter(0.1, 2), PhiFilter(0.1, 2)
+        held, svals, which = stacked.hold(xs, ts)
+        assert held.shape[0] == 5 and svals.shape == (5, 2)  # the initial hold, then 4 samples
+        for j, t in enumerate(ts):
+            assert np.array_equal(held[which[j]], twin.update(xs[j], t))
+            assert np.array_equal(svals[which[j]], [twin.sigma_max, twin.sigma_min])
+        assert np.array_equal(stacked.value, twin.value)
+        assert stacked.last_sample_index == twin.last_sample_index == 3
 
     def test_output_always_finite(self):
         rng = np.random.default_rng(0)
@@ -378,3 +393,123 @@ class TestGainRefresh:
         assert np.array_equal(self.agents[2].phi_y.value, np.eye(3))
         assert gammas[0] < cap
         assert gammas[1] == cap and gammas[2] == cap
+
+
+def float_gamma(ag, y, zeta):
+    """The threshold formula on Python floats, as the step-by-step engine
+    evaluated it, from the agent's current holds; the formula over a
+    stack must give the same bits."""
+    cap = ag.params.gamma_cap
+    zc = max(float(zeta), 1.0)
+    sx_max, sx_min = ag.phi_x.sigma_max, ag.phi_x.sigma_min
+    sy = np.linalg.svd(y, compute_uv=False)
+    zc2 = zc * zc
+    den = ag.params.beta * min(sx_min, zc2 * float(sy[-1]))
+    if den <= 0.0:
+        return cap
+    kappa = max(sx_max, zc2 * float(sy[0])) / den
+    theta = induced_2norm(ag.A) + ag.phi_y.sigma_max + 2.0 * sx_max
+    gamma = 1.0 + (zc2 / 4.0) * (
+        theta
+        + theta * theta * kappa
+        + 4.0 * (sx_max * sx_max) * kappa * math.sqrt(1.0 + (theta * theta) * (kappa * kappa))
+    )
+    return gamma if math.isfinite(gamma) else cap
+
+
+class TestStackedRefresh:
+    """One refresh_gains over K times against K scalar calls on a twin agent."""
+
+    PERIOD = 0.1
+    N = 3
+    # chunk 1: a joiner's first refresh in mid-period; an instant 1e-11
+    # short of 0.2 that the slack turns into a sample, 0.2 itself (no
+    # new sample), 1e-6 short of 0.3 (none), and 0.3 on the last step.
+    # chunk 2: a sample on its first step, a rejected one in mid-chunk
+    # (0.5) and one on its last step.
+    CHUNKS = (
+        [0.135, 0.15, 0.175, 0.2 - 1e-11, 0.2, 0.25, 0.3 - 1e-6, 0.3],
+        [0.4, 0.42, 0.47, 0.5, 0.55, 0.6],
+    )
+    SAMPLED = [0.135, 0.2 - 1e-11, 0.3, 0.4, 0.5, 0.6]
+
+    def inputs(self, rng, ts):
+        n, k = self.N, len(ts)
+        xs = rng.normal(size=(k, n, n)) + 3 * np.eye(n)
+        ys = rng.normal(size=(k, n, n)) + 3 * np.eye(n)
+        zeta = rng.uniform(1.5, 4.0, size=k)
+        if 0.15 in ts:
+            ys[1] = 0.0  # vanishing denominator: the cap
+            ys[2] = np.diag([1.0, 1.0, 1e-200])  # overflowing value: the cap
+            zeta[[3, 5]] = [0.3, -0.5]  # clamped to 1
+        if 0.5 in ts:
+            j = ts.index(0.5)
+            xs[j] = np.outer(rng.normal(size=n), rng.normal(size=n))  # rank one: rejected
+            ys[j] = np.zeros((n, n))
+        return xs, ys, zeta
+
+    def test_stack_equals_scalar_calls(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        n = self.N
+        a = rng.normal(size=(n, n))
+        chan = Channel(1, rng.normal(size=(n, 2)), rng.normal(size=(2, n)))
+        params = AgentParams(beta=0.5, t_phi=self.PERIOD)
+        stacked, twin = ControlAgent(a, chan, params), ControlAgent(a, chan, params)
+        tags = {id(stacked.phi_x): "sx", id(stacked.phi_y): "sy", id(twin.phi_x): "tx", id(twin.phi_y): "ty"}
+        calls = []
+        update = PhiFilter.update
+
+        def spy(filt, x, t):
+            calls.append((tags[id(filt)], t, np.array(x)))
+            return update(filt, x, t)
+
+        monkeypatch.setattr(PhiFilter, "update", spy)
+        capped = 0
+        for ts in self.CHUNKS:
+            xs, ys, zeta = self.inputs(rng, ts)
+            stacked.X, stacked.Y, stacked.zeta = xs, ys, zeta
+            stacked.refresh_gains(np.array(ts))
+            f, l, g = gain_F(stacked, np.array(ts)), gain_L(stacked, np.array(ts)), gamma_i(stacked, np.array(ts))
+            assert f.shape == (len(ts), 2, n) and l.shape == (len(ts), n, 2) and g.shape == (len(ts),)
+            if ts is self.CHUNKS[0]:
+                # the slack makes 0.2 - 1e-11 a sample, and zeta = 0.3 clamps to 1
+                want = -(stacked.B.T @ np.linalg.inv(xs[3]))
+                assert np.allclose(f[3], want, rtol=1e-12, atol=1e-12)
+            for j, t in enumerate(ts):
+                twin.X, twin.Y, twin.zeta = xs[j], ys[j], float(zeta[j])
+                twin.refresh_gains(t)
+                assert np.array_equal(f[j], gain_F(twin, t)), t
+                assert np.array_equal(l[j], gain_L(twin, t)), t
+                assert g[j] == gamma_i(twin, t) == float_gamma(twin, ys[j], zeta[j]), t
+                capped += g[j] == params.gamma_cap
+            for name in ("phi_x", "phi_y"):
+                fs, ft = getattr(stacked, name), getattr(twin, name)
+                assert np.array_equal(fs.value, ft.value)
+                assert fs.last_sample_index == ft.last_sample_index
+                assert (fs.sigma_max, fs.sigma_min) == (ft.sigma_max, ft.sigma_min)
+        assert capped == 3  # the two cap paths, and the all-zero Y at 0.5
+        assert stacked.phi_x.last_sample_index == 6
+        # the filters are updated at the sample instants only, with the
+        # same inputs in both agents; 0.5 is rejected and keeps the hold
+        for s, t in (("sx", "tx"), ("sy", "ty")):
+            got = [(c[1], c[2]) for c in calls if c[0] == s]
+            want = [(c[1], c[2]) for c in calls if c[0] == t]
+            assert [c[0] for c in got] == [c[0] for c in want] == self.SAMPLED
+            assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(got, want))
+
+    def test_scalar_state_stands_for_every_step(self):
+        # an (n, n) state and a scalar zeta apply at every time of the array
+        ag = make_agent()
+        ag.X, ag.Y, ag.zeta = 2 * np.eye(2), np.eye(2), 0.5
+        ts = np.array([0.0, 0.05, 0.1])
+        f = gain_F(ag, ts)
+        assert f.shape == (3, 1, 2)
+        assert np.array_equal(f, np.broadcast_to(-(ag.B.T @ (0.5 * np.eye(2))), f.shape))
+
+    def test_times_must_not_decrease(self):
+        ag = make_agent()
+        with pytest.raises(ValueError):
+            ag.refresh_gains(np.array([0.2, 0.1]))
+        ag.refresh_gains(0.3)
+        with pytest.raises(ValueError):
+            ag.refresh_gains(np.array([0.25, 0.4]))

@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -360,6 +361,25 @@ class TestAlgorithm1Mode:
             run_scenario(scen)
         assert err.value.time < 0.2
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("override, t_fail", [
+        ({"k_c": 1e4, "gamma_c": 1e4}, 0.067),  # the gain flow
+        ({"k_o": 1e4, "gamma_o": 1e4}, 0.071),  # the dual flow
+        ({"k_s": 3e3, "gamma_s": 3e3}, 0.013),  # the size estimator
+    ])
+    def test_first_nonfinite_step_is_the_error(self, override, t_fail, monkeypatch):
+        # flow gains far outside RK4's stability interval: a flow overflows
+        # in the middle of a chunk, and the error names the first step whose
+        # state is non-finite (times pinned from the step-by-step engine),
+        # with default and with one-step chunks
+        scen = build_load_transport_scenario(t_end=2.0, leave_slot=None, join_slots=())
+        scen = replace(scen, params=replace(scen.params, **override))
+        for budget in (sim.CHUNK_BYTES, 1):
+            monkeypatch.setattr(sim, "CHUNK_BYTES", budget)
+            with pytest.raises(IntegrationError) as err:
+                run_scenario(scen)
+            assert err.value.time == pytest.approx(t_fail, rel=0, abs=1e-12)
+
     def test_size_estimate_approaches_count_on_static_interval(self):
         scen = build_load_transport_scenario(
             t_end=25.0, leave_slot=None, join_slots=(), record_every=100
@@ -434,6 +454,36 @@ class TestSerializationAndOutput:
         assert len(summary["intervals"]) == 5
         assert "position_error" in summary
         assert summary["intervals"][0]["n_active"] == 3
+
+    @pytest.mark.parametrize("mode", ["algorithm1", "state_feedback"])
+    def test_csv_and_summary_carry_every_error_series(self, tmp_path, mode):
+        if mode == "algorithm1":
+            scen = build_load_transport_scenario(t_leave=0.5, t_join=1.0, t_end=1.5, record_every=50)
+        else:
+            scen = two_agent_state_feedback_scenario(t_end=0.5)
+        tr = run_scenario(scen)
+        sim.write_trace_csv(tr, tmp_path / "trace.csv")
+        sim.write_summary_json(tr, scen, tmp_path / "summary.json")
+        with open(tmp_path / "trace.csv", newline="") as fh:
+            header, *body = list(csv.reader(fh))
+        assert len(body) == tr.times.size
+
+        def column(name):
+            j = header.index(name)
+            return np.array([float(row[j]) if row[j] else np.nan for row in body])
+
+        for a in tr.agent_ids:
+            assert header.index(f"a{a}_err_Y") == header.index(f"a{a}_err_X") + 1
+            assert np.array_equal(column(f"a{a}_err_Y"), tr.err_y[a], equal_nan=True)
+            assert np.array_equal(column(f"a{a}_err_X"), tr.err_x[a], equal_nan=True)
+        assert header[-1] == "informer_zeta"
+        assert np.array_equal(column("informer_zeta"), tr.informer_zeta, equal_nan=True)
+        final = json.loads((tmp_path / "summary.json").read_text())["final_agents"]
+        for a in tr.agent_ids:
+            want = tr.err_y[a][-1]
+            assert final[str(a)]["err_Y"] == (None if np.isnan(want) else float(want))
+        if mode == "state_feedback":
+            assert np.isnan(tr.informer_zeta).all() and final["1"]["err_Y"] is None
 
     def test_missing_scenario_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -556,3 +606,55 @@ class TestParityWithPreviousEngine:
             assert abs(scale - scale_pin) <= self.RTOL * scale_pin, name
             ok = ~np.isnan(final_pin)
             assert np.all(np.abs(final[ok] - final_pin[ok]) <= self.RTOL * scale_pin), name
+
+
+def _all_series(tr):
+    """Every recorded series and final gain of a trace, by name."""
+    out = {"times": tr.times, "x": tr.x, "informer_zeta": tr.informer_zeta}
+    for field in ("xhat", "zeta", "u", "err_obs", "err_x", "err_y"):
+        out.update({f"{field}/{a}": arr for a, arr in getattr(tr, field).items()})
+    for a, gains in tr.final_gains.items():
+        out.update({f"final_gains/{a}/{key}": val for key, val in gains.items()})
+    return out
+
+
+class TestChunkInvariance:
+    """The chunk length is a memory knob only: traces do not depend on it."""
+
+    SCENARIOS = {
+        name: TestParityWithPreviousEngine.SCENARIOS[name][1]
+        for name in ("algorithm1", "rejoin", "static_gains", "state_feedback")
+    }
+    # 1 byte gives one-step chunks; 147 200 gives 25-step chunks on the
+    # three-agent intervals of the load-transport scenarios
+    BUDGETS = (1, 147_200)
+
+    @pytest.mark.parametrize("case", list(SCENARIOS))
+    def test_chunk_length_does_not_change_the_trace(self, case, monkeypatch):
+        scen = self.SCENARIOS[case]()
+        want = _all_series(run_scenario(scen))
+        starts = []
+        chunk = sim._Runner._chunk
+
+        def spy(runner, tr, s0, s1):
+            starts.append(s0)
+            return chunk(runner, tr, s0, s1)
+
+        monkeypatch.setattr(sim._Runner, "_chunk", spy)
+        for budget in self.BUDGETS:
+            monkeypatch.setattr(sim, "CHUNK_BYTES", budget)
+            starts.clear()
+            got = _all_series(run_scenario(scen))
+            assert got.keys() == want.keys()
+            for name, val in want.items():
+                assert np.array_equal(got[name], val, equal_nan=True), (budget, name)
+            total = int(round(scen.solver.t_end / scen.solver.h)) + 1
+            if budget == 1:
+                assert starts == list(range(total))
+            elif scen.mode == "algorithm1":
+                # an event and a filter sample inside an interval each open a chunk
+                events = {int(round(e.time / scen.solver.h)) for e in scen.events}
+                period = int(round(scen.params.t_phi / scen.solver.h))
+                assert events <= set(starts)
+                assert any(s % period == 0 and s not in events and s > 0 for s in starts)
+                assert len(starts) < total
