@@ -99,6 +99,11 @@ class PhiFilter:
         ts = np.asarray(ts, dtype=float)
         if ts.size and (ts[0] < self._last_t - 1e-12 or np.any(ts[1:] < ts[:-1])):
             raise ValueError("filter times must be nondecreasing")
+        if not ts.size or self.sample_index(ts[-1]) <= self.last_sample_index:
+            # no sample falls due: every step keeps the current hold
+            if ts.size:
+                self._last_t = max(self._last_t, float(ts[-1]))
+            return self.held[None], self._held_svals[None], np.zeros(ts.size, dtype=np.intp)
         ks = self.sample_index(ts)
         before = np.maximum.accumulate(np.concatenate([[self.last_sample_index], ks[:-1]]))
         due = np.flatnonzero(ks > before)
@@ -109,8 +114,7 @@ class PhiFilter:
             svals.append(self._held_svals)
         which = np.zeros(ts.size, dtype=np.intp)
         which[due] = 1
-        if ts.size:
-            self._last_t = max(self._last_t, float(ts[-1]))
+        self._last_t = max(self._last_t, float(ts[-1]))
         return np.stack(held), np.stack(svals), np.cumsum(which)
 
 
@@ -229,6 +233,8 @@ class ControlAgent:
         return np.where((den <= 0.0) | ~np.isfinite(gamma), cap, gamma)
 
     def _ensure(self, t) -> None:
+        if self._gain_time is t:
+            return  # the runner reads with the very array it refreshed at
         if self._gain_time is None or not np.array_equal(self._gain_time, t):
             self.refresh_gains(t)
 

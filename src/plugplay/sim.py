@@ -32,13 +32,22 @@ advance K steps and keep every step's value.  (b) Each active agent, a
 :class:`agent.ControlAgent`, gets its X, Y and zeta stacks over the
 chunk and refreshes its gains for all K steps in one ``refresh_gains``
 call: its inverse filters sample only where a sample instant falls due,
-and F, L and gamma are computed over the chunk at once.  (c) The K
-frozen-gain observer maps are built in one batched pass, ``rk4_step``
-advances plant and observers step by step, and the chunk's samples are
-recorded together.  K is set per interval by a fixed byte budget for the
-chunk's stacks (``CHUNK_BYTES``); the results do not depend on it.  A
-non-finite state raises IntegrationError with the time of the first step
-that produced it, whether plant, observers or a flow.  Traces are
+and F, L and gamma are computed over the chunk at once.  (c) The chunk
+is walked in slices: each slice's frozen-gain observer maps are built
+in one batched pass from the gain stacks, ``rk4_step`` advances plant and
+observers through the slice step by step, and the chunk's samples are
+recorded together at its end.
+
+One byte budget, ``CHUNK_BYTES``, sets both lengths per interval.  A
+chunk holds per-step stacks of the flows, X and Y, the gains and the
+plant-observer state, about ``6 N n^2`` floats a step, and is as long
+as the budget allows.  A slice holds one ``s x s`` map per step, s =
+n (N + 1), in half the budget, leaving the other half for the terms
+the maps are built from; the maps, quadratic in N, do not shorten the
+chunks.  The results depend on neither length.
+
+A non-finite state raises IntegrationError with the time of the first
+step that produced it, whether plant, observers or a flow.  Traces are
 bit-reproducible for a given scenario.
 """
 
@@ -80,10 +89,14 @@ __all__ = [
 
 MODES = ("algorithm1", "static_gains", "state_feedback")
 
-# Bytes of per-step stacks one chunk of steps may hold: a chunk is
-# CHUNK_BYTES // (8 * (s^2 + 10 N n^2)) steps long, where s^2 is one
-# observer map and 10 n^2 per agent covers its flow values, X, Y, gains
-# and observer-map terms.
+# Bytes of per-step stacks that one chunk, and apart from it one map
+# slice, may hold.  A chunk keeps, per step and agent, its gain and dual
+# flow rows (4 n^2), X and Y (2 n^2), F, L, gamma and zeta, plus the
+# size-estimator row and the plant-observer state; its flow histories
+# hold one row more than it has steps.  A slice keeps one observer map
+# (s^2 floats, s = n (N + 1)) per step in half the budget; the other
+# half is for the per-agent terms the maps are built from, fewer than
+# s^2 floats a step from three agents on.  See _Runner._enter.
 CHUNK_BYTES = 1 << 20
 
 
@@ -427,12 +440,13 @@ class _Runner:
     estimator ``sz`` = (psi, zeta) over informer and agents.  Each
     active agent's :class:`ControlAgent` holds its inverse filters and
     gains and lives from its join to its leave.  :meth:`_chunk` runs
-    ``chunk`` steps at a time, keeping per-step stacks of the flows
-    (``*_steps``), X and Y in agent coordinates (``x_mats``, ``y_mats``),
-    the gains (``f``, ``l``, ``gamma``) and the observer maps (``g``).
-    At an event the state leaves the interval as one row per agent id
-    (:meth:`_export`) and the next interval stacks the rows of its
-    members (:meth:`_enter`).
+    ``chunk`` steps at a time, keeping per-step stacks of the flows (X
+    and Y in agent coordinates, ``x_mats`` and ``y_mats``, and the size
+    estimator ``sz_steps``) and the gains (``f``, ``l``, ``gamma``,
+    ``zeta``); :meth:`_maps` builds the observer maps ``slice`` steps at
+    a time.  At an event the state leaves the interval as one row per
+    agent id (:meth:`_export`) and the next interval stacks the rows of
+    its members (:meth:`_enter`).
     """
 
     def __init__(self, scenario: Scenario):
@@ -487,8 +501,16 @@ class _Runner:
             self.state = x.copy()
         else:
             self.state = np.concatenate([x, stack("xhat").ravel()])
-        size = self.state.size
-        self.chunk = max(1, CHUNK_BYTES // (8 * (size * size + 10 * n_agents * n * n)))
+        size, nn = self.state.size, n * n
+        # floats per step of the chunk's stacks, as CHUNK_BYTES counts them
+        per_step = size
+        if mode != "static_gains":
+            per_step += n_agents * (3 * nn + m_max * n)
+        if mode == "algorithm1":
+            per_step += n_agents * (3 * nn + n * p_max + 2) + 2 * (n_agents + 1)
+        # the flow histories hold one row more than the chunk has steps
+        self.chunk = max(1, CHUNK_BYTES // (8 * per_step) - 1)
+        self.slice = max(1, CHUNK_BYTES // (16 * size * size))
 
         if mode == "static_gains":
             sg = self.s.static
@@ -509,7 +531,6 @@ class _Runner:
         self.prop_zx = self.prop_wy = None  # free the last interval's maps first
         lam, v = np.linalg.eigh(lap)
         self.v = v
-        nn = n * n
         self.zx = v.T @ np.concatenate(
             [stack("Z").reshape(n_agents, nn), stack("X").reshape(n_agents, nn)], axis=1
         )
@@ -568,23 +589,24 @@ class _Runner:
         n_adv = min(s1, self.total_steps) - s0  # the final step records only
         failed = None
         if self.mode != "static_gains":
+            # free the last chunk's stacks before this one's are built
+            self.x_mats = self.y_mats = self.sz_steps = self.zeta = None
             failed = self._flows(n_adv)
             if failed is not None:
                 s1 = s0 + failed + 1
                 n_adv = s1 - s0
         steps = np.arange(s0, s1)
         if self.mode == "static_gains":
-            f, g = self.static_maps
-            self.f = np.broadcast_to(f, (steps.size,) + f.shape)
-            self.g = np.broadcast_to(g, (steps.size,) + g.shape)
+            self.f = np.broadcast_to(self.static_maps[0], (steps.size,) + self.f_shape)
         else:
             self._gains(steps * h)
         states = np.empty((steps.size, self.state.size))
         state = self.state
-        for j in range(steps.size):
-            states[j] = state
-            if j < n_adv:
-                state = rk4_step(lambda _t, y, g=self.g[j]: g @ y, state, (s0 + j) * h, h)
+        for j0 in range(0, steps.size, self.slice):
+            for j, g_j in enumerate(self._maps(j0, min(j0 + self.slice, steps.size)), j0):
+                states[j] = state
+                if j < n_adv:
+                    state = rk4_step(lambda _t, y, g=g_j: g @ y, state, (s0 + j) * h, h)
         self.state = state
         rec = np.flatnonzero(steps % self.record_every == 0)
         if rec.size:
@@ -593,12 +615,15 @@ class _Runner:
             raise IntegrationError("non-finite state after RK4 stage", (s0 + failed) * h)
 
     def _flows(self, n_adv: int) -> int | None:
-        """Advance the flows n_adv steps, keeping each step's value.
+        """Advance the flows n_adv steps, keeping each step's X, Y and size
+        estimator.
 
-        ``self.zx_steps[j]`` (likewise ``wy``, ``sz``) is the value at the
-        chunk's step j; the last advance leaves the current value.
-        Returns the first j whose advance gave a non-finite value, or
-        None; the kept values then stop at step j.
+        ``self.x_mats[j]``, ``self.y_mats[j]`` (agent coordinates, ``(N,
+        n, n)``) and ``self.sz_steps[j]`` are the values at the chunk's
+        step j; the last advance leaves the current value.  The modal
+        histories of the two matrix flows end with this call.  Returns
+        the first j whose advance gave a non-finite value, or None; the
+        kept values then stop at step j.
         """
         algorithm1 = self.mode == "algorithm1"
         current = [self.zx] + ([self.wy, self.sz] if algorithm1 else [])
@@ -626,47 +651,56 @@ class _Runner:
             bad |= ~np.isfinite(hist[1:].reshape(n_adv, hist[0].size)).all(axis=1)
         failed = int(np.argmax(bad)) if bad.any() else None
         last = n_adv if failed is None else failed
-        self.zx_steps, self.zx = zx[: last + 1], zx[last].copy()
+        n, nn, rows = self.n, self.n * self.n, last + 1
+        shape = (rows, len(self.actives), n, n)
+        self.zx = zx[last].copy()
+        self.x_mats = (self.v @ zx[:rows, :, nn:]).reshape(shape)
         if algorithm1:
-            self.wy_steps, self.wy = wy[: last + 1], wy[last].copy()
-            self.sz_steps, self.sz = sz[: last + 1], sz[last].copy()
+            self.wy = wy[last].copy()
+            self.y_mats = (self.v @ wy[:rows, :, nn:]).reshape(shape)
+            self.sz_steps, self.sz = sz[:rows], sz[last].copy()
         return failed
 
     def _gains(self, ts: np.ndarray) -> None:
-        """Every agent's gains at the times ts, then the K observer maps.
+        """Every agent's gains at the times ts.
 
         Each agent refreshes once over the whole chunk from its own X, Y
         and zeta stacks; ``self.f``, ``self.l``, ``self.gamma`` and
-        ``self.g`` are stacks over the chunk's steps.
+        ``self.zeta`` are stacks over the chunk's steps.
         """
-        n, n_agents, k = self.n, len(self.actives), ts.size
-        nn = n * n
-        self.x_mats = (self.v @ self.zx_steps[:k, :, nn:]).reshape(k, n_agents, n, n)
+        n_agents, k = len(self.actives), ts.size
         self.f = np.zeros((k,) + self.f_shape)
         if self.mode == "state_feedback":
             # Y and zeta stay 0: the zeta clamp makes F_i = -B_i^T Phi(X_i)
             for i, ag in enumerate(self.members):
-                ag.X = self.x_mats[:, i]
+                ag.X = self.x_mats[:k, i]
                 ag.refresh_gains(ts)
                 self.f[:, i, : self.widths[i][0]] = gain_F(ag, ts)
-            self.g = self.A + (self.b @ self.f).sum(axis=1)
             return
-        self.y_mats = (self.v @ self.wy_steps[:k, :, nn:]).reshape(k, n_agents, n, n)
-        zeta = self.sz_steps[:k, n_agents + 2 :]
+        self.zeta = zeta = self.sz_steps[:k, n_agents + 2 :]
         self.l = np.zeros((k,) + self.l_shape)
         self.gamma = np.zeros((k, n_agents))
         for i, ag in enumerate(self.members):
-            ag.X, ag.Y, ag.zeta = self.x_mats[:, i], self.y_mats[:, i], zeta[:, i]
+            ag.X, ag.Y, ag.zeta = self.x_mats[:k, i], self.y_mats[:k, i], zeta[:, i]
             ag.refresh_gains(ts)
             m_i, p_i = self.widths[i]
             self.f[:, i, :m_i] = gain_F(ag, ts)
             self.l[:, i, :, :p_i] = gain_L(ag, ts)
             self.gamma[:, i] = gamma_i(ag, ts)
-        zs = zeta[..., None, None]
-        k0 = self.b @ self.f
-        jm = zs * (self.l @ self.c)
-        geff = np.minimum(self.gamma, self.s.params.gamma_cap)
-        self.g = _observer_map(self.A, k0, jm, self.A + zs * k0 + jm, geff, self.coupling)
+
+    def _maps(self, j0: int, j1: int) -> np.ndarray:
+        """The frozen-gain maps of plant and observers at the chunk's steps
+        j0 .. j1 - 1, from the gain stacks of :meth:`_gains`."""
+        if self.mode == "static_gains":
+            g = self.static_maps[1]
+            return np.broadcast_to(g, (j1 - j0,) + g.shape)
+        k0 = self.b @ self.f[j0:j1]
+        if self.mode == "state_feedback":
+            return self.A + k0.sum(axis=1)
+        zs = self.zeta[j0:j1, :, None, None]
+        jm = zs * (self.l[j0:j1] @ self.c)
+        geff = np.minimum(self.gamma[j0:j1], self.s.params.gamma_cap)
+        return _observer_map(self.A, k0, jm, self.A + zs * k0 + jm, geff, self.coupling)
 
     # -- the loop ----------------------------------------------------------
 
@@ -1033,34 +1067,32 @@ def scenario_from_json(d: dict) -> Scenario:
 
 
 def write_trace_csv(tr: Trace, path) -> None:
-    """Uniform trace CSV; absent agents and unrecorded series emit empty fields."""
+    """Uniform trace CSV; absent agents and unrecorded series emit empty fields.
+
+    Every value prints as ``repr(float)`` and a non-finite one as an
+    empty field, with CRLF line ends as ``csv.writer`` writes them.
+    """
     n = tr.x.shape[1]
     header = ["t"] + [f"x_{j+1}" for j in range(n)]
+    cols = [tr.times, tr.x]
     for a in tr.agent_ids:
         m = tr.u[a].shape[1]
         header += [f"a{a}_xhat_{j+1}" for j in range(n)]
         header += [f"a{a}_zeta"]
         header += [f"a{a}_u_{j+1}" for j in range(m)]
         header += [f"a{a}_err_obs", f"a{a}_err_X", f"a{a}_err_Y"]
+        cols += [tr.xhat[a], tr.zeta[a], tr.u[a], tr.err_obs[a], tr.err_x[a], tr.err_y[a]]
     header.append("informer_zeta")
-
-    def fmt(val) -> str:
-        return "" if not np.isfinite(val) else repr(float(val))
+    cols.append(tr.informer_zeta)
 
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for k, t in enumerate(tr.times):
-            row = [repr(float(t))] + [fmt(v) for v in tr.x[k]]
-            for a in tr.agent_ids:
-                row += [fmt(v) for v in tr.xhat[a][k]]
-                row.append(fmt(tr.zeta[a][k]))
-                row += [fmt(v) for v in tr.u[a][k]]
-                row.append(fmt(tr.err_obs[a][k]))
-                row.append(fmt(tr.err_x[a][k]))
-                row.append(fmt(tr.err_y[a][k]))
-            row.append(fmt(tr.informer_zeta[k]))
-            w.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        # blocks of rows bound the table, its Python floats and strings
+        for k in range(0, tr.times.size, 64):
+            block = np.column_stack([c[k : k + 64] for c in cols])
+            block[~np.isfinite(block)] = np.nan  # repr gives "nan", which prints as ""
+            lines = "\r\n".join(",".join(map(repr, row)) for row in block.tolist())
+            fh.write(lines.replace("nan", "") + "\r\n")
 
 
 def write_events_csv(tr: Trace, path) -> None:

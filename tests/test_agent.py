@@ -74,6 +74,24 @@ class TestPhiFilter:
         assert np.array_equal(stacked.value, twin.value)
         assert stacked.last_sample_index == twin.last_sample_index == 3
 
+    def test_hold_without_a_due_sample_calls_no_update(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        f = PhiFilter(0.1, 3)
+        f.update(rng.normal(size=(3, 3)) + 3 * np.eye(3), 0.1)
+        held, svals = f.value.copy(), np.array([f.sigma_max, f.sigma_min])
+        calls = []
+        monkeypatch.setattr(PhiFilter, "update", lambda *args: calls.append(args))
+        ts = np.array([0.12, 0.15, 0.2 - 1e-6])  # 0.2 is not reached
+        out, out_svals, which = f.hold(rng.normal(size=(3, 3, 3)), ts)
+        assert calls == []
+        assert out.shape == (1, 3, 3) and np.array_equal(out[0], held)
+        assert np.array_equal(out_svals[0, [0, -1]], svals)
+        assert np.array_equal(which, [0, 0, 0])
+        assert np.array_equal(f.value, held) and f.last_sample_index == 1
+        assert f._last_t == 0.2 - 1e-6
+        with pytest.raises(ValueError):
+            f.hold(np.zeros((1, 3, 3)), np.array([0.15]))
+
     def test_output_always_finite(self):
         rng = np.random.default_rng(0)
         f = PhiFilter(0.1, 3)
@@ -426,10 +444,12 @@ class TestStackedRefresh:
     # short of 0.2 that the slack turns into a sample, 0.2 itself (no
     # new sample), 1e-6 short of 0.3 (none), and 0.3 on the last step.
     # chunk 2: a sample on its first step, a rejected one in mid-chunk
-    # (0.5) and one on its last step.
+    # (0.5) and one on its last step.  chunk 3: no sample at all, up to
+    # 1e-6 short of 0.7.
     CHUNKS = (
         [0.135, 0.15, 0.175, 0.2 - 1e-11, 0.2, 0.25, 0.3 - 1e-6, 0.3],
         [0.4, 0.42, 0.47, 0.5, 0.55, 0.6],
+        [0.61, 0.64, 0.68, 0.7 - 1e-6],
     )
     SAMPLED = [0.135, 0.2 - 1e-11, 0.3, 0.4, 0.5, 0.6]
 

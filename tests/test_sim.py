@@ -145,6 +145,32 @@ def rejoin_scenario():
     return replace(scen, events=events)
 
 
+def seven_agent_scenario(t_end=0.3):
+    """A generated n = 8 plant: six agents on a ring with an informer
+    star, and agent 7 joining at t_end / 2.  The observer maps (s = 56,
+    then 64) outgrow the per-agent stacks, so a map slice is shorter than
+    a chunk."""
+    rng = np.random.default_rng(8)
+    n = 8
+    s = rng.normal(size=(n, n))
+    chans = tuple(
+        Channel(i, rng.normal(size=(n, 1)), rng.normal(size=(int(rng.integers(1, 3)), n)))
+        for i in range(1, 8)
+    )
+    ring = [(i, i % 6 + 1) for i in range(1, 7)]
+    star = [(INFORMER_ID, i) for i in range(1, 7)]
+    join = Event(t_end / 2, "join", 7, add_edges=((6, 7), (1, 7), (INFORMER_ID, 7)), remove_edges=((1, 6),))
+    return Scenario(
+        plant=PlantModel((s - s.T) / np.sqrt(2 * n), chans),
+        x0=rng.normal(size=n),
+        initial_agents=tuple(range(1, 7)),
+        graph=Graph.from_edges(range(7), ring + star),
+        solver=SolverSettings(h=1e-3, t_end=t_end, record_every=10),
+        params=AgentParams(beta=0.25, gamma_cap=200.0),
+        events=(join,),
+    )
+
+
 class TestValidation:
     def test_builder_scenario_validates(self):
         scen = build_load_transport_scenario()
@@ -421,7 +447,54 @@ class TestStateFeedbackMode:
         assert spectral_abscissa(acl) < 0
 
 
+def oracle_write_trace_csv(tr, path):
+    """The row-by-row trace writer: ``repr(float)`` per value through
+    ``csv.writer``, an empty field for a non-finite one."""
+    n = tr.x.shape[1]
+    header = ["t"] + [f"x_{j+1}" for j in range(n)]
+    for a in tr.agent_ids:
+        m = tr.u[a].shape[1]
+        header += [f"a{a}_xhat_{j+1}" for j in range(n)]
+        header += [f"a{a}_zeta"]
+        header += [f"a{a}_u_{j+1}" for j in range(m)]
+        header += [f"a{a}_err_obs", f"a{a}_err_X", f"a{a}_err_Y"]
+    header.append("informer_zeta")
+
+    def fmt(val) -> str:
+        return "" if not np.isfinite(val) else repr(float(val))
+
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for k, t in enumerate(tr.times):
+            row = [repr(float(t))] + [fmt(v) for v in tr.x[k]]
+            for a in tr.agent_ids:
+                row += [fmt(v) for v in tr.xhat[a][k]]
+                row.append(fmt(tr.zeta[a][k]))
+                row += [fmt(v) for v in tr.u[a][k]]
+                row.append(fmt(tr.err_obs[a][k]))
+                row.append(fmt(tr.err_x[a][k]))
+                row.append(fmt(tr.err_y[a][k]))
+            row.append(fmt(tr.informer_zeta[k]))
+            w.writerow(row)
+
+
 class TestSerializationAndOutput:
+    def test_trace_csv_bytes_equal_the_row_writer(self, tmp_path):
+        # agent 6 is absent until t = 0.4, and the rows span several blocks
+        scen = build_load_transport_scenario(t_leave=0.2, t_join=0.4, t_end=0.6, record_every=2)
+        tr = run_scenario(scen)
+        assert tr.times.size > 256 and np.isnan(tr.zeta[6][0])
+        tr.x[3, 0], tr.x[4, 1], tr.xhat[1][5, 2] = np.inf, -np.inf, np.nan
+        tr.zeta[1][6], tr.u[1][7, 0], tr.err_obs[1][8] = -0.0, 0.0, 1e-300
+        tr.err_x[2][9], tr.informer_zeta[10], tr.err_y[3][11] = 1.5e20, 2.5e-7, -1e16
+        sim.write_trace_csv(tr, tmp_path / "fast.csv")
+        oracle_write_trace_csv(tr, tmp_path / "rows.csv")
+        fast = (tmp_path / "fast.csv").read_bytes()
+        assert fast == (tmp_path / "rows.csv").read_bytes()
+        for text in (b",-0.0,", b",1e-300,", b",1.5e+20,", b",2.5e-07", b",-1e+16"):
+            assert text in fast
+
     def test_json_roundtrip_preserves_run(self, tmp_path):
         scen = build_load_transport_scenario(t_end=0.5, leave_slot=None, join_slots=())
         blob = json.dumps(scenario_to_json(scen))
@@ -619,28 +692,41 @@ def _all_series(tr):
 
 
 class TestChunkInvariance:
-    """The chunk length is a memory knob only: traces do not depend on it."""
+    """The chunk and slice lengths are memory knobs only: traces do not depend on them."""
 
     SCENARIOS = {
-        name: TestParityWithPreviousEngine.SCENARIOS[name][1]
-        for name in ("algorithm1", "rejoin", "static_gains", "state_feedback")
+        **{
+            name: TestParityWithPreviousEngine.SCENARIOS[name][1]
+            for name in ("algorithm1", "rejoin", "static_gains", "state_feedback")
+        },
+        "seven_agents": seven_agent_scenario,
     }
-    # 1 byte gives one-step chunks; 147 200 gives 25-step chunks on the
-    # three-agent intervals of the load-transport scenarios
-    BUDGETS = (1, 147_200)
+    # 1 byte gives one-step chunks; 73 632 gives 25-step chunks on the
+    # three-agent intervals of the load-transport scenarios, so that a
+    # filter sample (every 100 steps) opens a chunk inside an interval
+    BUDGETS = (1, 73_632)
 
     @pytest.mark.parametrize("case", list(SCENARIOS))
     def test_chunk_length_does_not_change_the_trace(self, case, monkeypatch):
         scen = self.SCENARIOS[case]()
-        want = _all_series(run_scenario(scen))
-        starts = []
-        chunk = sim._Runner._chunk
+        starts, inner_ends = [], []
+        chunk, maps = sim._Runner._chunk, sim._Runner._maps
 
         def spy(runner, tr, s0, s1):
             starts.append(s0)
             return chunk(runner, tr, s0, s1)
 
+        def maps_spy(runner, j0, j1):
+            # a slice that ends before the chunk does
+            if j1 < runner.f.shape[0]:
+                inner_ends.append(j1)
+            return maps(runner, j0, j1)
+
         monkeypatch.setattr(sim._Runner, "_chunk", spy)
+        monkeypatch.setattr(sim._Runner, "_maps", maps_spy)
+        want = _all_series(run_scenario(scen))
+        if case == "seven_agents":
+            assert inner_ends
         for budget in self.BUDGETS:
             monkeypatch.setattr(sim, "CHUNK_BYTES", budget)
             starts.clear()
@@ -658,3 +744,37 @@ class TestChunkInvariance:
                 assert events <= set(starts)
                 assert any(s % period == 0 and s not in events and s > 0 for s in starts)
                 assert len(starts) < total
+
+
+class TestChunkBudget:
+    """CHUNK_BYTES bounds a chunk's per-step stacks and, apart from them,
+    twice the maps of one slice."""
+
+    def test_stacks_and_map_slices_stay_within_the_budget(self, monkeypatch):
+        scen = seven_agent_scenario()
+        chunk, maps = sim._Runner._chunk, sim._Runner._maps
+        stack_bytes, map_bytes = [], []
+
+        def spy(runner, tr, s0, s1):
+            chunk(runner, tr, s0, s1)
+            # the modal gain and dual flow histories end in _flows: one
+            # row of each per kept step
+            rows = runner.x_mats.shape[0]
+            histories = rows * (runner.zx.nbytes + runner.wy.nbytes)
+            stacks = (runner.sz_steps, runner.x_mats, runner.y_mats, runner.f, runner.l, runner.gamma, runner.zeta)
+            stack_bytes.append(histories + sum(a.nbytes for a in stacks))
+
+        def maps_spy(runner, j0, j1):
+            g = maps(runner, j0, j1)
+            map_bytes.append(g.nbytes)
+            return g
+
+        monkeypatch.setattr(sim._Runner, "_chunk", spy)
+        monkeypatch.setattr(sim._Runner, "_maps", maps_spy)
+        tr = run_scenario(scen)
+        assert len(tr.intervals) == 2 and len(tr.intervals[-1].actives) == 7
+        assert max(stack_bytes) <= sim.CHUNK_BYTES
+        assert max(map_bytes) <= sim.CHUNK_BYTES // 2
+        # and the budget is used: neither length is cut short
+        assert max(stack_bytes) > sim.CHUNK_BYTES // 2
+        assert max(map_bytes) > sim.CHUNK_BYTES // 4
