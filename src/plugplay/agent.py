@@ -2,10 +2,10 @@
 
 Each agent owns one plant channel and reads three of its local flow
 states: the gain-flow iterate X_i, the dual iterate Y_i and the size
-estimate zeta_i.  From those it derives its time-varying feedback gain,
-injection gain, and coupling gain; the sample-and-hold inverse filter
-keeps the gains bounded while the matrix iterates pass through singular
-transients.
+estimate zeta_i.  :meth:`ControlAgent.refresh_gains` takes those and
+returns its time-varying feedback gain, injection gain and coupling
+gain; the sample-and-hold inverse filter keeps the gains bounded while
+the matrix iterates pass through singular transients.
 
 An agent never sees another agent's channel maps or the plant state,
 only its own measurement and the neighbors' broadcast states.
@@ -24,9 +24,6 @@ __all__ = [
     "AgentParams",
     "PhiFilter",
     "ControlAgent",
-    "gain_F",
-    "gain_L",
-    "gamma_i",
 ]
 
 # Conditioning threshold standing in for the exact det != 0 test.
@@ -44,11 +41,11 @@ class PhiFilter:
     sample).
     """
 
-    def __init__(self, period: float, dim: int, initial: np.ndarray | None = None):
+    def __init__(self, period: float, dim: int):
         if period <= 0:
             raise ValueError("filter period must be positive")
         self.period = float(period)
-        self.held = np.eye(dim) if initial is None else as_matrix(initial, "initial hold")
+        self.held = np.eye(dim)
         self.last_sample_index = -1
         self._last_t = -np.inf
         self._held_svals = singular_values(self.held)
@@ -145,15 +142,15 @@ class AgentParams:
 
 
 class ControlAgent:
-    """One agent's states and self-computed gains.
+    """One agent's inverse filters and its self-computed gains.
 
-    The caller writes the states (X, Y, zeta) into the agent and calls
-    :meth:`refresh_gains`; the gains then read through
-    :func:`gain_F`, :func:`gain_L` and :func:`gamma_i` depend on this
-    agent's states and channel only.  The simulator drives one agent
-    per active channel this way, once per chunk of steps, with the
-    agent's states at every step of the chunk; for an array of times
-    the three readers return stacks over them.
+    :meth:`refresh_gains` maps the agent's own states X_i, Y_i and
+    zeta_i at a time t to its gains (F_i, L_i, gamma_i).  Besides its
+    channel and parameters, the only state an agent carries from one
+    call to the next is the hold of its two inverse filters, so the
+    times of successive calls must not decrease.  The simulator keeps
+    one agent per active channel and calls it once per chunk of steps,
+    with the agent's states at every step of the chunk.
     """
 
     def __init__(
@@ -170,23 +167,23 @@ class ControlAgent:
         self.id = chan.id
         self.B = chan.B
         self.C = chan.C
-        self.input_scale = chan.input_scale
-        self.output_scale = chan.output_scale
         self.params = params
         self.n = n
-        self.X = np.zeros((n, n))
-        self.Y = np.zeros((n, n))
-        self.zeta = 0.0
         self.phi_x = PhiFilter(params.t_phi, n)
         self.phi_y = PhiFilter(params.t_phi, n)
         self._norm_a = induced_2norm(self.A)
-        self._gain_time = None
-        self._F = None
-        self._L = None
-        self._gamma = None
 
-    def refresh_gains(self, t) -> None:
-        """Sample the inverse filters and recompute all gains at time t.
+    def refresh_gains(self, t, X, Y, zeta):
+        """Sample the inverse filters at time t and return ``(F, L, gamma)``.
+
+        * ``F = -B_i^T Phi(X_i)(t) / max(zeta_i, 1)``, the feedback gain;
+        * ``L = -Phi(Y_i)(t) C_i^T / max(zeta_i, 1)``, the injection gain;
+        * gamma, the coupling-gain certificate value (>= 1) from the
+          exact threshold formula, with the clamp max(zeta_i, 1) wherever
+          zeta enters squared, as in the two gains.  It is
+          ``params.gamma_cap`` where the conditioning ratio is undefined
+          (zero states, as in a fresh agent) or the value overflows; the
+          caller applies the cap to any larger value.
 
         t may also be a 1-D array of K nondecreasing times, one call for a
         stretch of steps: X and Y are then ``(K, n, n)`` stacks and zeta a
@@ -195,23 +192,26 @@ class ControlAgent:
         bit for bit what K scalar calls in turn would give.  The filters
         are updated only where a sample instant falls due, and the gains
         of all K times are computed at once.
+
+        With Y None (state feedback: no observer, zeta 0) only Phi(X) is
+        sampled, and L and gamma are None.
         """
         times = np.asarray(t, dtype=float)
         ts = times.reshape(-1)
         k, n = ts.size, self.n
-        xs = np.broadcast_to(self.X, (k, n, n))
-        ys = np.broadcast_to(self.Y, (k, n, n))
-        zc = np.maximum(np.broadcast_to(np.asarray(self.zeta, dtype=float), (k,)), 1.0)
-        phi_x, sx, ix = self.phi_x.hold(xs, ts)
-        phi_y, sy_phi, iy = self.phi_y.hold(ys, ts)
+        zc = np.maximum(np.broadcast_to(np.asarray(zeta, dtype=float), (k,)), 1.0)
         zs = zc[:, None, None]
+        phi_x, sx, ix = self.phi_x.hold(np.broadcast_to(X, (k, n, n)), ts)
         f = (-(self.B.T @ phi_x))[ix] / zs
+        if Y is None:
+            return (f[0] if times.ndim == 0 else f), None, None
+        ys = np.broadcast_to(Y, (k, n, n))
+        phi_y, sy_phi, iy = self.phi_y.hold(ys, ts)
         l = (-(phi_y @ self.C.T))[iy] / zs
         gamma = self._gamma_formula(zc, sx[ix], sy_phi[iy, 0], np.linalg.svd(ys, compute_uv=False))
         if times.ndim == 0:
-            f, l, gamma = f[0], l[0], float(gamma[0])
-        self._F, self._L, self._gamma = f, l, gamma
-        self._gain_time = times
+            return f[0], l[0], float(gamma[0])
+        return f, l, gamma
 
     def _gamma_formula(self, zc, sx, phi_y_max, sy) -> np.ndarray:
         """The threshold formula at K steps, from the clamped zeta ``zc``,
@@ -231,33 +231,3 @@ class ControlAgent:
                 + 4.0 * (sx_max * sx_max) * kappa * np.sqrt(1.0 + (theta * theta) * (kappa * kappa))
             )
         return np.where((den <= 0.0) | ~np.isfinite(gamma), cap, gamma)
-
-    def _ensure(self, t) -> None:
-        if self._gain_time is t:
-            return  # the runner reads with the very array it refreshed at
-        if self._gain_time is None or not np.array_equal(self._gain_time, t):
-            self.refresh_gains(t)
-
-
-def gain_F(a: ControlAgent, t) -> np.ndarray:
-    """Time-varying feedback gain -B_i^T Phi(X_i)(t) / max(zeta_i, 1)."""
-    a._ensure(t)
-    return a._F
-
-
-def gain_L(a: ControlAgent, t) -> np.ndarray:
-    """Time-varying injection gain -Phi(Y_i)(t) C_i^T / max(zeta_i, 1)."""
-    a._ensure(t)
-    return a._L
-
-
-def gamma_i(a: ControlAgent, t):
-    """Self-computed coupling-gain certificate value (>= 1).
-
-    Exact formula; returns params.gamma_cap when the conditioning ratio
-    is undefined (fresh agent, zero states) or the value overflows.
-    Note the clamp max(zeta, 1) is applied wherever zeta enters squared,
-    matching the clamps in the two gain formulas.
-    """
-    a._ensure(t)
-    return a._gamma

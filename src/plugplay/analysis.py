@@ -1,11 +1,13 @@
 """Numerical certificates for the closed loop and the flow equilibria.
 
-Builds the closed-loop matrix in averaged/disagreement error
-coordinates (x, ebar, etilde), exposes its coupling blocks with their
-norm bounds, and computes the closed-form equilibria that the PI flows
-must converge to.  Everything here is an independent check path: the
-same systems can also be assembled flat, simulated, or integrated, and
-the results must agree.
+:func:`observer_loop_matrix` is the one assembly of plant plus
+observers in flat (x, xhat_1..xhat_N) coordinates: the simulator
+integrates it at every step, and :func:`flat_closed_loop_matrix` is the
+same matrix at converged gains.  The independent check of it is
+:func:`closed_loop_matrix`, built in averaged/disagreement error
+coordinates (x, ebar, etilde), whose coupling blocks come with their
+norm bounds; the two must have one spectrum.  The module also computes
+the closed-form equilibria that the PI flows must converge to.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .bass import ThresholdCertificate
 from .consensus import INFORMER_ID, FlowParams
-from .graph import Graph, is_connected, r_matrix
+from .graph import Graph, is_connected, laplacian, r_matrix
 from .matlib import as_matrix, induced_2norm, kron_sum, vec
 from .plant import PlantModel
 
@@ -25,6 +27,7 @@ __all__ = [
     "BlockBound",
     "BlockBoundReport",
     "closed_loop_matrix",
+    "observer_loop_matrix",
     "flat_closed_loop_matrix",
     "verify_block_bounds",
     "bass_equilibria",
@@ -137,36 +140,58 @@ def closed_loop_matrix(
     )
 
 
+def observer_loop_matrix(a, k0, jm, zeta, gamma, lap) -> np.ndarray:
+    """The frozen-gain matrix of plant plus observers over (x, xhat_1..N).
+
+    ``xdot = A x + sum_i K0_i xhat_i`` and
+    ``xhatdot_i = Omega_i xhat_i - Jm_i x - gamma_i sum_j lap_ij xhat_j``
+    with ``Omega_i = A + zeta_i K0_i + Jm_i``, where ``K0_i = B_i F_i``,
+    ``Jm_i = zeta_i L_i C_i`` and ``lap`` is the agent-graph Laplacian.
+    ``k0`` and ``jm`` are ``(..., N, n, n)``, ``zeta`` and ``gamma``
+    ``(..., N)``: leading axes give a stack of matrices, of shape
+    ``(..., (N + 1) n, (N + 1) n)``.  The simulator integrates this
+    matrix, and :func:`flat_closed_loop_matrix` is this matrix at the
+    converged gains.
+    """
+    *batch, n_agents, n, _ = k0.shape
+    lap = np.asarray(lap, dtype=float)
+    omega = a + zeta[..., None, None] * k0 + jm
+    m = np.empty((*batch, n_agents + 1, n, n_agents + 1, n))
+    m[..., 0, :, 0, :] = a
+    m[..., 0, :, 1:, :] = np.swapaxes(k0, -3, -2)
+    m[..., 1:, :, 0, :] = -jm
+    obs = m[..., 1:, :, 1:, :]
+    # lap (x) I_n, laid out as (N, n, N, n)
+    coupling = lap[:, None, :, None] * np.eye(n)[None, :, None, :]
+    np.multiply(-gamma[..., None, None, None], coupling, out=obs)
+    idx = np.arange(n_agents)
+    # the diagonal blocks come out agent-first: (N, ..., n, n)
+    obs[..., idx, :, idx, :] += np.moveaxis(omega, -3, 0)
+    size = (n_agents + 1) * n
+    return m.reshape(*batch, size, size)
+
+
 def flat_closed_loop_matrix(
     p: PlantModel, f_blocks, l_blocks, gamma: float, g: Graph
 ) -> np.ndarray:
-    """Closed loop assembled directly in (x, xhat_1..xhat_N) coordinates.
+    """Closed loop in (x, xhat_1..xhat_N) coordinates: the simulator's
+    :func:`observer_loop_matrix` with every zeta_i = N and gamma_i = gamma.
 
-    Independent of the error-coordinate construction; the two matrices
-    are similar and must have identical spectra.
+    Similar to the error-coordinate :func:`closed_loop_matrix`, so the
+    two must have identical spectra.
     """
-    from .graph import laplacian
-
     chans, bf, lc = _blocks(p, f_blocks, l_blocks)
-    n = p.n
     n_agents = len(chans)
     if tuple(g.nodes) != tuple(c.id for c in chans):
         raise ValueError(f"graph nodes {g.nodes} must be the channel ids")
-    lap = laplacian(g)
-    a = p.A
-    dim = n + n_agents * n
-    m = np.zeros((dim, dim))
-    m[:n, :n] = a
-    for i in range(n_agents):
-        r = slice(n + i * n, n + (i + 1) * n)
-        m[:n, r] = bf[i]
-        m[r, :n] = -n_agents * lc[i]
-        m[r, r] += a + n_agents * bf[i] + n_agents * lc[i]
-        for j in range(n_agents):
-            c = slice(n + j * n, n + (j + 1) * n)
-            if lap[i, j] != 0.0:
-                m[r, c] += -gamma * lap[i, j] * np.eye(n)
-    return m
+    return observer_loop_matrix(
+        p.A,
+        np.stack(bf),
+        n_agents * np.stack(lc),
+        np.full(n_agents, float(n_agents)),
+        np.full(n_agents, float(gamma)),
+        laplacian(g),
+    )
 
 
 @dataclass(frozen=True)

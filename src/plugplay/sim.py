@@ -24,15 +24,18 @@ within a step the whole system is affine and splits in two:
   where they split into one 2 n^2 system per mode, so their maps take
   O(N n^4) memory.  The size estimator gets one small dense map.
 * Plant plus observers, of size n (N + 1), form one matrix per step,
-  built from every agent's frozen gains; :func:`rk4_step` advances it.
+  built from every agent's frozen gains by
+  :func:`analysis.observer_loop_matrix`, the assembly that
+  ``verify theorem1`` checks at converged gains; :func:`rk4_step`
+  advances it.
 
 Since an agent's gains depend on its own X, Y and zeta only, the runner
 works in chunks of K steps that never cross an event.  (a) The flows
 advance K steps and keep every step's value.  (b) Each active agent, a
 :class:`agent.ControlAgent`, gets its X, Y and zeta stacks over the
-chunk and refreshes its gains for all K steps in one ``refresh_gains``
-call: its inverse filters sample only where a sample instant falls due,
-and F, L and gamma are computed over the chunk at once.  (c) The chunk
+chunk in one ``refresh_gains`` call, which returns its F, L and gamma
+stacks: its inverse filters sample only where a sample instant falls
+due, and the gains are computed over the chunk at once.  (c) The chunk
 is walked in slices: each slice's frozen-gain observer maps are built
 in one batched pass from the gain stacks, ``rk4_step`` advances plant and
 observers through the slice step by step, and the chunk's samples are
@@ -61,7 +64,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bass
-from .agent import AgentParams, ControlAgent, gain_F, gain_L, gamma_i
+from .agent import AgentParams, ControlAgent
+from .analysis import observer_loop_matrix
 from .consensus import INFORMER_ID, flow_drift, pi_flow_operator, size_flow_operator
 from .graph import Graph, is_connected, lambda2, laplacian
 from .matlib import min_real_part, rk4_propagator
@@ -403,34 +407,6 @@ def _pi_flow_map(drift, k, gamma, lam, forcing, h):
     return step, offset
 
 
-def _coupling(lap: np.ndarray, n: int) -> np.ndarray:
-    """``L (x) I_n`` laid out as ``(N, n, N, n)``."""
-    return lap[:, None, :, None] * np.eye(n)[None, :, None, :]
-
-
-def _observer_map(a, k0, jm, omega, geff, coupling):
-    """The frozen-gain matrix of plant plus observers over (x, xhat_1..N).
-
-    ``xdot = A x + sum_i K0_i xhat_i`` and
-    ``xhatdot_i = Omega_i xhat_i - Jm_i x - geff_i sum_j L_ij xhat_j``,
-    with ``coupling`` from :func:`_coupling`.  ``k0``, ``jm``, ``omega``
-    are ``(..., N, n, n)`` and ``geff`` is ``(..., N)``: leading axes give
-    a stack of maps.
-    """
-    *batch, n_agents, n, _ = k0.shape
-    g = np.empty((*batch, n_agents + 1, n, n_agents + 1, n))
-    g[..., 0, :, 0, :] = a
-    g[..., 0, :, 1:, :] = np.swapaxes(k0, -3, -2)
-    g[..., 1:, :, 0, :] = -jm
-    obs = g[..., 1:, :, 1:, :]
-    np.multiply(-geff[..., None, None, None], coupling, out=obs)
-    idx = np.arange(n_agents)
-    # the diagonal blocks come out agent-first: (N, ..., n, n)
-    obs[..., idx, :, idx, :] += np.moveaxis(omega, -3, 0)
-    size = (n_agents + 1) * n
-    return g.reshape(*batch, size, size)
-
-
 class _Runner:
     """Chunked fixed-step integration of one scenario; see the module docstring.
 
@@ -439,7 +415,7 @@ class _Runner:
     ``wy`` as ``(N, 2 n^2)`` rows of modal coordinates, the size
     estimator ``sz`` = (psi, zeta) over informer and agents.  Each
     active agent's :class:`ControlAgent` holds its inverse filters and
-    gains and lives from its join to its leave.  :meth:`_chunk` runs
+    lives from its join to its leave.  :meth:`_chunk` runs
     ``chunk`` steps at a time, keeping per-step stacks of the flows (X
     and Y in agent coordinates, ``x_mats`` and ``y_mats``, and the size
     estimator ``sz_steps``) and the gains (``f``, ``l``, ``gamma``,
@@ -476,8 +452,7 @@ class _Runner:
         n_agents = len(actives)
         self.actives = actives
         self.iv = iv
-        lap = np.asarray(laplacian(iv.agent_graph), dtype=float)
-        self.coupling = _coupling(lap, n)
+        self.lap = lap = np.asarray(laplacian(iv.agent_graph), dtype=float)
         chans = iv.channels
         self.scale = [c.input_scale for c in chans]
         self.widths = [(c.m, c.p) for c in chans]
@@ -520,9 +495,8 @@ class _Runner:
             jm = np.stack(
                 [n_agents * np.asarray(sg.L[a], dtype=float) @ chans[i].C for i, a in enumerate(actives)]
             )
-            k0 = self.b @ f
-            g = _observer_map(
-                self.A, k0, jm, self.A + n_agents * k0 + jm, np.full(n_agents, sg.gamma), self.coupling
+            g = observer_loop_matrix(
+                self.A, self.b @ f, jm, np.full(n_agents, float(n_agents)), np.full(n_agents, sg.gamma), lap
             )
             self.static_maps = (f, g)
             return
@@ -671,22 +645,18 @@ class _Runner:
         n_agents, k = len(self.actives), ts.size
         self.f = np.zeros((k,) + self.f_shape)
         if self.mode == "state_feedback":
-            # Y and zeta stay 0: the zeta clamp makes F_i = -B_i^T Phi(X_i)
+            # no observer and zeta 0: the zeta clamp makes F_i = -B_i^T Phi(X_i)
             for i, ag in enumerate(self.members):
-                ag.X = self.x_mats[:k, i]
-                ag.refresh_gains(ts)
-                self.f[:, i, : self.widths[i][0]] = gain_F(ag, ts)
+                self.f[:, i, : self.widths[i][0]] = ag.refresh_gains(ts, self.x_mats[:k, i], None, 0.0)[0]
             return
         self.zeta = zeta = self.sz_steps[:k, n_agents + 2 :]
         self.l = np.zeros((k,) + self.l_shape)
         self.gamma = np.zeros((k, n_agents))
         for i, ag in enumerate(self.members):
-            ag.X, ag.Y, ag.zeta = self.x_mats[:k, i], self.y_mats[:k, i], zeta[:, i]
-            ag.refresh_gains(ts)
             m_i, p_i = self.widths[i]
-            self.f[:, i, :m_i] = gain_F(ag, ts)
-            self.l[:, i, :, :p_i] = gain_L(ag, ts)
-            self.gamma[:, i] = gamma_i(ag, ts)
+            self.f[:, i, :m_i], self.l[:, i, :, :p_i], self.gamma[:, i] = ag.refresh_gains(
+                ts, self.x_mats[:k, i], self.y_mats[:k, i], zeta[:, i]
+            )
 
     def _maps(self, j0: int, j1: int) -> np.ndarray:
         """The frozen-gain maps of plant and observers at the chunk's steps
@@ -697,10 +667,10 @@ class _Runner:
         k0 = self.b @ self.f[j0:j1]
         if self.mode == "state_feedback":
             return self.A + k0.sum(axis=1)
-        zs = self.zeta[j0:j1, :, None, None]
-        jm = zs * (self.l[j0:j1] @ self.c)
+        zeta = self.zeta[j0:j1]
+        jm = zeta[..., None, None] * (self.l[j0:j1] @ self.c)
         geff = np.minimum(self.gamma[j0:j1], self.s.params.gamma_cap)
-        return _observer_map(self.A, k0, jm, self.A + zs * k0 + jm, geff, self.coupling)
+        return observer_loop_matrix(self.A, k0, jm, zeta, geff, self.lap)
 
     # -- the loop ----------------------------------------------------------
 

@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from plugplay import bass, sim
-from plugplay.agent import AgentParams, ControlAgent, PhiFilter, gain_F, gain_L, gamma_i
+from plugplay import bass
+from plugplay.agent import AgentParams, ControlAgent, PhiFilter
+from plugplay.analysis import observer_loop_matrix
 from plugplay.graph import Graph, laplacian
 from plugplay.matlib import induced_2norm, spectral_abscissa
 from plugplay.plant import Channel, aggregate
@@ -20,6 +21,9 @@ def make_agent(channel=None, beta=1.0, **kw):
         channel = Channel(1, [[0.0], [1.0]], [[1.0, 0.0]])
     params = AgentParams(beta=beta, **kw)
     return ControlAgent(a, channel, params)
+
+
+ZERO = np.zeros((2, 2))  # a fresh agent's X and Y
 
 
 class TestPhiFilter:
@@ -102,21 +106,32 @@ class TestPhiFilter:
 
 
 def converge_agent(ag, n_agents, x_star, y_star, t=0.0):
-    """Plant the converged flow values into an agent and refresh."""
-    ag.X = x_star / n_agents
-    ag.Y = y_star / n_agents
-    ag.zeta = float(n_agents)
-    ag.refresh_gains(t)
-    return ag
+    """The agent's gains (F, L, gamma) at the converged flow values."""
+    return ag.refresh_gains(t, x_star / n_agents, y_star / n_agents, float(n_agents))
 
 
 class TestGains:
     def test_zeta_clamp(self):
         ag = make_agent()
-        ag.X = 2 * np.eye(2)
-        ag.zeta = 0.3  # below one: divisor clamps to 1
-        f_gain = gain_F(ag, 0.0)
+        # zeta below one: divisor clamps to 1
+        f_gain, _, _ = ag.refresh_gains(0.0, 2 * np.eye(2), ZERO, 0.3)
         assert np.allclose(f_gain, -(ag.B.T @ (0.5 * np.eye(2))))
+
+    def test_a_second_call_at_the_same_time_returns_its_own_gains(self):
+        # the gains follow the call's inputs, not the time alone
+        ag = make_agent()
+        x = 2 * np.eye(2)
+        f1, _, g1 = ag.refresh_gains(0.0, x, np.eye(2), 1.0)
+        assert np.allclose(f1, [[0.0, -0.5]])
+        y = 1e-3 * np.eye(2)
+        f, l, g = ag.refresh_gains(0.0, x, y, 4.0)
+        assert np.allclose(f, [[0.0, -0.125]], rtol=1e-15, atol=0)
+        # no new sample is due at the same time: Phi(Y) keeps the hold of I
+        assert np.array_equal(ag.phi_y.value, np.eye(2))
+        assert np.allclose(l, -ag.C.T / 4.0, rtol=1e-15, atol=0)
+        want = oracle_gamma(y, 4.0, ag.phi_x.value, ag.phi_y.value, ag.A, 1.0, ag.params.gamma_cap)
+        assert np.isclose(g, want, rtol=1e-12, atol=0)
+        assert g > 1000.0 * g1
 
     def test_converged_feedback_gain(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -124,17 +139,17 @@ class TestGains:
         sol = bass.bass_solve(a, b, 1.0)
         dual = bass.dual_bass_solve(a, np.array([[1.0, 0.0]]), 1.0)
         ag = make_agent()
-        converge_agent(ag, 1, sol.X_star, dual.Y_star)
-        assert np.allclose(gain_F(ag, 0.0), [[-2.0, -2.0]], atol=1e-9)
-        assert np.allclose(gain_F(ag, 0.0), -b.T @ np.linalg.inv(sol.X_star), atol=1e-9)
+        f, _, _ = converge_agent(ag, 1, sol.X_star, dual.Y_star)
+        assert np.allclose(f, [[-2.0, -2.0]], atol=1e-9)
+        assert np.allclose(f, -b.T @ np.linalg.inv(sol.X_star), atol=1e-9)
 
     def test_converged_injection_gain_scalar(self):
         params = AgentParams(beta=2.0)
         ag = ControlAgent(np.array([[1.0]]), Channel(1, [[1.0]], [[1.0]]), params)
         sol = bass.bass_solve([[1.0]], [[1.0]], 2.0)
         dual = bass.dual_bass_solve([[1.0]], [[1.0]], 2.0)
-        converge_agent(ag, 1, sol.X_star, dual.Y_star)
-        assert np.allclose(gain_L(ag, 0.0), [[-3.0]], atol=1e-10)
+        _, l, _ = converge_agent(ag, 1, sol.X_star, dual.Y_star)
+        assert np.allclose(l, [[-3.0]], atol=1e-10)
 
     def test_limit_identities_multi_agent(self):
         p = load_transport_plant((0, 3, 6))
@@ -144,17 +159,15 @@ class TestGains:
         dual = bass.dual_bass_solve(p.A, c, beta, heights=[2, 2, 2])
         for i, chan in enumerate(p.channels):
             ag = ControlAgent(p.A, chan, AgentParams(beta=beta))
-            converge_agent(ag, 3, sol.X_star, dual.Y_star)
-            assert induced_2norm(gain_F(ag, 0.0) - sol.F_blocks[i]) < 1e-9
-            assert induced_2norm(gain_L(ag, 0.0) - dual.L_blocks[i]) < 1e-9
+            f, l, _ = converge_agent(ag, 3, sol.X_star, dual.Y_star)
+            assert induced_2norm(f - sol.F_blocks[i]) < 1e-9
+            assert induced_2norm(l - dual.L_blocks[i]) < 1e-9
 
     def test_gamma_plugin_value(self):
         # filters at identity, zeta = 1, Y = I: kappa = 1/beta and
         # theta = |A| + 3, all by direct arithmetic
         ag = make_agent(beta=0.5)
-        ag.Y = np.eye(2)
-        ag.zeta = 1.0
-        val = gamma_i(ag, 0.0)
+        _, _, val = ag.refresh_gains(0.0, ZERO, np.eye(2), 1.0)
         theta = induced_2norm(ag.A) + 1.0 + 2.0
         kappa = 1.0 / 0.5
         expected = 1.0 + 0.25 * (
@@ -164,18 +177,16 @@ class TestGains:
 
     def test_gamma_cap_when_undefined(self):
         ag = make_agent(gamma_cap=123.0)
-        val = gamma_i(ag, 0.0)  # fresh agent: Y = 0, denominator vanishes
+        _, _, val = ag.refresh_gains(0.0, ZERO, ZERO, 0.0)  # fresh agent: Y = 0, denominator vanishes
         assert val == 123.0
 
     def test_gamma_at_least_one(self):
         rng = np.random.default_rng(1)
         ag = make_agent()
         for k in range(50):
-            ag.X = rng.normal(size=(2, 2))
-            ag.Y = rng.normal(size=(2, 2))
-            ag.zeta = float(rng.uniform(-0.5, 6.0))
-            ag._gain_time = None
-            val = gamma_i(ag, 0.1 * (k + 1))
+            x, y = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
+            zeta = float(rng.uniform(-0.5, 6.0))
+            _, _, val = ag.refresh_gains(0.1 * (k + 1), x, y, zeta)
             assert val >= 1.0
             assert np.isfinite(val)
 
@@ -187,8 +198,7 @@ class TestGains:
         dual = bass.dual_bass_solve(p.A, c, beta, heights=[2, 2, 2])
         n_agents = 3
         ag = ControlAgent(p.A, p.channels[0], AgentParams(beta=beta))
-        converge_agent(ag, n_agents, sol.X_star, dual.Y_star)
-        got = gamma_i(ag, 0.0)
+        _, _, got = converge_agent(ag, n_agents, sol.X_star, dual.Y_star)
         x_inv = np.linalg.inv(sol.X_star)
         sx = np.linalg.svd(x_inv, compute_uv=False)
         sy = np.linalg.svd(dual.Y_star, compute_uv=False)
@@ -207,11 +217,10 @@ class TestGains:
 
     def test_effective_gamma_capped(self):
         # the agent reports the certificate uncapped; the simulator applies
-        # min(gamma_i, gamma_cap) and reports both
+        # min(gamma, gamma_cap) and reports both
         ag = make_agent(gamma_cap=50.0)
-        ag.Y = 1e-12 * np.eye(2)  # conditioning pushes the formula sky-high
-        ag.zeta = 1.0
-        assert gamma_i(ag, 0.0) > 50.0
+        # conditioning pushes the formula sky-high
+        assert ag.refresh_gains(0.0, ZERO, 1e-12 * np.eye(2), 1.0)[2] > 50.0
         scen = build_load_transport_scenario(t_end=0.1, leave_slot=None, join_slots=())
         scen = replace(scen, params=replace(scen.params, gamma_cap=50.0))
         for gains in run_scenario(scen).final_gains.values():
@@ -219,13 +228,14 @@ class TestGains:
             assert gains["gamma_effective"] == 50.0
 
 
-def frozen_loop(agents, zeta, gamma, lap, t=0.0):
-    """The simulator's frozen-gain matrix over (x, xhat_1..N) for these agents."""
+def frozen_loop(agents, gains, zeta, gamma, lap):
+    """The simulator's frozen-gain matrix over (x, xhat_1..N) for these
+    agents at their gains ``(F, L, gamma)``."""
     a = agents[0].A
-    k0 = np.stack([ag.B @ gain_F(ag, t) for ag in agents])
-    jm = np.stack([zeta * gain_L(ag, t) @ ag.C for ag in agents])
-    geff = np.full(len(agents), gamma)
-    return sim._observer_map(a, k0, jm, a + zeta * k0 + jm, geff, sim._coupling(lap, a.shape[0]))
+    k0 = np.stack([ag.B @ f for ag, (f, _, _) in zip(agents, gains)])
+    jm = np.stack([zeta * l @ ag.C for ag, (_, l, _) in zip(agents, gains)])
+    n_agents = len(agents)
+    return observer_loop_matrix(a, k0, jm, np.full(n_agents, zeta), np.full(n_agents, gamma), lap)
 
 
 class TestObserverAndOutputs:
@@ -238,9 +248,9 @@ class TestObserverAndOutputs:
         sol = bass.bass_solve(a, b, 1.0)
         dual = bass.dual_bass_solve(a, c, 1.0)
         ag = make_agent()
-        converge_agent(ag, 1, sol.X_star, dual.Y_star)
+        gains = converge_agent(ag, 1, sol.X_star, dual.Y_star)
         x = np.array([0.7, -0.3])
-        d = frozen_loop([ag], 1.0, 1.0, np.zeros((1, 1))) @ np.concatenate([x, x])
+        d = frozen_loop([ag], [gains], 1.0, 1.0, np.zeros((1, 1))) @ np.concatenate([x, x])
         f_inf = -b.T @ np.linalg.inv(sol.X_star)
         assert np.allclose(d[:2], a @ x + b @ (f_inf @ x), atol=1e-9)
         assert np.allclose(d[2:], d[:2], atol=1e-9)
@@ -248,32 +258,37 @@ class TestObserverAndOutputs:
     def test_no_neighbors_no_coupling(self):
         # identical estimates contribute nothing through the coupling gain
         agents = [make_agent(), make_agent(channel=Channel(2, [[1.0], [0.0]], [[0.0, 1.0]]))]
+        gains = [ag.refresh_gains(0.0, ZERO, ZERO, 0.0) for ag in agents]
         lap = laplacian(Graph.from_edges([1, 2], [(1, 2)]))
         z = np.array([0.3, -0.6, 1.0, 2.0, 1.0, 2.0])  # x, then xhat_1 = xhat_2
-        d0 = frozen_loop(agents, 2.0, 0.0, lap) @ z
-        d1 = frozen_loop(agents, 2.0, 7.0, lap) @ z
+        d0 = frozen_loop(agents, gains, 2.0, 0.0, lap) @ z
+        d1 = frozen_loop(agents, gains, 2.0, 7.0, lap) @ z
         assert np.allclose(d0, d1)
 
     def test_control_output(self):
         # u_i = F_i(t) xhat_i
         ag = make_agent()
-        assert np.allclose(gain_F(ag, 0.0) @ np.zeros(2), [0.0])
+        assert np.allclose(ag.refresh_gains(0.0, ZERO, ZERO, 0.0)[0] @ np.zeros(2), [0.0])
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         b = np.array([[0.0], [1.0]])
         sol = bass.bass_solve(a, b, 1.0)
         dual = bass.dual_bass_solve(a, np.array([[1.0, 0.0]]), 1.0)
         # advance past the filter period so the converged state is sampled
-        converge_agent(ag, 1, sol.X_star, dual.Y_star, t=1.0)
-        u = gain_F(ag, 1.0) @ np.array([1.0, 0.0])
+        f, _, _ = converge_agent(ag, 1, sol.X_star, dual.Y_star, t=1.0)
+        u = f @ np.array([1.0, 0.0])
         assert u.shape == (1,)
         assert np.isclose(u[0], -2.0, atol=1e-9)
 
     def test_state_feedback_output(self):
-        # u_i = -B_i^T Phi(X_i) x: zeta stays 0 and clamps to 1
+        # u_i = -B_i^T Phi(X_i) x: zeta stays 0 and clamps to 1, and
+        # without a Y there is no observer gain to compute
         chan = Channel(1, [[0.0], [1.0]], np.eye(2))
         ag = make_agent(channel=chan)
         x = np.array([0.4, -1.2])
-        u = gain_F(ag, 0.0) @ x
+        f, l, gamma = ag.refresh_gains(0.0, ZERO, None, 0.0)
+        assert l is None and gamma is None
+        assert ag.phi_y.last_sample_index == -1
+        u = f @ x
         # fresh filter holds the identity
         assert np.array_equal(ag.phi_x.value, np.eye(2))
         assert np.allclose(u, -(ag.B.T @ (ag.phi_x.value @ x)))
@@ -285,9 +300,8 @@ class TestObserverAndOutputs:
         sol = bass.bass_solve(a, b, 1.0)
         chan = Channel(1, b, np.eye(2))
         ag = make_agent(channel=chan)
-        ag.X = sol.X_star
         x = np.array([1.0, 1.0])
-        u = gain_F(ag, 0.0) @ x
+        u = ag.refresh_gains(0.0, sol.X_star, None, 0.0)[0] @ x
         assert np.allclose(u, sol.F @ x, atol=1e-9)
 
     def test_state_feedback_two_agent_limit_is_hurwitz(self):
@@ -306,18 +320,17 @@ class TestBoundedness:
         ag = make_agent()
         for k in range(200):
             # interleave singular and regular iterates
-            ag.X = rng.normal(size=(2, 2)) * (k % 3 == 0)
-            ag.Y = rng.normal(size=(2, 2)) * (k % 5 != 1)
-            ag.zeta = float(rng.uniform(0, 4))
-            ag._gain_time = None
-            t = 0.05 * k
-            assert np.all(np.isfinite(gain_F(ag, t)))
-            assert np.all(np.isfinite(gain_L(ag, t)))
-            assert np.isfinite(gamma_i(ag, t))
+            x = rng.normal(size=(2, 2)) * (k % 3 == 0)
+            y = rng.normal(size=(2, 2)) * (k % 5 != 1)
+            zeta = float(rng.uniform(0, 4))
+            f, l, gamma = ag.refresh_gains(0.05 * k, x, y, zeta)
+            assert np.all(np.isfinite(f))
+            assert np.all(np.isfinite(l))
+            assert np.isfinite(gamma)
 
 
 def oracle_gamma(y, zeta, phi_x, phi_y, a, beta, cap):
-    """The coupling-gain formula of ``gamma_i``'s docstring, one agent."""
+    """The coupling-gain formula of ``refresh_gains``' docstring, one agent."""
     zc = max(zeta, 1.0)
     sx = np.linalg.svd(phi_x, compute_uv=False)
     sy = np.linalg.svd(y, compute_uv=False)
@@ -354,18 +367,16 @@ class TestGainRefresh:
         self.agents = [ControlAgent(self.a, ch, self.params) for ch in chans]
         self.prev = [rng.normal(size=(n, n)) + 3 * np.eye(n) for _ in range(2)]
         for ag, x in zip(self.agents, self.prev):
-            ag.X = ag.Y = x
-            ag.refresh_gains(0.2)
+            ag.refresh_gains(0.2, x, x, 0.0)
         good = rng.normal(size=(n, n)) + 2 * np.eye(n)
         singular = np.outer(rng.normal(size=n), rng.normal(size=n))  # rank one
         joiner = rng.normal(size=(n, n)) + 2 * np.eye(n)
         self.x = [good, singular, joiner]
-        for ag, x in zip(self.agents, self.x):
-            ag.X = x
+        self.y = self.prev + [np.zeros((n, n))]
 
     def test_sample_and_hold(self):
-        for ag in self.agents:
-            ag.refresh_gains(0.35)
+        for ag, x, y in zip(self.agents, self.x, self.y):
+            ag.refresh_gains(0.35, x, y, 0.0)
         held = [ag.phi_x.value for ag in self.agents]
         assert [ag.phi_x.last_sample_index for ag in self.agents] == [3, 3, 3]
         assert np.allclose(held[0], np.linalg.inv(self.x[0]), rtol=1e-12, atol=1e-12)
@@ -377,10 +388,9 @@ class TestGainRefresh:
             assert np.isclose(ag.phi_x.sigma_min, svals[-1], rtol=1e-12)
         # nothing is due again before t = 0.4 (up to the 1e-9 slack)
         ag = self.agents[0]
-        ag.X = self.x[2]
-        ag.refresh_gains(0.4 - 1e-6)
+        ag.refresh_gains(0.4 - 1e-6, self.x[2], self.y[0], 0.0)
         assert ag.phi_x.value is held[0] and ag.phi_x.last_sample_index == 3
-        ag.refresh_gains(0.4 - 1e-11)
+        ag.refresh_gains(0.4 - 1e-11, self.x[2], self.y[0], 0.0)
         assert ag.phi_x.last_sample_index == 4
         assert np.allclose(ag.phi_x.value, np.linalg.inv(self.x[2]), rtol=1e-12, atol=1e-12)
 
@@ -394,16 +404,15 @@ class TestGainRefresh:
         ]
         cap = self.params.gamma_cap
         gammas = []
-        for ag, y, z in zip(self.agents, ys, zeta):
-            ag.Y, ag.zeta = y, z
-            ag.refresh_gains(0.35)
+        for ag, x, y, z in zip(self.agents, self.x, ys, zeta):
+            f, l, gamma = ag.refresh_gains(0.35, x, y, z)
             zc = max(z, 1.0)
             phi_x, phi_y = ag.phi_x.value, ag.phi_y.value
-            assert np.allclose(gain_F(ag, 0.35), -ag.B.T @ phi_x / zc, rtol=1e-13, atol=1e-13)
-            assert np.allclose(gain_L(ag, 0.35), -phi_y @ ag.C.T / zc, rtol=1e-13, atol=1e-13)
+            assert np.allclose(f, -ag.B.T @ phi_x / zc, rtol=1e-13, atol=1e-13)
+            assert np.allclose(l, -phi_y @ ag.C.T / zc, rtol=1e-13, atol=1e-13)
             want = oracle_gamma(y, z, phi_x, phi_y, self.a, self.params.beta, cap)
-            assert np.isclose(gamma_i(ag, 0.35), want, rtol=1e-12, atol=0)
-            gammas.append(gamma_i(ag, 0.35))
+            assert np.isclose(gamma, want, rtol=1e-12, atol=0)
+            gammas.append(gamma)
         # the first agent's Y is sampled now; the other two are rejected and
         # keep their sample from t = 0.2 and the joiner's identity
         assert np.allclose(self.agents[0].phi_y.value, np.linalg.inv(ys[0]), rtol=1e-12, atol=1e-12)
@@ -487,20 +496,17 @@ class TestStackedRefresh:
         capped = 0
         for ts in self.CHUNKS:
             xs, ys, zeta = self.inputs(rng, ts)
-            stacked.X, stacked.Y, stacked.zeta = xs, ys, zeta
-            stacked.refresh_gains(np.array(ts))
-            f, l, g = gain_F(stacked, np.array(ts)), gain_L(stacked, np.array(ts)), gamma_i(stacked, np.array(ts))
+            f, l, g = stacked.refresh_gains(np.array(ts), xs, ys, zeta)
             assert f.shape == (len(ts), 2, n) and l.shape == (len(ts), n, 2) and g.shape == (len(ts),)
             if ts is self.CHUNKS[0]:
                 # the slack makes 0.2 - 1e-11 a sample, and zeta = 0.3 clamps to 1
                 want = -(stacked.B.T @ np.linalg.inv(xs[3]))
                 assert np.allclose(f[3], want, rtol=1e-12, atol=1e-12)
             for j, t in enumerate(ts):
-                twin.X, twin.Y, twin.zeta = xs[j], ys[j], float(zeta[j])
-                twin.refresh_gains(t)
-                assert np.array_equal(f[j], gain_F(twin, t)), t
-                assert np.array_equal(l[j], gain_L(twin, t)), t
-                assert g[j] == gamma_i(twin, t) == float_gamma(twin, ys[j], zeta[j]), t
+                f_t, l_t, g_t = twin.refresh_gains(t, xs[j], ys[j], float(zeta[j]))
+                assert np.array_equal(f[j], f_t), t
+                assert np.array_equal(l[j], l_t), t
+                assert g[j] == g_t == float_gamma(twin, ys[j], zeta[j]), t
                 capped += g[j] == params.gamma_cap
             for name in ("phi_x", "phi_y"):
                 fs, ft = getattr(stacked, name), getattr(twin, name)
@@ -520,16 +526,15 @@ class TestStackedRefresh:
     def test_scalar_state_stands_for_every_step(self):
         # an (n, n) state and a scalar zeta apply at every time of the array
         ag = make_agent()
-        ag.X, ag.Y, ag.zeta = 2 * np.eye(2), np.eye(2), 0.5
         ts = np.array([0.0, 0.05, 0.1])
-        f = gain_F(ag, ts)
-        assert f.shape == (3, 1, 2)
+        f, l, gamma = ag.refresh_gains(ts, 2 * np.eye(2), np.eye(2), 0.5)
+        assert f.shape == (3, 1, 2) and l.shape == (3, 2, 1) and gamma.shape == (3,)
         assert np.array_equal(f, np.broadcast_to(-(ag.B.T @ (0.5 * np.eye(2))), f.shape))
 
     def test_times_must_not_decrease(self):
         ag = make_agent()
         with pytest.raises(ValueError):
-            ag.refresh_gains(np.array([0.2, 0.1]))
-        ag.refresh_gains(0.3)
+            ag.refresh_gains(np.array([0.2, 0.1]), ZERO, ZERO, 0.0)
+        ag.refresh_gains(0.3, ZERO, ZERO, 0.0)
         with pytest.raises(ValueError):
-            ag.refresh_gains(np.array([0.25, 0.4]))
+            ag.refresh_gains(np.array([0.25, 0.4]), ZERO, ZERO, 0.0)

@@ -3,7 +3,7 @@ import pytest
 
 from plugplay import analysis, bass
 from plugplay.consensus import FlowParams
-from plugplay.graph import Graph
+from plugplay.graph import Graph, laplacian
 from plugplay.matlib import induced_2norm, spectral_abscissa, unvec
 from plugplay.plant import Channel, PlantModel, aggregate
 from plugplay.suites import (
@@ -21,6 +21,96 @@ def bass_gains(p, beta=0.25):
     sol = bass.bass_solve(p.A, b, beta, widths=[ch.m for ch in chans])
     dual = bass.dual_bass_solve(p.A, c, beta, heights=[ch.p for ch in chans])
     return sol, dual
+
+
+def oracle_observer_loop(a, chans, f_blocks, l_blocks, zeta, gamma, g):
+    """The frozen-gain loop over (x, xhat_1..xhat_N), written out block by
+    block: ``xdot = A x + sum_i B_i F_i xhat_i`` and
+    ``xhatdot_i = (A + zeta_i (B_i F_i + L_i C_i)) xhat_i
+    - zeta_i L_i C_i x - gamma_i sum_j lap_ij xhat_j``."""
+    lap = laplacian(g)
+    n = a.shape[0]
+    n_agents = len(chans)
+    bf = [c.B @ f for c, f in zip(chans, f_blocks)]
+    lc = [l @ c.C for c, l in zip(chans, l_blocks)]
+    dim = n + n_agents * n
+    m = np.zeros((dim, dim))
+    m[:n, :n] = a
+    for i in range(n_agents):
+        r = slice(n + i * n, n + (i + 1) * n)
+        m[:n, r] = bf[i]
+        m[r, :n] = -zeta[i] * lc[i]
+        m[r, r] += a + zeta[i] * bf[i] + zeta[i] * lc[i]
+        for j in range(n_agents):
+            c = slice(n + j * n, n + (j + 1) * n)
+            if lap[i, j] != 0.0:
+                m[r, c] += -gamma[i] * lap[i, j] * np.eye(n)
+    return m
+
+
+class TestObserverLoop:
+    """analysis.observer_loop_matrix, the simulator's assembly, against
+    the block-by-block oracle above."""
+
+    @staticmethod
+    def instance(rng, n_agents, n=3):
+        ids = tuple(range(1, n_agents + 1))
+        g = random_connected_graph(rng, ids) if n_agents > 1 else Graph.from_edges(ids, [])
+        a = rng.normal(size=(n, n))
+        chans, fs, ls = [], [], []
+        for i in ids:
+            m_i, p_i = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+            chans.append(Channel(i, rng.normal(size=(n, m_i)), rng.normal(size=(p_i, n))))
+            fs.append(rng.normal(size=(m_i, n)))
+            ls.append(rng.normal(size=(n, p_i)))
+        return a, chans, fs, ls, g
+
+    @staticmethod
+    def assemble(a, chans, fs, ls, zeta, gamma, g):
+        k0 = np.stack([c.B @ f for c, f in zip(chans, fs)])
+        jm = zeta[:, None, None] * np.stack([l @ c.C for c, l in zip(chans, ls)])
+        return analysis.observer_loop_matrix(a, k0, jm, zeta, gamma, laplacian(g))
+
+    @pytest.mark.parametrize("n_agents", range(1, 7))
+    def test_equals_the_oracle_at_per_agent_zeta_and_gamma(self, n_agents):
+        rng = np.random.default_rng(100 + n_agents)
+        a, chans, fs, ls, g = self.instance(rng, n_agents)
+        zeta = rng.uniform(0.2, 9.0, size=n_agents)  # none of them N
+        gamma = rng.uniform(0.5, 50.0, size=n_agents)
+        got = self.assemble(a, chans, fs, ls, zeta, gamma, g)
+        want = oracle_observer_loop(a, chans, fs, ls, zeta, gamma, g)
+        assert got.shape == want.shape == ((n_agents + 1) * 3,) * 2
+        assert np.array_equal(got, want)
+
+    def test_stack_equals_each_matrix(self):
+        # the simulator builds a slice of steps in one call
+        rng = np.random.default_rng(7)
+        a, chans, fs, ls, g = self.instance(rng, 4)
+        zetas = rng.uniform(0.2, 9.0, size=(5, 4))
+        gammas = rng.uniform(0.5, 50.0, size=(5, 4))
+        fss = [[f * rng.uniform(0.5, 2.0) for f in fs] for _ in range(5)]
+        k0 = np.stack([np.stack([c.B @ f for c, f in zip(chans, fk)]) for fk in fss])
+        lc = np.stack([l @ c.C for c, l in zip(chans, ls)])
+        got = analysis.observer_loop_matrix(a, k0, zetas[..., None, None] * lc, zetas, gammas, laplacian(g))
+        for k in range(5):
+            assert np.array_equal(got[k], oracle_observer_loop(a, chans, fss[k], ls, zetas[k], gammas[k], g))
+
+    def test_flat_form_is_the_loop_at_converged_gains(self):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            p = random_normalized_plant(rng, agents_min=1, agents_max=6)
+            chans = sorted(p.channels, key=lambda c: c.id)
+            ids = tuple(c.id for c in chans)
+            g = random_connected_graph(rng, ids) if len(ids) > 1 else Graph.from_edges(ids, [])
+            fs = [rng.normal(size=(c.m, p.n)) for c in chans]
+            ls = [rng.normal(size=(p.n, c.p)) for c in chans]
+            gamma = float(rng.uniform(0.5, 10.0))
+            n_agents = len(chans)
+            flat = analysis.flat_closed_loop_matrix(p, fs, ls, gamma, g)
+            want = oracle_observer_loop(
+                p.A, chans, fs, ls, np.full(n_agents, float(n_agents)), np.full(n_agents, gamma), g
+            )
+            assert np.array_equal(flat, want)
 
 
 class TestClosedLoopMatrix:

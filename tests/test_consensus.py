@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from plugplay import bass, sim
-from plugplay.agent import AgentParams, ControlAgent, gain_F, gain_L
-from plugplay.analysis import bass_equilibria, flat_closed_loop_matrix, size_equilibrium
+from plugplay import bass
+from plugplay.analysis import bass_equilibria, size_equilibrium
 from plugplay.consensus import (
     INFORMER_ID,
     BassConsensusState,
@@ -21,7 +20,6 @@ from plugplay.consensus import (
 )
 from plugplay.graph import Graph, lambda2, laplacian, r_matrix
 from plugplay.matlib import unvec
-from plugplay.plant import aggregate
 from plugplay.sim import rk4_step
 from plugplay.suites import informer_topology, propagate_affine, random_connected_graph
 
@@ -369,32 +367,6 @@ class TestSingleOperator:
             assert np.abs(c_modal[rows] - offset).max() <= 1e-13 * np.abs(c).max()
             others = np.setdiff1d(np.arange(2 * n_agents * nn), rows)
             assert np.abs(m_modal[np.ix_(rows, others)]).max() <= 1e-13 * scale
-
-    def test_observer_map_equals_flat_closed_loop(self):
-        # converged agents' gains in the simulator's frozen-gain matrix
-        # give the closed loop assembled independently in analysis
-        p = load_transport_plant((0, 3, 6))
-        b, c = aggregate(p)
-        beta = 0.25
-        n_agents, n = 3, p.n
-        sol = bass.bass_solve(p.A, b, beta, widths=[1, 1, 1])
-        dual = bass.dual_bass_solve(p.A, c, beta, heights=[2, 2, 2])
-        g = Graph.from_edges([1, 2, 3], [(1, 2), (2, 3)])
-        gamma = 3.0
-        agents = []
-        for chan in p.channels:
-            ag = ControlAgent(p.A, chan, AgentParams(beta=beta))
-            ag.X, ag.Y, ag.zeta = sol.X_star / n_agents, dual.Y_star / n_agents, float(n_agents)
-            ag.refresh_gains(0.0)
-            agents.append(ag)
-        k0 = np.stack([ag.B @ gain_F(ag, 0.0) for ag in agents])
-        jm = np.stack([n_agents * gain_L(ag, 0.0) @ ag.C for ag in agents])
-        got = sim._observer_map(
-            p.A, k0, jm, p.A + n_agents * k0 + jm, np.full(n_agents, gamma),
-            sim._coupling(laplacian(g), n),
-        )
-        flat = flat_closed_loop_matrix(p, sol.F_blocks, dual.L_blocks, gamma, g)
-        assert np.allclose(got, flat, rtol=0, atol=1e-10)
 
 
 class TestRateParams:

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from plugplay import analysis, bass, sim
-from plugplay.agent import AgentParams
+from plugplay.agent import AgentParams, ControlAgent, PhiFilter
 from plugplay.consensus import INFORMER_ID, bass_rate_params, flow_drift, pi_flow_operator
 from plugplay.graph import Graph, lambda2, laplacian
 from plugplay.matlib import rk4_propagator, spectral_abscissa
@@ -445,6 +445,29 @@ class TestStateFeedbackMode:
         x_star = bass.bass_solve(a, bagg, 0.5).X_star
         acl = a - 2 * (bagg @ bagg.T @ np.linalg.inv(x_star))
         assert spectral_abscissa(acl) < 0
+
+
+    def test_only_the_gain_filter_is_sampled(self, monkeypatch):
+        # the mode reads F alone: no agent samples Phi(Y) on its zero Y
+        made, sampled = [], []
+        init, update = ControlAgent.__init__, PhiFilter.update
+
+        def init_spy(ag, *args):
+            init(ag, *args)
+            made.append(ag)
+
+        def update_spy(filt, x, t):
+            sampled.append(filt)
+            return update(filt, x, t)
+
+        monkeypatch.setattr(ControlAgent, "__init__", init_spy)
+        monkeypatch.setattr(PhiFilter, "update", update_spy)
+        run_scenario(two_agent_state_feedback_scenario(t_end=0.5))
+        assert len(made) == 2
+        for ag in made:
+            assert sum(f is ag.phi_x for f in sampled) == 6  # t = 0, 0.1, .., 0.5
+            assert not any(f is ag.phi_y for f in sampled)
+            assert ag.phi_y.last_sample_index == -1
 
 
 def oracle_write_trace_csv(tr, path):
