@@ -7,6 +7,13 @@ returns its time-varying feedback gain, injection gain and coupling
 gain; the sample-and-hold inverse filter keeps the gains bounded while
 the matrix iterates pass through singular transients.
 
+The coupling gain applied is the paper's threshold formula capped at
+``AgentParams.gamma_cap``; the agent applies the cap itself.  Where two
+O(n^2) norm bounds on Y's singular values already prove that the
+formula reaches the cap, no SVD of Y is taken, and the gain is the one
+the exact formula would give, bit for bit.  :meth:`ControlAgent.threshold`
+gives the uncapped value.
+
 An agent never sees another agent's channel maps or the plant state,
 only its own measurement and the neighbors' broadcast states.
 """
@@ -28,6 +35,14 @@ __all__ = [
 
 # Conditioning threshold standing in for the exact det != 0 test.
 PHI_SINGULARITY_RTOL = 1e-10
+
+# Relative slack delta of the norm bounds on Y's singular values that
+# prove the coupling-gain cap without an SVD (ControlAgent.refresh_gains).
+# It covers the SVD's absolute error of about p(n) eps |Y|.
+SIGMA_BOUND_SLACK = 1e-6
+# Below this Frobenius norm, sqrt(tiny / eps) = 2^-485, squares that
+# underflowed may hide more of a column norm than the slack covers.
+_NORM_FLOOR = 2.0**-485
 
 
 class PhiFilter:
@@ -119,9 +134,9 @@ class PhiFilter:
 class AgentParams:
     """Flow and filter parameters shared by one agent's subsystems.
 
-    gamma_cap bounds the coupling gain actually applied by the observer;
-    the certificate formula itself is evaluated exactly (and can be
-    astronomically conservative), but an explicit fixed-step integrator
+    gamma_cap bounds the coupling gain that the agent applies: the
+    certificate formula (:meth:`ControlAgent.threshold`) can be
+    astronomically conservative, but an explicit fixed-step integrator
     needs a finite, moderate effective gain.
     """
 
@@ -145,10 +160,11 @@ class ControlAgent:
     """One agent's inverse filters and its self-computed gains.
 
     :meth:`refresh_gains` maps the agent's own states X_i, Y_i and
-    zeta_i at a time t to its gains (F_i, L_i, gamma_i).  Besides its
-    channel and parameters, the only state an agent carries from one
-    call to the next is the hold of its two inverse filters, so the
-    times of successive calls must not decrease.  The simulator keeps
+    zeta_i at a time t to its gains (F_i, L_i, gamma_i), and
+    :meth:`threshold` gives the uncapped gamma_i.  Besides its channel
+    and parameters, the only state an agent carries from one call to the
+    next is the hold of its two inverse filters, so the times of
+    successive calls must not decrease.  The simulator keeps
     one agent per active channel and calls it once per chunk of steps,
     with the agent's states at every step of the chunk.
     """
@@ -178,12 +194,25 @@ class ControlAgent:
 
         * ``F = -B_i^T Phi(X_i)(t) / max(zeta_i, 1)``, the feedback gain;
         * ``L = -Phi(Y_i)(t) C_i^T / max(zeta_i, 1)``, the injection gain;
-        * gamma, the coupling-gain certificate value (>= 1) from the
-          exact threshold formula, with the clamp max(zeta_i, 1) wherever
-          zeta enters squared, as in the two gains.  It is
-          ``params.gamma_cap`` where the conditioning ratio is undefined
-          (zero states, as in a fresh agent) or the value overflows; the
-          caller applies the cap to any larger value.
+        * gamma, the coupling gain as applied: ``min(threshold,
+          params.gamma_cap)``, where the threshold is the value
+          :meth:`threshold` gives at the same inputs and holds.
+
+        The threshold needs Y's extreme singular values, but the applied
+        gain needs them only where the threshold falls below the cap.
+        So the formula is first evaluated at two O(n^2) bounds per step,
+        ``hi = (|Y|_F / sqrt(n)) (1 - delta) <= sigma_max(Y)`` and ``lo =
+        min_j |Y e_j| + delta |Y|_F >= sigma_min(Y)``, with delta =
+        ``SIGMA_BOUND_SLACK``.  The float formula does not decrease in
+        sigma_max, does not increase in sigma_min, and each of its
+        operations is monotone under rounding; delta covers the SVD's
+        absolute error (about p(n) eps |Y|_2, Golub and Van Loan, 8.6).
+        So where the value at the bounds reaches the cap, or its
+        denominator vanishes, the exact value does too, and the gain is
+        the cap bit for bit.  A NaN or overflowing value at the bounds
+        proves nothing, and neither do norms so small that their squares
+        may have underflowed, unless Y is exactly zero.  Only the steps
+        left unproven take an SVD of Y and the exact formula.
 
         t may also be a 1-D array of K nondecreasing times, one call for a
         stretch of steps: X and Y are then ``(K, n, n)`` stacks and zeta a
@@ -208,26 +237,64 @@ class ControlAgent:
         ys = np.broadcast_to(Y, (k, n, n))
         phi_y, sy_phi, iy = self.phi_y.hold(ys, ts)
         l = (-(phi_y @ self.C.T))[iy] / zs
-        gamma = self._gamma_formula(zc, sx[ix], sy_phi[iy, 0], np.linalg.svd(ys, compute_uv=False))
+        held = (sx[ix, 0], sx[ix, -1], sy_phi[iy, 0])
+        cap = self.params.gamma_cap
+        gamma = np.full(k, cap)
+        need = ~(self._gamma_formula(zc, *held, *_singular_value_bounds(ys)) >= cap)
+        if need.any():
+            sy = np.linalg.svd(ys[need], compute_uv=False)
+            exact = self._gamma_formula(zc[need], *(h[need] for h in held), sy[:, 0], sy[:, -1])
+            gamma[need] = np.fmin(exact, cap)
         if times.ndim == 0:
             return f[0], l[0], float(gamma[0])
         return f, l, gamma
 
-    def _gamma_formula(self, zc, sx, phi_y_max, sy) -> np.ndarray:
+    def threshold(self, Y, zeta) -> float:
+        """The exact threshold formula at Y, zeta and the current filter holds.
+
+        This is the agent's coupling-gain certificate value (>= 1), with
+        the clamp max(zeta, 1) wherever zeta enters squared, as in the
+        two gains.  It is ``params.gamma_cap`` where the conditioning
+        ratio is undefined (zero Y, as in a fresh agent) or the value
+        overflows.  It is not capped otherwise: :meth:`refresh_gains`
+        applies the cap.  Takes one SVD of Y.
+        """
+        held = [np.array([v]) for v in (self.phi_x.sigma_max, self.phi_x.sigma_min, self.phi_y.sigma_max)]
+        sy = np.linalg.svd(np.asarray(Y, dtype=float)[None], compute_uv=False)
+        zc = np.array([max(float(zeta), 1.0)])
+        value = float(self._gamma_formula(zc, *held, sy[:, 0], sy[:, -1])[0])
+        return value if np.isfinite(value) else self.params.gamma_cap
+
+    def _gamma_formula(self, zc, sx_max, sx_min, phi_y_max, sy_max, sy_min) -> np.ndarray:
         """The threshold formula at K steps, from the clamped zeta ``zc``,
-        the singular values ``sx`` of the held Phi(X) (descending), the
-        largest one of the held Phi(Y) and those of Y (descending).  A
-        vanishing denominator, an overflow and a NaN all take the cap."""
-        cap = self.params.gamma_cap
-        sx_max, sx_min = sx[:, 0], sx[:, -1]
+        the extreme singular values of the held Phi(X), the largest one of
+        the held Phi(Y) and the extreme ones of Y.  It is +inf where the
+        denominator vanishes (kappa is infinite) and NaN where the value
+        overflows or is NaN."""
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             zc2 = zc * zc
-            den = self.params.beta * np.minimum(sx_min, zc2 * sy[:, -1])
-            kappa = np.maximum(sx_max, zc2 * sy[:, 0]) / den
+            den = self.params.beta * np.minimum(sx_min, zc2 * sy_min)
+            kappa = np.maximum(sx_max, zc2 * sy_max) / den
             theta = self._norm_a + phi_y_max + 2.0 * sx_max
             gamma = 1.0 + (zc2 / 4.0) * (
                 theta
                 + theta * theta * kappa
                 + 4.0 * (sx_max * sx_max) * kappa * np.sqrt(1.0 + (theta * theta) * (kappa * kappa))
             )
-        return np.where((den <= 0.0) | ~np.isfinite(gamma), cap, gamma)
+        return np.where(den <= 0.0, np.inf, np.where(np.isfinite(gamma), gamma, np.nan))
+
+
+def _singular_value_bounds(ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(hi, lo)`` per matrix of the stack ys, with hi at most and lo at
+    least the largest and the smallest singular value np.linalg.svd
+    computes; see :meth:`ControlAgent.refresh_gains`.  lo is NaN where
+    the norms are too small to trust and the matrix is not zero."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        cols = np.einsum("kij,kij->kj", ys, ys)  # squared column norms
+        fro = np.sqrt(cols.sum(axis=1))
+        hi = fro * ((1.0 - SIGMA_BOUND_SLACK) / np.sqrt(ys.shape[-1]))
+        lo = np.sqrt(cols.min(axis=1)) + SIGMA_BOUND_SLACK * fro
+    small = fro < _NORM_FLOOR
+    if small.any():
+        lo[small & ys.any(axis=(1, 2))] = np.nan
+    return hi, lo

@@ -34,12 +34,16 @@ works in chunks of K steps that never cross an event.  (a) The flows
 advance K steps and keep every step's value.  (b) Each active agent, a
 :class:`agent.ControlAgent`, gets its X, Y and zeta stacks over the
 chunk in one ``refresh_gains`` call, which returns its F, L and gamma
-stacks: its inverse filters sample only where a sample instant falls
-due, and the gains are computed over the chunk at once.  (c) The chunk
-is walked in slices: each slice's frozen-gain observer maps are built
-in one batched pass from the gain stacks, ``rk4_step`` advances plant and
-observers through the slice step by step, and the chunk's samples are
-recorded together at its end.
+stacks, gamma as applied (capped at ``gamma_cap`` by the agent): its
+inverse filters sample only where a sample instant falls due, and the
+gains are computed over the chunk at once.  The exact threshold, which
+needs an SVD of Y, is computed only at the steps where a norm bound
+cannot prove the cap, and once per agent at the end of the run for
+``Trace.final_gains``.  (c) The chunk is walked in slices: each
+slice's frozen-gain observer maps are built in one batched pass from
+the gain stacks, ``rk4_step`` advances plant and observers through the
+slice step by step, and the chunk's samples are recorded together at
+its end.
 
 One byte budget, ``CHUNK_BYTES``, sets both lengths per interval.  A
 chunk holds per-step stacks of the flows, X and Y, the gains and the
@@ -220,8 +224,8 @@ class Trace:
     intervals: list
     mode: str
     # self-organized gains at the final time (algorithm1 mode only):
-    # per agent id a dict with F, L, gamma (uncapped certificate value),
-    # gamma_effective (as applied), and zeta
+    # per agent id a dict with F, L, gamma (the uncapped threshold of
+    # ControlAgent.threshold), gamma_effective (as applied), and zeta
     final_gains: dict = field(default_factory=dict)
 
 
@@ -669,8 +673,7 @@ class _Runner:
             return self.A + k0.sum(axis=1)
         zeta = self.zeta[j0:j1]
         jm = zeta[..., None, None] * (self.l[j0:j1] @ self.c)
-        geff = np.minimum(self.gamma[j0:j1], self.s.params.gamma_cap)
-        return observer_loop_matrix(self.A, k0, jm, zeta, geff, self.lap)
+        return observer_loop_matrix(self.A, k0, jm, zeta, self.gamma[j0:j1], self.lap)
 
     # -- the loop ----------------------------------------------------------
 
@@ -722,10 +725,13 @@ class _Runner:
             x, rows, informer = self._export()
 
         if self.mode == "algorithm1":
+            # the exact threshold at the last step, where the run applied
+            # the capped gain
             cap = s.params.gamma_cap
-            for i, aid in enumerate(self.actives):
+            last = self.zeta.shape[0] - 1
+            for i, (aid, ag) in enumerate(zip(self.actives, self.members)):
                 m_i, p_i = self.widths[i]
-                gamma = float(self.gamma[-1, i])
+                gamma = ag.threshold(self.y_mats[last, i], self.zeta[last, i])
                 tr.final_gains[aid] = {
                     "F": self.f[-1, i, :m_i].copy(),
                     "L": self.l[-1, i, :, :p_i].copy(),
@@ -1091,7 +1097,10 @@ def summary_dict(tr: Trace, scenario: Scenario) -> dict:
         )
     final_agents = {}
     for a in tr.agent_ids:
+        gains = tr.final_gains.get(a, {})  # algorithm1 only, agents active at the end
         final_agents[str(a)] = {
+            "gamma": gains.get("gamma"),
+            "gamma_effective": gains.get("gamma_effective"),
             "zeta": None if not np.isfinite(tr.zeta[a][last]) else float(tr.zeta[a][last]),
             "err_obs": None if not np.isfinite(tr.err_obs[a][last]) else float(tr.err_obs[a][last]),
             "err_X": None if not np.isfinite(tr.err_x[a][last]) else float(tr.err_x[a][last]),

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from plugplay import agent as agent_module
 from plugplay import bass
 from plugplay.agent import AgentParams, ControlAgent, PhiFilter
 from plugplay.analysis import observer_loop_matrix
@@ -198,7 +199,9 @@ class TestGains:
         dual = bass.dual_bass_solve(p.A, c, beta, heights=[2, 2, 2])
         n_agents = 3
         ag = ControlAgent(p.A, p.channels[0], AgentParams(beta=beta))
-        _, _, got = converge_agent(ag, n_agents, sol.X_star, dual.Y_star)
+        _, _, applied = converge_agent(ag, n_agents, sol.X_star, dual.Y_star)
+        got = ag.threshold(dual.Y_star / n_agents, float(n_agents))
+        assert applied == min(got, ag.params.gamma_cap)
         x_inv = np.linalg.inv(sol.X_star)
         sx = np.linalg.svd(x_inv, compute_uv=False)
         sy = np.linalg.svd(dual.Y_star, compute_uv=False)
@@ -216,11 +219,14 @@ class TestGains:
         assert got >= cert.gamma_min
 
     def test_effective_gamma_capped(self):
-        # the agent reports the certificate uncapped; the simulator applies
-        # min(gamma, gamma_cap) and reports both
+        # the agent applies min(gamma, gamma_cap) and gives the certificate
+        # uncapped through threshold; the simulator reports both
         ag = make_agent(gamma_cap=50.0)
+        y = 1e-12 * np.eye(2)
+        applied = ag.refresh_gains(0.0, ZERO, y, 1.0)[2]
         # conditioning pushes the formula sky-high
-        assert ag.refresh_gains(0.0, ZERO, 1e-12 * np.eye(2), 1.0)[2] > 50.0
+        assert ag.threshold(y, 1.0) > 50.0
+        assert applied == min(ag.threshold(y, 1.0), 50.0)
         scen = build_load_transport_scenario(t_end=0.1, leave_slot=None, join_slots=())
         scen = replace(scen, params=replace(scen.params, gamma_cap=50.0))
         for gains in run_scenario(scen).final_gains.values():
@@ -405,13 +411,15 @@ class TestGainRefresh:
         cap = self.params.gamma_cap
         gammas = []
         for ag, x, y, z in zip(self.agents, self.x, ys, zeta):
-            f, l, gamma = ag.refresh_gains(0.35, x, y, z)
+            f, l, applied = ag.refresh_gains(0.35, x, y, z)
+            gamma = ag.threshold(y, z)
             zc = max(z, 1.0)
             phi_x, phi_y = ag.phi_x.value, ag.phi_y.value
             assert np.allclose(f, -ag.B.T @ phi_x / zc, rtol=1e-13, atol=1e-13)
             assert np.allclose(l, -phi_y @ ag.C.T / zc, rtol=1e-13, atol=1e-13)
             want = oracle_gamma(y, z, phi_x, phi_y, self.a, self.params.beta, cap)
             assert np.isclose(gamma, want, rtol=1e-12, atol=0)
+            assert applied == min(gamma, cap)
             gammas.append(gamma)
         # the first agent's Y is sampled now; the other two are rejected and
         # keep their sample from t = 0.2 and the joiner's identity
@@ -506,8 +514,10 @@ class TestStackedRefresh:
                 f_t, l_t, g_t = twin.refresh_gains(t, xs[j], ys[j], float(zeta[j]))
                 assert np.array_equal(f[j], f_t), t
                 assert np.array_equal(l[j], l_t), t
-                assert g[j] == g_t == float_gamma(twin, ys[j], zeta[j]), t
-                capped += g[j] == params.gamma_cap
+                exact = twin.threshold(ys[j], zeta[j])
+                assert exact == float_gamma(twin, ys[j], zeta[j]), t
+                assert g[j] == g_t == min(exact, params.gamma_cap), t
+                capped += exact == params.gamma_cap
             for name in ("phi_x", "phi_y"):
                 fs, ft = getattr(stacked, name), getattr(twin, name)
                 assert np.array_equal(fs.value, ft.value)
@@ -538,3 +548,165 @@ class TestStackedRefresh:
         ag.refresh_gains(0.3, ZERO, ZERO, 0.0)
         with pytest.raises(ValueError):
             ag.refresh_gains(np.array([0.25, 0.4]), ZERO, ZERO, 0.0)
+
+
+def orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def bound_and_exact(ag, ys, zeta):
+    """The threshold formula at the agent's holds, per Y of the stack:
+    once at the norm bounds that refresh_gains tries first, once at the
+    singular values np.linalg.svd computes (the exact path)."""
+    k = len(ys)
+    zc = np.maximum(np.asarray(zeta, dtype=float), 1.0)
+    held = [np.full(k, v) for v in (ag.phi_x.sigma_max, ag.phi_x.sigma_min, ag.phi_y.sigma_max)]
+    bound = ag._gamma_formula(zc, *held, *agent_module._singular_value_bounds(ys))
+    sy = np.linalg.svd(ys, compute_uv=False)
+    return bound, ag._gamma_formula(zc, *held, sy[:, 0], sy[:, -1])
+
+
+class TestCapBound:
+    """The bound may only ever undershoot the exact formula, bit for bit:
+    where it reaches the cap, the exact value does too."""
+
+    K = 400
+
+    def families(self, rng, n):
+        """(name, Y stack, zeta) of random Y families with n x n matrices."""
+        k = self.K
+        scale = 10.0 ** rng.uniform(-3, 3, size=(k, 1, 1))
+        zeta = rng.uniform(0.5, 6.0, size=k)
+        gauss = rng.normal(size=(k, n, n))
+        out = [("gaussian", gauss * scale, zeta)]
+        # rank deficient: a zero singular value, or a zero column
+        svals = np.abs(rng.normal(size=(k, n)))
+        svals[:, -1] = 0.0
+        u = np.stack([orthogonal(rng, n) for _ in range(k)])
+        v = np.stack([orthogonal(rng, n) for _ in range(k)])
+        out.append(("rank_deficient", (u * svals[:, None, :]) @ np.swapaxes(v, 1, 2), zeta))
+        zero_col = gauss.copy()
+        zero_col[:, :, rng.integers(n)] = 0.0
+        out.append(("zero_column", zero_col, zeta))
+        # sigma_min ~ 1e-17 sigma_max from random orthogonal factors; with
+        # V = I a column norm is the smallest singular value itself
+        tiny = svals.copy()
+        tiny[:, -1] = 1e-17 * tiny[:, 0] * rng.uniform(0.5, 2.0, size=k)
+        out.append(("near_singular", (u * tiny[:, None, :]) @ np.swapaxes(v, 1, 2) * scale, zeta))
+        out.append(("near_singular_columns", u * tiny[:, None, :] * scale, zeta))
+        # a well-separated smallest column, zeta large: Y sets the denominator
+        sep = svals.copy()
+        sep[:, -1] = rng.uniform(0.05, 0.5, size=k) * sep[:, 0]
+        out.append(("small_column", u * sep[:, None, :], rng.uniform(3.0, 30.0, size=k)))
+        # every singular value equal: |Y|_F / sqrt(n) is sigma_max itself
+        out.append(("scaled_orthogonal", u * (10.0 ** rng.uniform(0, 3, size=(k, 1, 1))), zeta))
+        out.append(("zero", np.zeros((k, n, n)), zeta))
+        out.append(("clamped_zeta", gauss, rng.uniform(-2.0, 1.0, size=k)))
+        # squares that underflow (zeta keeps the value finite) and overflow
+        out.append(("tiny_columns", u * tiny[:, None, :] * 1e-160, np.full(k, 1e76)))
+        out.append(("tiny", gauss * 1e-160, np.full(k, 1e76)))
+        out.append(("large", gauss * 10.0 ** rng.uniform(100, 150, size=(k, 1, 1)), zeta))
+        out.append(("overflow", gauss * 10.0 ** rng.uniform(160, 300, size=(k, 1, 1)), zeta))
+        return out
+
+    def agents(self, rng):
+        """Agents of mixed plant size and channel width, each with holds
+        of a different conditioning."""
+        out = []
+        for n, (m, p), cond in ((2, (1, 1), 1.0), (3, (1, 2), 30.0), (3, (2, 1), 1e4), (5, (2, 3), 300.0)):
+            chan = Channel(len(out) + 1, rng.normal(size=(n, m)), rng.normal(size=(p, n)))
+            ag = ControlAgent(rng.normal(size=(n, n)), chan, AgentParams(beta=0.25))
+            x = orthogonal(rng, n) @ np.diag(np.geomspace(1.0, cond, n)) @ orthogonal(rng, n).T
+            ag.refresh_gains(0.0, x, x.T, 1.0)
+            out.append(ag)
+        return out
+
+    def test_bound_never_exceeds_the_exact_value(self):
+        rng = np.random.default_rng(21)
+        for ag in self.agents(rng):
+            for name, ys, zeta in self.families(rng, ag.n):
+                bound, exact = bound_and_exact(ag, ys, zeta)
+                # NaN (an overflow) on the exact path is the cap: above any bound
+                exact = np.where(np.isnan(exact), np.inf, exact)
+                trusted = ~np.isnan(bound)
+                assert np.all(bound[trusted] <= exact[trusted]), (ag.n, name)
+                if name == "zero":
+                    # a vanishing denominator proves the cap
+                    assert np.all(bound == np.inf) and np.all(exact == np.inf)
+                elif name in ("overflow", "tiny", "tiny_columns"):
+                    # norms whose squares overflowed or may have underflowed
+                    # prove nothing
+                    assert not trusted.any(), name
+                elif name != "large":
+                    assert trusted.all() and np.isfinite(bound).mean() > 0.9, (ag.n, name)
+
+    def test_nan_bound_proves_nothing(self, monkeypatch):
+        # a step whose bound is NaN goes to the SVD, also where the bound
+        # would have proved the cap; the gains stay min(exact, cap)
+        rng = np.random.default_rng(22)
+        n, k = 3, 16
+        params = AgentParams(beta=0.5, gamma_cap=1e15)
+        chan = Channel(1, rng.normal(size=(n, 1)), rng.normal(size=(2, n)))
+        a = rng.normal(size=(n, n))
+        ag, twin = ControlAgent(a, chan, params), ControlAgent(a, chan, params)
+        ys = rng.normal(size=(k, n, n)) + 3 * np.eye(n)
+        ys[::2] *= 1e-9  # ill-scaled: the bound proves the cap
+        ys[::4] = 0.0  # a vanishing denominator proves it too
+        ts = np.linspace(0.0, 0.05, k)
+        proved = bound_and_exact(ag, ys, np.full(k, 2.0))[0] >= params.gamma_cap
+        assert np.array_equal(proved, np.arange(k) % 2 == 0)
+        nan_steps = np.isin(np.arange(k), [0, 2, 3, 5])
+        bounds = agent_module._singular_value_bounds
+
+        def nan_bounds(stack):
+            hi, lo = bounds(stack)
+            lo[nan_steps] = np.nan
+            return hi, lo
+
+        svd, seen = np.linalg.svd, []
+
+        def svd_spy(x, *args, **kw):
+            if np.ndim(x) == 3:  # the Y stack; the filters take one matrix
+                seen.append(np.array(x))
+            return svd(x, *args, **kw)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(agent_module, "_singular_value_bounds", nan_bounds)
+            patch.setattr(np.linalg, "svd", svd_spy)
+            _, _, gamma = ag.refresh_gains(ts, np.eye(n), ys, 2.0)
+        assert len(seen) == 1 and np.array_equal(seen[0], ys[nan_steps | ~proved])
+        exact = []
+        for j, t in enumerate(ts):
+            twin.refresh_gains(t, np.eye(n), ys[j], 2.0)
+            exact.append(twin.threshold(ys[j], 2.0))
+        assert np.array_equal(gamma, np.minimum(exact, params.gamma_cap))
+        assert np.array_equal(gamma == params.gamma_cap, proved)
+
+    def test_fallback_gives_the_capped_exact_value(self):
+        # with the cap between the exact values, the proved steps and the
+        # SVD steps together give min(exact, cap) at every step
+        rng = np.random.default_rng(23)
+        n, k = 3, 60
+        chan = Channel(1, rng.normal(size=(n, 2)), rng.normal(size=(1, n)))
+        a = rng.normal(size=(n, n))
+        ys = rng.normal(size=(k, n, n)) * 10.0 ** rng.uniform(-4, 1, size=(k, 1, 1))
+        ys[7] = 0.0
+        xs = rng.normal(size=(k, n, n)) + 3 * np.eye(n)
+        zeta = rng.uniform(-1.0, 4.0, size=k)
+        ts = np.linspace(0.0, 0.5, k)
+        probe = ControlAgent(a, chan, AgentParams(beta=0.5))
+        exact = np.array([
+            probe.refresh_gains(t, xs[j], ys[j], zeta[j]) and probe.threshold(ys[j], zeta[j])
+            for j, t in enumerate(ts)
+        ])
+        cap = float(np.median(exact))
+        params = AgentParams(beta=0.5, gamma_cap=cap)
+        ag, twin = ControlAgent(a, chan, params), ControlAgent(a, chan, params)
+        _, _, gamma = ag.refresh_gains(ts, xs, ys, zeta)
+        oracle = []
+        for j, t in enumerate(ts):
+            twin.refresh_gains(t, xs[j], ys[j], zeta[j])
+            oracle.append(float_gamma(twin, ys[j], zeta[j]))
+        assert np.array_equal(gamma, np.minimum(oracle, cap))
+        assert 0 < np.sum(gamma < cap) < k

@@ -1,5 +1,7 @@
+import copy
 import csv
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,6 +31,7 @@ from plugplay.sim import (
 )
 
 from parity_pins import PINS
+from test_agent import float_gamma
 
 
 class TestRk4Step:
@@ -581,6 +584,32 @@ class TestSerializationAndOutput:
         if mode == "state_feedback":
             assert np.isnan(tr.informer_zeta).all() and final["1"]["err_Y"] is None
 
+    @pytest.mark.parametrize("mode", ["algorithm1", "state_feedback"])
+    def test_summary_says_the_threshold_and_the_applied_gain(self, tmp_path, mode):
+        # the agents' own threshold beside the gain the run applied; None
+        # for an agent gone before the end and outside algorithm1
+        if mode == "algorithm1":
+            scen = build_load_transport_scenario(t_leave=0.5, t_join=1.0, t_end=1.5, record_every=50)
+        else:
+            scen = two_agent_state_feedback_scenario(t_end=0.5)
+        tr = run_scenario(scen)
+        sim.write_summary_json(tr, scen, tmp_path / "summary.json")
+        with open(tmp_path / "summary.json") as fh:
+            final = json.load(fh)["final_agents"]
+        assert set(final) == {str(a) for a in tr.agent_ids}
+        for a in tr.agent_ids:
+            got = (final[str(a)]["gamma"], final[str(a)]["gamma_effective"])
+            if a in tr.final_gains:
+                want = (tr.final_gains[a]["gamma"], tr.final_gains[a]["gamma_effective"])
+                assert got == want and want[1] == min(want[0], scen.params.gamma_cap)
+            else:
+                assert got == (None, None)
+        if mode == "algorithm1":
+            assert final["2"]["gamma"] is None  # left at 0.5
+            assert final["1"]["gamma"] > 1e6 and final["1"]["gamma_effective"] == 200.0
+        else:
+            assert not tr.final_gains
+
     def test_missing_scenario_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             sim.load_scenario_file(tmp_path / "nope.json")
@@ -712,6 +741,58 @@ def _all_series(tr):
     for a, gains in tr.final_gains.items():
         out.update({f"final_gains/{a}/{key}": val for key, val in gains.items()})
     return out
+
+
+class TestAppliedGain:
+    """The runner applies the gamma that refresh_gains returns, min(threshold,
+    gamma_cap), and takes an SVD of Y only where a norm bound cannot prove
+    the cap."""
+
+    SCENARIO = staticmethod(TestParityWithPreviousEngine.SCENARIOS["algorithm1"][1])
+
+    def test_applied_gain_is_the_capped_threshold_at_every_step(self, monkeypatch):
+        # every chunk of the pinned run against scalar refreshes on a twin
+        # agent, at the run's cap (where the bound proves it) and again at
+        # a cap of 1e15, above most exact values (where the SVD path runs)
+        refresh = ControlAgent.refresh_gains
+        high_cap, steps, below = 1e15, [], []
+
+        def spy(ag, t, x, y, zeta):
+            high = copy.deepcopy(ag)
+            high.params = replace(ag.params, gamma_cap=high_cap)
+            twin = copy.deepcopy(high)  # an undefined value is the cap: 1e15
+            out = refresh(ag, t, x, y, zeta)
+            gamma_high = refresh(high, t, x, y, zeta)[2]
+            oracle = []
+            for j, t_j in enumerate(t):
+                refresh(twin, t_j, x[j], y[j], float(zeta[j]))
+                oracle.append(float_gamma(twin, y[j], zeta[j]))
+            assert np.array_equal(out[2], np.minimum(oracle, ag.params.gamma_cap))
+            assert np.array_equal(gamma_high, np.minimum(oracle, high_cap))
+            steps.append(len(t))
+            below.append(np.sum(gamma_high < high_cap))
+            return out
+
+        monkeypatch.setattr(ControlAgent, "refresh_gains", spy)
+        run_scenario(self.SCENARIO())
+        assert sum(below) > 0.5 * sum(steps)
+
+    def test_svd_of_y_on_at_most_one_step_per_agent(self, monkeypatch):
+        svd, ys, thresholds = np.linalg.svd, [], []
+
+        def spy(a, *args, **kw):
+            caller = sys._getframe(1).f_code.co_name
+            if caller == "refresh_gains":
+                ys.append(len(a))
+            elif caller == "threshold":
+                thresholds.append(len(a))
+            return svd(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        tr = run_scenario(self.SCENARIO())
+        assert sum(ys) <= len(tr.agent_ids)
+        # plus one threshold per agent at the end, for final_gains
+        assert len(thresholds) == len(tr.final_gains) == 5
 
 
 class TestChunkInvariance:
