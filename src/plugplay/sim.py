@@ -18,11 +18,17 @@ within a step the whole system is affine and splits in two:
   (psi, zeta and the informer) are linear time-invariant for a whole
   interval and never read the plant or the observers.  RK4 on
   ``ydot = A y + c`` is exactly ``y <- T4(hA) y + h S3(hA) c``
-  (:func:`matlib.rk4_propagator`), so each flow gets its one-step map
-  once per interval, from its operator in :mod:`consensus`.  The two
-  matrix flows are kept in the eigenbasis of the agent-graph Laplacian,
-  where they split into one 2 n^2 system per mode, so their maps take
-  O(N n^4) memory.  The size estimator gets one small dense map.
+  (:func:`matlib.rk4_propagator`), so b = ``FLOW_BLOCK`` steps are
+  exactly ``y <- y + (P y + s)`` with ``P = T4(hA)^b - I``: each flow
+  gets this block map once per interval, from its operator in
+  :mod:`consensus`, and advances b rows at a time, one matrix product
+  of the b rows before them.  The blocks are aligned to the interval's
+  start: the first holds the entry state and b - 1 steps of the
+  one-step map, and every later block is computed whole, so a trace
+  does not depend on where chunks end.  The two matrix flows are kept in the eigenbasis of the
+  agent-graph Laplacian, where they split into one 2 n^2 system per
+  mode, so their maps take O(N n^4) memory.  The size estimator gets
+  one small dense map.
 * Plant plus observers, of size n (N + 1), form one matrix per step,
   built from every agent's frozen gains by
   :func:`analysis.observer_loop_matrix`, the assembly that
@@ -31,12 +37,13 @@ within a step the whole system is affine and splits in two:
 
 Since an agent's gains depend on its own X, Y and zeta only, the runner
 works in chunks of K steps that never cross an event.  (a) The flows
-advance K steps and keep every step's value.  (b) Each active agent, a
-:class:`agent.ControlAgent`, gets its X, Y and zeta stacks over the
-chunk in one ``refresh_gains`` call, which returns its F, L and gamma
-stacks, gamma as applied (capped at ``gamma_cap`` by the agent): its
-inverse filters sample only where a sample instant falls due, and the
-gains are computed over the chunk at once.  The exact threshold, which
+advance K steps and keep every step's value; the rows of their last
+block that lie past the chunk are carried into the next.  (b) Each
+active agent, a :class:`agent.ControlAgent`, gets its X, Y and zeta
+stacks over the chunk in one ``refresh_gains`` call, which returns its
+F, L and gamma stacks, gamma as applied (capped at ``gamma_cap`` by the
+agent): its inverse filters sample only where a sample instant falls
+due, and the gains are computed over the chunk at once.  The exact threshold, which
 needs an SVD of Y, is computed only at the steps where a norm bound
 cannot prove the cap, and once per agent at the end of the run for
 ``Trace.final_gains``.  (c) The chunk is walked in slices: each
@@ -51,7 +58,11 @@ plant-observer state, about ``6 N n^2`` floats a step, and is as long
 as the budget allows.  A slice holds one ``s x s`` map per step, s =
 n (N + 1), in half the budget, leaving the other half for the terms
 the maps are built from; the maps, quadratic in N, do not shorten the
-chunks.  The results depend on neither length.
+chunks.  The flows' block maps are per-interval state, outside the
+budget.  The one block of rows each flow carries from chunk to chunk
+is per-interval state too, held while the maps are built, so the
+slice's half makes room for it.  The results depend on neither
+length.
 
 A non-finite state raises IntegrationError with the time of the first
 step that produced it, whether plant, observers or a flow.  Traces are
@@ -104,8 +115,16 @@ MODES = ("algorithm1", "static_gains", "state_feedback")
 # hold one row more than it has steps.  A slice keeps one observer map
 # (s^2 floats, s = n (N + 1)) per step in half the budget; the other
 # half is for the per-agent terms the maps are built from, fewer than
-# s^2 floats a step from three agents on.  See _Runner._enter.
+# s^2 floats a step from three agents on.  The flows' block maps are
+# per-interval state, outside the budget; the FLOW_BLOCK rows each flow
+# carries from chunk to chunk are per-interval state too, held while the
+# maps are built, so they come out of the slice's half.  See
+# _Runner._enter.
 CHUNK_BYTES = 1 << 20
+
+# Steps per block of the flow recursion (a power of two): each block of
+# rows is one matrix product of the block before it.
+FLOW_BLOCK = 8
 
 
 class IntegrationError(RuntimeError):
@@ -385,30 +404,60 @@ def _coerce_initial_state(n: int, init: dict | None, aid: int) -> dict:
     return st
 
 
-def _pi_flow_map(drift, k, gamma, lam, forcing, h):
-    """Per-step RK4 map of one PI flow in the agent-Laplacian eigenbasis.
+def _block_map(op, c, h, y0):
+    """The ``FLOW_BLOCK``-step RK4 map of ``ydot = op y + c``, and its first rows.
+
+    One RK4 step is ``y + (step y + offset)`` with ``step = T4(h op) - I =
+    op h S3(h op)`` and ``offset = h S3(h op) c`` (:func:`matlib.rk4_propagator`);
+    the increment is formed without the identity: rounding T4 itself,
+    which is within O(h) of I, would move the fixed point of the map by
+    about ``eps / (h * rate)`` of |y|.  It follows exactly that b steps are
+    ``y + (P y + s)`` with ``P = (I + step)^b - I`` and ``s = (I + (I +
+    step) + ... + (I + step)^(b-1)) offset``, built here in the same
+    increment form by doubling: ``P_2i = 2 P_i + P_i^2`` and ``s_2i = 2
+    s_i + P_i s_i``.
+
+    Returns ``(P^T, s, rows)``: ``rows`` are y0 and the b - 1 one-step
+    advances from it, the first block of the recursion.
+    """
+    _, s3 = rk4_propagator(op, h)
+    p, s = op @ s3, s3 @ c
+    rows = np.empty((FLOW_BLOCK, y0.size))
+    rows[0] = y0
+    # a flow that overflows is reported by _Runner._flows at its first
+    # non-finite step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, FLOW_BLOCK):
+            rows[i] = rows[i - 1] + (p @ rows[i - 1] + s)
+        for _ in range(FLOW_BLOCK.bit_length() - 1):
+            p, s = 2.0 * p + p @ p, 2.0 * s + p @ s
+    return p.T.copy(), s, rows
+
+
+def _pi_flow_map(drift, k, gamma, lam, forcing, h, y0):
+    """Block map of one PI flow in the agent-Laplacian eigenbasis.
 
     With Laplacian eigenvalues ``lam`` the flow splits into one system
     per mode j over ``y_j = (vec Z_j, vec X_j)``, whose operator is
     :func:`consensus.pi_flow_operator` on the 1 x 1 Laplacian
-    ``[[lam_j]]``; ``forcing`` holds the modal forcing rows vec Q_j.
+    ``[[lam_j]]``; ``forcing`` holds the modal forcing rows vec Q_j and
+    ``y0`` the modal state at the interval's start.
 
-    Returns ``(step, offset)``: ``step`` is the stack of
-    ``T4(h B_j) - I = B_j h S3(h B_j)`` and one RK4 step is
-    ``y + (step y + offset)``.  The increment is formed without the
-    identity: rounding T4 itself, which is within O(h) of I, would move
-    the fixed point of the map by about ``eps / (h * rate)`` of |y|.
+    Returns ``((P^T, s), rows)`` stacked over the modes, as
+    :func:`_block_map` gives them per mode: ``P^T`` is ``(N, 2 n^2, 2
+    n^2)`` and ``rows`` is ``(N, FLOW_BLOCK, 2 n^2)``, each mode's block
+    contiguous, so that the product of a block of rows by ``P^T`` runs
+    through BLAS without a copy.
     """
     m = drift.shape[0]
-    step = np.empty((lam.size, 2 * m, 2 * m))
-    offset = np.empty((lam.size, 2 * m))
+    p_t = np.empty((lam.size, 2 * m, 2 * m))
+    s = np.empty((lam.size, 2 * m))
+    rows = np.empty((lam.size, FLOW_BLOCK, 2 * m))
     # one mode at a time keeps the temporaries at a single block's size
     for j, lam_j in enumerate(lam):
         block, c = pi_flow_operator(drift, k, gamma, [[lam_j]], forcing[j])
-        _, s = rk4_propagator(block, h)
-        step[j] = block @ s
-        offset[j] = s @ c
-    return step, offset
+        p_t[j], s[j], rows[j] = _block_map(block, c, h, y0[j])
+    return (p_t, s), rows
 
 
 class _Runner:
@@ -419,7 +468,10 @@ class _Runner:
     ``wy`` as ``(N, 2 n^2)`` rows of modal coordinates, the size
     estimator ``sz`` = (psi, zeta) over informer and agents.  Each
     active agent's :class:`ControlAgent` holds its inverse filters and
-    lives from its join to its leave.  :meth:`_chunk` runs
+    lives from its join to its leave.  Each flow has its block map in
+    ``flow_maps`` and its current block of ``FLOW_BLOCK`` rows in
+    ``flow_blocks``, ``(modes, FLOW_BLOCK, size)``, with the current
+    step at row ``pos``.  :meth:`_chunk` runs
     ``chunk`` steps at a time, keeping per-step stacks of the flows (X
     and Y in agent coordinates, ``x_mats`` and ``y_mats``, and the size
     estimator ``sz_steps``) and the gains (``f``, ``l``, ``gamma``,
@@ -481,15 +533,22 @@ class _Runner:
         else:
             self.state = np.concatenate([x, stack("xhat").ravel()])
         size, nn = self.state.size, n * n
-        # floats per step of the chunk's stacks, as CHUNK_BYTES counts them
-        per_step = size
+        # floats per step of the chunk's stacks, as CHUNK_BYTES counts them:
+        # the flow rows, then X, Y, the gains and the plant-observer state
+        flow_row = 0
         if mode != "static_gains":
-            per_step += n_agents * (3 * nn + m_max * n)
+            flow_row += n_agents * 2 * nn
         if mode == "algorithm1":
-            per_step += n_agents * (3 * nn + n * p_max + 2) + 2 * (n_agents + 1)
+            flow_row += n_agents * 2 * nn + 2 * (n_agents + 1)
+        per_step = size + flow_row
+        if mode != "static_gains":
+            per_step += n_agents * (nn + m_max * n)
+        if mode == "algorithm1":
+            per_step += n_agents * (nn + n * p_max + 2)
         # the flow histories hold one row more than the chunk has steps
         self.chunk = max(1, CHUNK_BYTES // (8 * per_step) - 1)
-        self.slice = max(1, CHUNK_BYTES // (16 * size * size))
+        # the maps share their half with the FLOW_BLOCK rows each flow carries
+        self.slice = max(1, (CHUNK_BYTES // 2 - 8 * FLOW_BLOCK * flow_row) // (8 * size * size))
 
         if mode == "static_gains":
             sg = self.s.static
@@ -505,32 +564,38 @@ class _Runner:
             self.static_maps = (f, g)
             return
 
-        # gain flow (and, in algorithm1, dual flow and size estimator)
-        self.prop_zx = self.prop_wy = None  # free the last interval's maps first
+        # gain flow (and, in algorithm1, dual flow and size estimator):
+        # each flow's block map and its first block of rows
+        self.flow_maps = self.flow_blocks = None  # free the last interval's maps first
+        self.pos = 0
         lam, v = np.linalg.eigh(lap)
         self.v = v
         self.zx = v.T @ np.concatenate(
             [stack("Z").reshape(n_agents, nn), stack("X").reshape(n_agents, nn)], axis=1
         )
         bbt = 2.0 * self.b @ np.swapaxes(self.b, 1, 2)
-        self.prop_zx = _pi_flow_map(
-            self.drift_x, p.k_c, p.gamma_c, lam, v.T @ bbt.reshape(n_agents, nn), h
+        maps, block = _pi_flow_map(
+            self.drift_x, p.k_c, p.gamma_c, lam, v.T @ bbt.reshape(n_agents, nn), h, self.zx
         )
+        self.flow_maps, self.flow_blocks = [maps], [block]
         if mode != "algorithm1":
             return
         self.wy = v.T @ np.concatenate(
             [stack("W").reshape(n_agents, nn), stack("Y").reshape(n_agents, nn)], axis=1
         )
         ctc = 2.0 * np.swapaxes(self.c, 1, 2) @ self.c
-        self.prop_wy = _pi_flow_map(
-            self.drift_y, p.k_o, p.gamma_o, lam, v.T @ ctc.reshape(n_agents, nn), h
+        maps, block = _pi_flow_map(
+            self.drift_y, p.k_o, p.gamma_o, lam, v.T @ ctc.reshape(n_agents, nn), h, self.wy
         )
+        self.flow_maps.append(maps)
+        self.flow_blocks.append(block)
         # size estimator over (psi, zeta) of informer 0 (first in id
-        # order) and the agents
-        ops, drive = size_flow_operator(p.k_s, p.gamma_s, laplacian(iv.graph), 0)
-        t_sz, s_sz = rk4_propagator(ops, h)
-        self.prop_sz = (t_sz, s_sz @ drive)
+        # order) and the agents, as a single mode
         self.sz = np.concatenate([[informer[0]], stack("psi"), [informer[1]], stack("zeta")])
+        ops, drive = size_flow_operator(p.k_s, p.gamma_s, laplacian(iv.graph), 0)
+        p_t, s, block = _block_map(ops, drive, h, self.sz)
+        self.flow_maps.append((p_t[None], s[None]))
+        self.flow_blocks.append(block[None])
 
     def _export(self) -> tuple[np.ndarray, dict, tuple[float, float]]:
         """The state in agent coordinates: x, one row per agent id, informer."""
@@ -598,32 +663,37 @@ class _Runner:
 
         ``self.x_mats[j]``, ``self.y_mats[j]`` (agent coordinates, ``(N,
         n, n)``) and ``self.sz_steps[j]`` are the values at the chunk's
-        step j; the last advance leaves the current value.  The modal
+        step j; the last advance leaves the current value.  Each flow's
+        rows come from its current block and the whole blocks after it,
+        the last of which is carried into the next chunk.  The modal
         histories of the two matrix flows end with this call.  Returns
         the first j whose advance gave a non-finite value, or None; the
         kept values then stop at step j.
         """
         algorithm1 = self.mode == "algorithm1"
-        current = [self.zx] + ([self.wy, self.sz] if algorithm1 else [])
-        hists = [np.empty((n_adv + 1,) + y.shape) for y in current]
-        for hist, y in zip(hists, current):
-            hist[0] = y
-        zx = hists[0]
-        step_x, off_x = self.prop_zx
-        if algorithm1:
-            wy, sz = hists[1:]
-            step_y, off_y = self.prop_wy
-            t_sz, d_sz = self.prop_sz
+        hists = []
         # a step that overflows is found below and reported as
         # IntegrationError; the steps after it need no warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(n_adv):
-                y = zx[j]
-                zx[j + 1] = y + ((step_x @ y[..., None])[..., 0] + off_x)
-                if algorithm1:
-                    y = wy[j]
-                    wy[j + 1] = y + ((step_y @ y[..., None])[..., 0] + off_y)
-                    sz[j + 1] = t_sz @ sz[j] + d_sz
+            for i, ((p_t, s), block) in enumerate(zip(self.flow_maps, self.flow_blocks)):
+                hist = np.empty((n_adv + 1, block.shape[0], block.shape[2]))
+                r = min(FLOW_BLOCK - self.pos, n_adv + 1)
+                hist[:r] = block[:, self.pos : self.pos + r].transpose(1, 0, 2)
+                while r <= n_adv:
+                    # the next block, y + (P y + s) for each of its rows,
+                    # from one product per mode
+                    nxt = np.matmul(block, p_t)
+                    nxt += s[:, None]
+                    nxt += block
+                    block = nxt
+                    hist[r : r + FLOW_BLOCK] = block[:, : n_adv + 1 - r].transpose(1, 0, 2)
+                    r += FLOW_BLOCK
+                self.flow_blocks[i] = block
+                hists.append(hist)
+        self.pos = (self.pos + n_adv) % FLOW_BLOCK
+        zx = hists[0]
+        if algorithm1:
+            wy, sz = hists[1], hists[2][:, 0]
         bad = np.zeros(n_adv, dtype=bool)
         for hist in hists:
             bad |= ~np.isfinite(hist[1:].reshape(n_adv, hist[0].size)).all(axis=1)
@@ -756,9 +826,9 @@ class _Runner:
             u = (f @ xhat[..., None])[..., 0]
             err_obs = np.linalg.norm(xhat - x[:, None, :], axis=-1)
         if mode != "static_gains":
-            err_x = np.linalg.norm(self.x_mats[rec] - iv.X_star / n_agents, 2, axis=(-2, -1))
+            err_x = _sym_norm2(self.x_mats[rec] - iv.X_star / n_agents)
         if mode == "algorithm1":
-            err_y = np.linalg.norm(self.y_mats[rec] - iv.Y_star / n_agents, 2, axis=(-2, -1))
+            err_y = _sym_norm2(self.y_mats[rec] - iv.Y_star / n_agents)
             nb = n_agents + 1
             zeta = self.sz_steps[rec, nb + 1 :]
             tr.informer_zeta[ks] = self.sz_steps[rec, nb]
@@ -772,6 +842,16 @@ class _Runner:
             if mode != "static_gains":
                 tr.err_x[aid][ks] = err_x[:, i]
             tr.u[aid][ks] = u[:, i, : self.widths[i][0]] / self.scale[i]
+
+
+def _sym_norm2(e: np.ndarray) -> np.ndarray:
+    """The 2-norms of a stack of symmetric matrices: the largest |eigenvalue|.
+
+    The flows keep X and Y symmetric up to rounding only, so the
+    symmetric part is taken first.
+    """
+    lam = np.linalg.eigvalsh(0.5 * (e + np.swapaxes(e, -2, -1)))
+    return np.maximum(-lam[..., 0], lam[..., -1])
 
 
 def run_scenario(scenario: Scenario) -> Trace:

@@ -11,7 +11,7 @@ from scipy.linalg import expm
 
 from plugplay import analysis, bass, sim
 from plugplay.agent import AgentParams, ControlAgent, PhiFilter
-from plugplay.consensus import INFORMER_ID, bass_rate_params, flow_drift, pi_flow_operator
+from plugplay.consensus import INFORMER_ID, bass_rate_params, flow_drift, pi_flow_operator, size_flow_operator
 from plugplay.graph import Graph, lambda2, laplacian
 from plugplay.matlib import rk4_propagator, spectral_abscissa
 from plugplay.plant import Channel, PlantModel, aggregate, normalize_plant
@@ -882,3 +882,165 @@ class TestChunkBudget:
         # and the budget is used: neither length is cut short
         assert max(stack_bytes) > sim.CHUNK_BYTES // 2
         assert max(map_bytes) > sim.CHUNK_BYTES // 4
+
+
+def oracle_b_steps(op, c, h, b):
+    """b applications of RK4's one-step map ``y + (step y + offset)`` on
+    ``ydot = op y + c``: the increment ``D`` with ``(I + step)^b = I + D``
+    and the offset ``y_b`` from ``y_0 = 0``, one step at a time."""
+    _, s3 = rk4_propagator(op, h)
+    step, offset = op @ s3, s3 @ c
+    d, y = np.zeros_like(step), np.zeros_like(offset)
+    for _ in range(b):
+        d = d + (step + step @ d)
+        y = y + (step @ y + offset)
+    return d, y
+
+
+def modal_transform(v, m):
+    """The orthogonal map from ``(vec Z_1..Z_N, vec X_1..X_N)`` to the
+    runner's modal rows ``(vec Z_j, vec X_j)``, mode after mode."""
+    n_agents = v.shape[0]
+    q = np.kron(np.eye(2), np.kron(v.T, np.eye(m)))  # (Z modes, X modes)
+    order = np.arange(2 * n_agents * m).reshape(2, n_agents, m).transpose(1, 0, 2).ravel()
+    return q[order]
+
+
+class TestFlowBlocks:
+    """The flows advance FLOW_BLOCK steps per product: ``y_{i+b} = y_i +
+    (P y_i + s)``, with ``(P, s)`` built by doubling."""
+
+    B = sim.FLOW_BLOCK
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_block_map_equals_b_one_step_maps_on_random_stable_blocks(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 40))
+        op = rng.normal(size=(d, d)) / np.sqrt(d) - (0.5 + rng.random()) * np.eye(d)
+        c, y0 = rng.normal(size=d), rng.normal(size=d)
+        h = 10.0 ** rng.uniform(-3, -0.5)
+        p_t, s, rows = sim._block_map(op, c, h, y0)
+        want_p, want_s = oracle_b_steps(op, c, h, self.B)
+        assert np.abs(p_t.T - want_p).max() <= 1e-12 * np.abs(want_p).max()
+        assert np.abs(s - want_s).max() <= 1e-12 * np.abs(want_s).max()
+        # the first block: y0 and its one-step advances
+        for i in range(self.B):
+            d_i, y_i = oracle_b_steps(op, c, h, i)
+            want = y0 + (d_i @ y0 + y_i)
+            assert np.abs(rows[i] - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_block_maps_of_the_demo_first_interval(self):
+        # each flow against b one-step maps of its full operator in agent
+        # coordinates, taken to the runner's modal coordinates
+        scen = build_load_transport_scenario()
+        runner = sim._Runner(scen)
+        iv, p, n, h = runner.intervals[0], scen.params, runner.n, runner.h
+        rows = {a: sim._agent_state_zeros(n) for a in iv.actives}
+        runner._enter(iv, scen.x0, rows, (0.0, 0.0))
+        lap, q = laplacian(iv.agent_graph), modal_transform(runner.v, n * n)
+        flows = [
+            (flow_drift(scen.plant.A, p.beta), p.k_c, p.gamma_c, [2.0 * c.B @ c.B.T for c in iv.channels]),
+            (flow_drift(scen.plant.A.T, p.beta), p.k_o, p.gamma_o, [2.0 * c.C.T @ c.C for c in iv.channels]),
+        ]
+        for (drift, k, gamma, forcing), (p_t, s) in zip(flows, runner.flow_maps):
+            m_full, c_full = pi_flow_operator(drift, k, gamma, lap, np.stack(forcing))
+            want_p, want_s = oracle_b_steps(m_full, c_full, h, self.B)
+            want_p, want_s = q @ want_p @ q.T, q @ want_s
+            got_p = np.zeros_like(want_p)
+            size = p_t.shape[1]
+            for j in range(p_t.shape[0]):
+                got_p[j * size : (j + 1) * size, j * size : (j + 1) * size] = p_t[j].T
+            assert np.abs(got_p - want_p).max() <= 1e-12 * np.abs(want_p).max()
+            assert np.abs(s.ravel() - want_s).max() <= 1e-12 * np.abs(want_s).max()
+        # the size estimator: one dense block
+        ops, drive = size_flow_operator(p.k_s, p.gamma_s, laplacian(iv.graph), 0)
+        want_p, want_s = oracle_b_steps(ops, drive, h, self.B)
+        p_t, s = runner.flow_maps[2]
+        assert np.abs(p_t[0].T - want_p).max() <= 1e-12 * np.abs(want_p).max()
+        assert np.abs(s[0] - want_s).max() <= 1e-12 * np.abs(want_s).max()
+
+    SCENARIOS = {
+        # the demo's schedule with its leave at step 503, not a multiple
+        # of the block, and its joins 4 steps later, an interval shorter
+        # than a block
+        "demo": lambda: build_load_transport_scenario(t_leave=0.503, t_join=0.507, t_end=0.9),
+        "seven_agents": seven_agent_scenario,
+    }
+
+    @pytest.mark.parametrize("budget", [sim.CHUNK_BYTES, 73_632])
+    @pytest.mark.parametrize("case", list(SCENARIOS))
+    def test_history_equals_the_one_step_recursion(self, case, budget, monkeypatch):
+        # every kept X, Y and size-estimator row of each interval against
+        # the plain recursion y + (step y + offset) of the full operator,
+        # from the interval's entry state
+        scen = self.SCENARIOS[case]()
+        p, h, n = scen.params, scen.solver.h, scen.plant.n
+        enter, flows = sim._Runner._enter, sim._Runner._flows
+        intervals = []
+
+        def enter_spy(runner, iv, *args):
+            enter(runner, iv, *args)
+            start = (runner.v @ runner.zx, runner.v @ runner.wy, runner.sz.copy())
+            intervals.append((iv, start, []))
+
+        def flows_spy(runner, n_adv):
+            failed = flows(runner, n_adv)
+            intervals[-1][2].append((runner.x_mats.copy(), runner.y_mats.copy(), runner.sz_steps.copy()))
+            return failed
+
+        monkeypatch.setattr(sim, "CHUNK_BYTES", budget)
+        monkeypatch.setattr(sim._Runner, "_enter", enter_spy)
+        monkeypatch.setattr(sim._Runner, "_flows", flows_spy)
+        run_scenario(scen)
+        lengths = [sum(len(c[0]) - 1 for c in chunks) for _, _, chunks in intervals]
+        if case == "demo":
+            # an event off the block grid, and an interval shorter than a block
+            assert lengths[0] % self.B and min(lengths) < self.B
+        assert any(len(chunks) > 1 for _, _, chunks in intervals)
+        for iv, (zx, wy, sz), chunks in intervals:
+            n_agents, nn = len(iv.actives), n * n
+            lap = laplacian(iv.agent_graph)
+            ops = [
+                pi_flow_operator(flow_drift(scen.plant.A, p.beta), p.k_c, p.gamma_c, lap,
+                                 np.stack([2.0 * c.B @ c.B.T for c in iv.channels])),
+                pi_flow_operator(flow_drift(scen.plant.A.T, p.beta), p.k_o, p.gamma_o, lap,
+                                 np.stack([2.0 * c.C.T @ c.C for c in iv.channels])),
+                size_flow_operator(p.k_s, p.gamma_s, laplacian(iv.graph), 0),
+            ]
+            starts = [np.concatenate([y[:, :nn].ravel(), y[:, nn:].ravel()]) for y in (zx, wy)] + [sz]
+            for f, ((op, c), y) in enumerate(zip(ops, starts)):
+                got = np.concatenate([ch[f][:-1] for ch in chunks] + [chunks[-1][f][-1:]])
+                _, s3 = rk4_propagator(op, h)
+                step, offset = op @ s3, s3 @ c
+                want = [y]
+                for _ in range(len(got) - 1):
+                    want.append(want[-1] + (step @ want[-1] + offset))
+                want = np.array(want)
+                if f < 2:  # X or Y, agent by agent
+                    want = want[:, n_agents * nn :].reshape(got.shape)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (iv.t_start, f)
+
+
+class TestRecordedNorms:
+    def test_symmetric_2_norm_equals_the_svd_norm(self):
+        # err_X and err_Y are 2-norms of symmetric matrices, taken from
+        # eigvalsh: against np.linalg.norm(., 2), which takes an SVD
+        rng = np.random.default_rng(14)
+        g = rng.normal(size=(6, 7, 8, 8))
+        sym = g + np.swapaxes(g, -1, -2)
+        spd = g @ np.swapaxes(g, -1, -2)
+        cases = [
+            sym,  # indefinite
+            spd,  # positive semidefinite
+            -spd,  # negative semidefinite
+            sym + 1e-14 * g,  # symmetric up to rounding, as the flows keep X and Y
+            np.zeros((3, 4, 4)),
+            np.einsum("...i,...j->...ij", g[..., 0], g[..., 0]),  # rank one
+            1e-200 * sym,
+            1e200 * sym,
+        ]
+        for e in cases:
+            want = np.linalg.norm(e, 2, axis=(-2, -1))
+            got = sim._sym_norm2(e)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-13 * want.max())
