@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bass import ThresholdCertificate
+from .bass import ThresholdCertificate, _theta
 from .consensus import INFORMER_ID, FlowParams
 from .graph import Graph, is_connected, laplacian, r_matrix
 from .matlib import as_matrix, induced_2norm, kron_sum, vec
@@ -229,9 +229,7 @@ def verify_block_bounds(
         if induced_2norm(c.B) > 1 + 1e-9 or induced_2norm(c.C) > 1 + 1e-9:
             raise ValueError(f"channel {c.id} is not normalized")
     n_agents = decomp.n_agents
-    max_f = max(induced_2norm(f) for f in f_blocks)
-    max_l = max(induced_2norm(l) for l in l_blocks)
-    theta = induced_2norm(p.A) + n_agents * max_l + 2 * n_agents * max_f
+    theta, max_f, _ = _theta(p.A, f_blocks, l_blocks)
     sqrt_n = np.sqrt(n_agents)
     bounds = (
         BlockBound("square1_sq", induced_2norm(decomp.square1) ** 2, n_agents * max_f**2),

@@ -47,7 +47,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.atleast_2d(np.asarray(a, dtype=float))
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -157,7 +157,7 @@ def induced_2norm(a) -> float:
     a = as_matrix(a, "A")
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def singular_values(a) -> np.ndarray:

@@ -272,6 +272,20 @@ class TestNormsInverse:
             a = rng.normal(size=(4, 3))
             assert abs(ml.induced_2norm(a) - ml.singular_values(a)[0]) <= 1e-10
 
+    def test_norm_equals_numpy_2_norm_exactly(self):
+        rng = np.random.default_rng(8)
+        shapes = [(n, n) for n in range(1, 9)] + [(1, 5), (5, 1), (1, 1), (3, 7)]
+        cases = [np.zeros((3, 3)), np.zeros((1, 4))]
+        for shape in shapes:
+            a = rng.normal(size=shape)
+            cases += [a, 1e200 * a, 1e-200 * a]
+        for a in cases:
+            assert ml.induced_2norm(a) == np.linalg.norm(a, 2)
+
+    def test_norm_of_empty_is_zero(self):
+        assert ml.induced_2norm(np.zeros((0, 0))) == 0.0
+        assert ml.induced_2norm(np.zeros((3, 0))) == 0.0
+
     def test_inverse_residual(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -287,9 +301,12 @@ class TestNormsInverse:
 
 class TestValidation:
     def test_nan_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
             ml.as_matrix([[np.nan, 0.0]])
 
     def test_inf_rejected(self):
-        with pytest.raises(ValueError):
-            ml.as_matrix([[np.inf]])
+        for bad in (np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+                ml.as_matrix([[bad]])
+            with pytest.raises(ValueError, match="^A contains non-finite entries$"):
+                ml.induced_2norm([[1.0, bad]])
