@@ -147,7 +147,9 @@ def adjacency(g: Graph) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=256)
+# Repeat reads come within one run interval or one suite instance; more
+# entries only keep old random graphs alive and fragment small-object memory.
+@lru_cache(maxsize=16)
 def _laplacian_cached(g: Graph) -> np.ndarray:
     a = adjacency(g)
     lap = np.diag(a.sum(axis=1)) - a
