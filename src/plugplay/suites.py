@@ -43,8 +43,8 @@ def thread_count() -> int:
     """Worker cap from PLUGPLAY_THREADS (0 or unset = automatic).
 
     The suites run single-threaded; the benchmark's environment record
-    is this function's only reader, and it goes once ROADMAP item 1
-    drops that call.
+    (``perfbench/run.py``) is this function's only reader, and the
+    function goes once that record stops calling it.
     """
     raw = os.environ.get("PLUGPLAY_THREADS", "0")
     try:
