@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bass import ThresholdCertificate, _theta
-from .consensus import INFORMER_ID, FlowParams
+from .consensus import INFORMER_ID, FlowParams, flow_drift
 from .graph import Graph, is_connected, laplacian, r_matrix
-from .matlib import as_matrix, induced_2norm, kron_sum, vec
+from .matlib import as_matrix, induced_2norm, vec
 from .plant import PlantModel
 
 __all__ = [
@@ -257,8 +257,7 @@ def bass_equilibria(
     ids = tuple(sorted(b_by_id))
     if ids != g.nodes:
         raise ValueError("graph nodes must equal the agent ids")
-    neg = -(a + beta * np.eye(n))
-    abar = kron_sum(neg, neg)
+    abar = flow_drift(a, beta)
     w_cols = []
     for i in ids:
         b = np.asarray(b_by_id[i], dtype=float)

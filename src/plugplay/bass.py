@@ -35,6 +35,10 @@ __all__ = [
 
 ABSCISSA_TOL = 1e-6
 _PD_RTOL = 1e-12
+# Relative residual allowed in the certificate's Lyapunov identities.
+_IDENTITY_RTOL = 1e-8
+# Absolute slack of the decay envelope, scaled by the initial norm.
+_ENVELOPE_SLACK = 1e-6
 
 
 class CertificateError(ValueError):
@@ -91,10 +95,6 @@ class DualBassSolution:
     Y_star: np.ndarray
     L: np.ndarray
     L_blocks: tuple[np.ndarray, ...]
-
-    @property
-    def Y_star_inv(self) -> np.ndarray:
-        return inverse(self.Y_star)
 
 
 @dataclass(frozen=True)
@@ -168,12 +168,12 @@ def dual_bass_solve(a, c, beta: float, heights=None, check_observability: bool =
     return DualBassSolution(sol.beta, sol.X_star, sol.F.T, tuple(f.T for f in sol.F_blocks))
 
 
-def decay_certificate(sol: BassSolution, times, states, slack: float = 1e-6) -> bool:
+def decay_certificate(sol: BassSolution, times, states) -> bool:
     """Check the closed-loop decay envelope along a sampled trajectory.
 
     Every sample must satisfy
     ``|x(t)| <= sqrt(lmax(X*^-1)/lmin(X*^-1)) * exp(-beta t) * |x(0)|``
-    up to `slack` (absolute, scaled by the initial norm).
+    up to ``_ENVELOPE_SLACK`` (absolute, scaled by the initial norm).
     """
     times = np.asarray(times, dtype=float)
     states = np.atleast_2d(np.asarray(states, dtype=float))
@@ -184,7 +184,7 @@ def decay_certificate(sol: BassSolution, times, states, slack: float = 1e-6) -> 
     norm0 = float(np.linalg.norm(states[0]))
     bound = np.sqrt(cond) * np.exp(-sol.beta * times) * norm0
     lhs = np.linalg.norm(states, axis=1)
-    return bool(np.all(lhs <= bound + slack * max(norm0, 1.0)))
+    return bool(np.all(lhs <= bound + _ENVELOPE_SLACK * max(norm0, 1.0)))
 
 
 def _theta(a: np.ndarray, f_blocks, l_blocks) -> tuple[float, float, float]:
@@ -214,12 +214,12 @@ def threshold_certificate(
     q2,
     g: Graph | None = None,
     lam2: float | None = None,
-    rtol: float = 1e-8,
 ) -> ThresholdCertificate:
     """Verify the Lyapunov certificate pair and evaluate the gain threshold.
 
     The supplied (M1, Q1) must satisfy ``M1 (A+BF) + (A+BF)^T M1 = -2 Q1``
-    and (M2, Q2) the analogue for ``A + LC`` (checked, not assumed).
+    and (M2, Q2) the analogue for ``A + LC`` (checked, not assumed, to
+    a relative residual of ``_IDENTITY_RTOL``).
     `lam2` overrides the graph's algebraic connectivity, e.g. to evaluate
     the threshold with the 4/N^2 worst-case bound; for a single agent the
     coupling is vacuous and 4/N^2 = 4 is used.
@@ -243,7 +243,7 @@ def threshold_certificate(
     res2 = induced_2norm(m2 @ alc + alc.T @ m2 + 2 * q2)
     scale1 = max(induced_2norm(m1) * induced_2norm(abf), induced_2norm(q1), 1.0)
     scale2 = max(induced_2norm(m2) * induced_2norm(alc), induced_2norm(q2), 1.0)
-    if res1 > rtol * scale1 or res2 > rtol * scale2:
+    if res1 > _IDENTITY_RTOL * scale1 or res2 > _IDENTITY_RTOL * scale2:
         raise CertificateError(
             f"Lyapunov identities violated (residuals {res1:.3e}, {res2:.3e})"
         )

@@ -10,13 +10,15 @@ network equilibrium onto the blended one despite heterogeneous drifts.
   informer node whose leak term anchors zeta_i -> N.
 
 Every flow is affine, ``sdot = M s + c``, and each is written once, as
-its closed-form Kronecker operator (:func:`pi_flow_operator`,
-:func:`size_flow_operator`, over the layout of the state containers'
-``pack()``).  The simulator builds its per-interval maps from them, the
-suites propagate them exactly, and the ``*_flow_derivative`` functions
-evaluate them on a state.  The agent count is never a parameter of an
-operator, only its size, so agents can join or leave without touching
-the flow code.
+its closed-form Kronecker operator (:func:`pi_flow_operator`, assembled
+from the agents' input maps by :func:`gain_flow_operator`, and
+:func:`size_flow_operator`).  A flow's state is one flat vector in node
+id order: ``(vec Z_1..Z_N, vec X_1..X_N)`` with row-major vec for the
+gain flows, ``(psi, zeta)`` for the size estimator.  The simulator
+builds its per-interval maps from the operators, the suites propagate
+them exactly, and the ``*_flow_derivative`` functions evaluate them on a
+state.  The agent count is never a parameter of an operator, only its
+size, so agents can join or leave without touching the flow code.
 """
 
 from __future__ import annotations
@@ -32,11 +34,9 @@ from .matlib import as_matrix, induced_2norm, kron_sum, min_real_part, solve_lya
 __all__ = [
     "INFORMER_ID",
     "FlowParams",
-    "BassConsensusState",
-    "DualConsensusState",
-    "SizeEstState",
     "flow_drift",
     "pi_flow_operator",
+    "gain_flow_operator",
     "size_flow_operator",
     "bass_flow_derivative",
     "dual_flow_derivative",
@@ -61,98 +61,6 @@ class FlowParams:
             raise ValueError(f"flow parameters must be positive, got k={self.k}, gamma={self.gamma}")
 
 
-def _stacked(arr, ids, n, what) -> np.ndarray:
-    a = np.asarray(arr, dtype=float)
-    if a.shape != (len(ids), n, n):
-        raise ValueError(f"{what} must have shape ({len(ids)}, {n}, {n}), got {a.shape}")
-    return a
-
-
-@dataclass(frozen=True)
-class BassConsensusState:
-    """Per-agent integral state Z_i and matrix iterate X_i, stacked in id order."""
-
-    ids: tuple[int, ...]
-    Z: np.ndarray  # (N, n, n)
-    X: np.ndarray  # (N, n, n)
-
-    def __post_init__(self):
-        ids = tuple(int(i) for i in self.ids)
-        if ids != tuple(sorted(set(ids))):
-            raise ValueError("ids must be sorted and distinct")
-        object.__setattr__(self, "ids", ids)
-        n = np.asarray(self.X).shape[-1]
-        object.__setattr__(self, "Z", _stacked(self.Z, ids, n, "Z"))
-        object.__setattr__(self, "X", _stacked(self.X, ids, n, "X"))
-
-    @classmethod
-    def zeros(cls, ids, n: int) -> "BassConsensusState":
-        k = len(tuple(ids))
-        return cls(tuple(ids), np.zeros((k, n, n)), np.zeros((k, n, n)))
-
-    def pack(self) -> np.ndarray:
-        return np.concatenate([self.Z.ravel(), self.X.ravel()])
-
-    def unpack(self, flat: np.ndarray) -> "BassConsensusState":
-        half = self.Z.size
-        return type(self)(
-            self.ids,
-            flat[:half].reshape(self.Z.shape),
-            flat[half : half + self.X.size].reshape(self.X.shape),
-        )
-
-
-class DualConsensusState(BassConsensusState):
-    """Per-agent (W_i, Y_i); field names follow the primal container."""
-
-    @property
-    def W(self) -> np.ndarray:
-        return self.Z
-
-    @property
-    def Y(self) -> np.ndarray:
-        return self.X
-
-
-@dataclass(frozen=True)
-class SizeEstState:
-    """Scalar (psi_i, zeta_i) for every node, informer included under id 0."""
-
-    ids: tuple[int, ...]
-    psi: np.ndarray  # (N+1,) in sorted id order
-    zeta: np.ndarray
-
-    def __post_init__(self):
-        ids = tuple(int(i) for i in self.ids)
-        if ids != tuple(sorted(set(ids))):
-            raise ValueError("ids must be sorted and distinct")
-        object.__setattr__(self, "ids", ids)
-        psi = np.asarray(self.psi, dtype=float).ravel()
-        zeta = np.asarray(self.zeta, dtype=float).ravel()
-        if psi.size != len(ids) or zeta.size != len(ids):
-            raise ValueError("psi and zeta need one entry per node id")
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "zeta", zeta)
-
-    @classmethod
-    def zeros(cls, ids) -> "SizeEstState":
-        k = len(tuple(ids))
-        return cls(tuple(ids), np.zeros(k), np.zeros(k))
-
-    def pack(self) -> np.ndarray:
-        return np.concatenate([self.psi, self.zeta])
-
-    def unpack(self, flat: np.ndarray) -> "SizeEstState":
-        k = self.psi.size
-        return SizeEstState(self.ids, flat[:k], flat[k : 2 * k])
-
-
-def _check_graph(ids, g: Graph) -> np.ndarray:
-    if g.nodes != tuple(ids):
-        raise ValueError(f"graph nodes {g.nodes} must equal state ids {tuple(ids)}")
-    return laplacian(g)
-
-
 def flow_drift(a, beta: float) -> np.ndarray:
     """The gain flow's local drift on row-major vec X.
 
@@ -173,10 +81,11 @@ def pi_flow_operator(drift, k: float, gamma: float, lap, q) -> tuple[np.ndarray,
         Zdot_i = gamma sum_j L_ij X_j
         Xdot_i = k (drift X_i + Q_i) - gamma sum_j L_ij (X_j + Z_j)
 
-    with ``q`` the N rows vec Q_i.  The state ``s = (vec Z_1..Z_N,
-    vec X_1..X_N)`` is laid out as ``BassConsensusState.pack()`` lays it
-    out, so ``drift`` acts on row-major vec (see :func:`flow_drift`).
-    The gain flow has ``Q_i = 2 B_i B_i^T``, its dual ``2 C_i^T C_i``.
+    with ``q`` the N rows vec Q_i.  The state is ``s = (vec Z_1..Z_N,
+    vec X_1..X_N)``, agents in Laplacian row order and each vec
+    row-major, so ``drift`` acts on row-major vec (see
+    :func:`flow_drift`).  :func:`gain_flow_operator` assembles the gain
+    flow, ``Q_i = 2 B_i B_i^T``, and its dual, ``2 C_i^T C_i``.
     Passing the 1 x 1 Laplacian ``[[lam_j]]`` gives the flow's block on
     one Laplacian eigenmode.
     """
@@ -198,9 +107,9 @@ def pi_flow_operator(drift, k: float, gamma: float, lap, q) -> tuple[np.ndarray,
 def size_flow_operator(k: float, gamma: float, lap_b, informer_index: int) -> tuple[np.ndarray, np.ndarray]:
     """The network-size estimator as ``sdot = M s + c``, returned as ``(M, c)``.
 
-    Over ``s = (psi, zeta)`` on the nodes of the Laplacian ``lap_b``
-    (informer included, at row ``informer_index``), as
-    ``SizeEstState.pack()`` lays it out: every node runs ``psidot_i =
+    Over ``s = (psi_1..psi_M, zeta_1..zeta_M)`` on the M nodes of the
+    Laplacian ``lap_b`` in its row order (informer included, at row
+    ``informer_index``): every node runs ``psidot_i =
     gamma sum_j L_ij zeta_j``; ordinary nodes integrate ``zetadot_i = k
     - gamma sum_j L_ij (zeta_j + psi_j)``, and the informer leaks,
     ``zetadot_0 = -k zeta_0 - gamma sum_j L_0j (zeta_j + psi_j)``.
@@ -218,16 +127,29 @@ def size_flow_operator(k: float, gamma: float, lap_b, informer_index: int) -> tu
     return op, c
 
 
+def gain_flow_operator(
+    a, maps: Mapping[int, np.ndarray], beta: float, params: FlowParams, g: Graph
+) -> tuple[np.ndarray, np.ndarray]:
+    """(M, c) of the gain flow on ``(A, B_i)`` over the nodes of ``g``.
+
+    :func:`pi_flow_operator` with ``Q_i = 2 B_i B_i^T``, agents in
+    ``g.nodes`` order.  The dual flow is this call on ``(A^T, C_i^T)``.
+    """
+    if tuple(sorted(maps)) != g.nodes:
+        raise ValueError(f"graph nodes {g.nodes} must equal the agent ids {tuple(sorted(maps))}")
+    a = as_matrix(a, "A")
+    n = a.shape[0]
+    q = []
+    for i in g.nodes:
+        b = np.asarray(maps[i], dtype=float).reshape(n, -1)
+        q.append(2.0 * b @ b.T)
+    return pi_flow_operator(flow_drift(a, beta), params.k, params.gamma, laplacian(g), np.stack(q))
+
+
 def bass_flow_derivative(
-    state: BassConsensusState,
-    a,
-    b_by_id: Mapping[int, np.ndarray],
-    beta: float,
-    params: FlowParams,
-    g: Graph,
-    lap: np.ndarray | None = None,
-) -> BassConsensusState:
-    """Right-hand side of the PI-coupled matrix gain flow.
+    s, a, b_by_id: Mapping[int, np.ndarray], beta: float, params: FlowParams, g: Graph
+) -> np.ndarray:
+    """Right-hand side of the PI-coupled matrix gain flow at the packed state ``s``.
 
     For each agent::
 
@@ -235,58 +157,33 @@ def bass_flow_derivative(
         Xdot_i = k * [-(A + beta I) X_i - X_i (A + beta I)^T + 2 B_i B_i^T]
                  + gamma * sum_j (X_j - X_i) + gamma * sum_j (Z_j - Z_i)
 
-    evaluated as :func:`pi_flow_operator` applied to ``state.pack()``.
-    `lap` may carry a precomputed Laplacian.
+    evaluated as :func:`gain_flow_operator` applied to ``s``.
     """
-    if lap is None:
-        lap = _check_graph(state.ids, g)
-    a = as_matrix(a, "A")
-    n = a.shape[0]
-    if state.X.shape[-1] != n:
-        raise ValueError(f"state dimension {state.X.shape[-1]} does not match A ({n})")
-    q = []
-    for i in state.ids:
-        b = np.asarray(b_by_id[i], dtype=float)
-        b = b.reshape(n, -1) if b.ndim == 1 else b
-        q.append(2.0 * b @ b.T)
-    op, c = pi_flow_operator(flow_drift(a, beta), params.k, params.gamma, lap, np.stack(q))
-    return state.unpack(op @ state.pack() + c)
+    op, c = gain_flow_operator(a, b_by_id, beta, params, g)
+    return op @ s + c
 
 
 def dual_flow_derivative(
-    state: DualConsensusState,
-    a,
-    c_by_id: Mapping[int, np.ndarray],
-    beta: float,
-    params: FlowParams,
-    g: Graph,
-    lap: np.ndarray | None = None,
-) -> DualConsensusState:
-    """Dual flow for (W_i, Y_i): the primal flow on (A^T, C_i^T)."""
-    a = as_matrix(a, "A")
+    s, a, c_by_id: Mapping[int, np.ndarray], beta: float, params: FlowParams, g: Graph
+) -> np.ndarray:
+    """Dual flow at the packed state ``s = (vec W_i, vec Y_i)``: the gain flow on (A^T, C_i^T)."""
     ct = {i: np.asarray(c).T for i, c in c_by_id.items()}
-    return bass_flow_derivative(state, a.T, ct, beta, params, g, lap=lap)
+    op, c = gain_flow_operator(as_matrix(a, "A").T, ct, beta, params, g)
+    return op @ s + c
 
 
-def size_flow_derivative(
-    state: SizeEstState,
-    params: FlowParams,
-    g_bar: Graph,
-    lap: np.ndarray | None = None,
-) -> SizeEstState:
-    """Right-hand side of the network-size estimator.
+def size_flow_derivative(s, params: FlowParams, g_bar: Graph) -> np.ndarray:
+    """Right-hand side of the network-size estimator at the packed state ``s``.
 
     Ordinary nodes integrate ``zetadot_i = k + coupling``; the informer
     (node 0) integrates ``zetadot_0 = -k zeta_0 + coupling``; all nodes
     run ``psidot_i = -gamma * sum_j (zeta_j - zeta_i)``.  Evaluated as
-    :func:`size_flow_operator` applied to ``state.pack()``.
+    :func:`size_flow_operator` applied to ``s``.
     """
-    if INFORMER_ID not in state.ids:
-        raise ValueError(f"informer node {INFORMER_ID} missing from state")
-    if lap is None:
-        lap = _check_graph(state.ids, g_bar)
-    op, c = size_flow_operator(params.k, params.gamma, lap, state.ids.index(INFORMER_ID))
-    return state.unpack(op @ state.pack() + c)
+    if INFORMER_ID not in g_bar.nodes:
+        raise ValueError(f"informer node {INFORMER_ID} missing from graph")
+    op, c = size_flow_operator(params.k, params.gamma, laplacian(g_bar), g_bar.nodes.index(INFORMER_ID))
+    return op @ s + c
 
 
 def bass_rate_params(a, beta: float, g: Graph, delta: float) -> FlowParams:
@@ -320,12 +217,12 @@ def bass_rate_params(a, beta: float, g: Graph, delta: float) -> FlowParams:
     return FlowParams(float(k), float(coeff * k))
 
 
-def size_rate_params(n_agents: int, g_bar: Graph, delta: float, slack: float = 1e-6) -> FlowParams:
+def size_rate_params(n_agents: int, g_bar: Graph, delta: float) -> FlowParams:
     """Smallest (k, gamma) certifying rate `delta` for the size estimator.
 
     ``k = (24 N + 30 + 2 sqrt 5)/(2 - sqrt 2) * delta`` and gamma just
     above ``(N+1) k / lambda2(Lbar)`` (the inequality is strict, so the
-    bound is inflated by `slack`).
+    bound is inflated by a relative 1e-6).
     """
     if n_agents < 1:
         raise ValueError("need at least one agent")
@@ -338,5 +235,5 @@ def size_rate_params(n_agents: int, g_bar: Graph, delta: float, slack: float = 1
     k = (24.0 * n_agents + 30.0 + 2.0 * np.sqrt(5.0)) / (2.0 - np.sqrt(2.0)) * delta
     if delta == 0:
         k = 1.0
-    gamma = (n_agents + 1) * k / lambda2(g_bar) * (1.0 + slack)
+    gamma = (n_agents + 1) * k / lambda2(g_bar) * (1.0 + 1e-6)
     return FlowParams(float(k), float(gamma))

@@ -15,7 +15,6 @@ __all__ = [
     "SingularMatrixError",
     "LyapunovError",
     "as_matrix",
-    "kron",
     "kron_sum",
     "vec",
     "unvec",
@@ -23,7 +22,6 @@ __all__ = [
     "eigenvalues",
     "spectral_abscissa",
     "min_real_part",
-    "is_hurwitz",
     "induced_2norm",
     "singular_values",
     "inverse",
@@ -32,6 +30,8 @@ __all__ = [
 
 # Relative threshold below which a singular value counts as zero.
 SINGULARITY_RTOL = 1e-12
+# Largest relative residual a Lyapunov solution may leave.
+LYAPUNOV_RTOL = 1e-8
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -59,11 +59,6 @@ def _square(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product A (x) B."""
-    return np.kron(as_matrix(a, "A"), as_matrix(b, "B"))
-
-
 def kron_sum(a, b) -> np.ndarray:
     """Kronecker sum A (x) I_n + I_m (x) B of square A (m x m), B (n x n)."""
     a = _square(a, "A")
@@ -86,7 +81,7 @@ def unvec(v, rows: int, cols: int | None = None) -> np.ndarray:
     return v.reshape((rows, cols), order="F")
 
 
-def solve_lyapunov(a, q, rtol: float = 1e-8) -> np.ndarray:
+def solve_lyapunov(a, q) -> np.ndarray:
     """Solve the continuous Lyapunov equation A X + X A^T = -Q.
 
     Bartels-Stewart (1972): one real Schur factorisation A = U T U^T,
@@ -95,7 +90,8 @@ def solve_lyapunov(a, q, rtol: float = 1e-8) -> np.ndarray:
     vectorized form (A (+) A) vec(X) = -vec(Q) costs O(n^6); the
     equation is unique-solvable iff no two eigenvalues of A sum to zero,
     which is read off the same Schur form.  The result is symmetrized
-    when Q is symmetric, and the residual is checked against ``rtol``.
+    when Q is symmetric, and the residual is checked against
+    ``LYAPUNOV_RTOL``.
 
     Raises
     ------
@@ -123,9 +119,9 @@ def solve_lyapunov(a, q, rtol: float = 1e-8) -> np.ndarray:
         x = 0.5 * (x + x.T)
     resid = induced_2norm(a @ x + x @ a.T + q)
     scale = norm_a * induced_2norm(x) + induced_2norm(q)
-    if resid > rtol * max(scale, 1e-30):
+    if resid > LYAPUNOV_RTOL * max(scale, 1e-30):
         raise LyapunovError(
-            f"Lyapunov residual {resid:.3e} exceeds {rtol:.1e} * {scale:.3e}"
+            f"Lyapunov residual {resid:.3e} exceeds {LYAPUNOV_RTOL:.1e} * {scale:.3e}"
         )
     return x
 
@@ -145,11 +141,6 @@ def spectral_abscissa(a) -> float:
 def min_real_part(a) -> float:
     """Smallest real part among the eigenvalues."""
     return float(eigenvalues(a).real.min())
-
-
-def is_hurwitz(a, tol: float = 1e-9) -> bool:
-    """True iff every eigenvalue has real part < -tol."""
-    return spectral_abscissa(a) < -tol
 
 
 def induced_2norm(a) -> float:

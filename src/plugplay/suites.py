@@ -111,10 +111,10 @@ def random_gain_instance(rng: np.random.Generator, n_max: int = 6, m_max: int = 
 
 
 def random_normalized_plant(
-    rng: np.random.Generator, n_max: int = 4, agents_max: int = 5, n_min: int = 2, agents_min: int = 2
+    rng: np.random.Generator, n_max: int = 4, agents_max: int = 5, agents_min: int = 2
 ) -> PlantModel:
     """Random plant with one single-input/single-output-block channel per agent."""
-    n = int(rng.integers(n_min, n_max + 1))
+    n = int(rng.integers(2, n_max + 1))
     n_agents = int(rng.integers(agents_min, agents_max + 1))
     a = rng.normal(size=(n, n)) / np.sqrt(n)
     a = a + (float(rng.uniform(0.0, 0.3)) - min_real_part(a)) * np.eye(n)
@@ -144,12 +144,13 @@ def propagate_affine(m: np.ndarray, w: np.ndarray, s0: np.ndarray, t_grid: np.nd
     return out
 
 
-def fit_decay_rate(t: np.ndarray, err: np.ndarray, floor_rel: float = 1e-12) -> float:
+def fit_decay_rate(t: np.ndarray, err: np.ndarray) -> float:
     """Least-squares decay rate of log(err) over the tail half of the
-    decaying portion of the series (samples at the numerical floor are
-    excluded so a fast transient to roundoff does not flatten the fit)."""
+    decaying portion of the series (samples at the numerical floor, 1e-12
+    of the first, are excluded so a fast transient to roundoff does not
+    flatten the fit)."""
     err = np.maximum(np.asarray(err, dtype=float), 1e-300)
-    floor = floor_rel * max(float(err[0]), 1e-30)
+    floor = 1e-12 * max(float(err[0]), 1e-30)
     above = np.nonzero(err > floor)[0]
     last = int(above[-1]) if above.size else err.size - 1
     lo = max(1, last // 2)
@@ -236,37 +237,26 @@ def suite_bass(seed: int = 0, count: int = 200, envelopes: int = 50) -> list[Che
 # suite: distributed flows
 
 
-def _gain_flow_operator(a, maps, beta, params, g, dual):
-    """(M, c) of the gain flow over ``pack()`` order, or of its dual on (A^T, C_i^T)."""
-    if dual:
-        a = a.T
-        maps = {i: c.T for i, c in maps.items()}
-    q = np.stack([2.0 * maps[i] @ maps[i].T for i in sorted(maps)])
-    return consensus.pi_flow_operator(
-        consensus.flow_drift(a, beta), params.k, params.gamma, laplacian(g), q
-    )
-
-
-def _flow_error_series(a, maps, beta, params, g, target, t_grid, rng, dual=False):
+def _flow_error_series(a, maps, beta, params, g, target, t_grid, rng):
     n_agents, n = len(maps), a.shape[0]
     seed_z = rng.normal(size=(n_agents, n, n))
     seed_x = rng.normal(size=(n_agents, n, n))
-    m, c = _gain_flow_operator(a, maps, beta, params, g, dual)
+    m, c = consensus.gain_flow_operator(a, maps, beta, params, g)
     series = propagate_affine(m, c, np.concatenate([seed_z.ravel(), seed_x.ravel()]), t_grid)
     x = series[:, seed_z.size :].reshape(t_grid.size, n_agents, n, n)
     return np.linalg.norm(x - target, 2, axis=(2, 3)).max(axis=1)
 
 
-def _loose_horizon(a, maps, beta, params, g, dual, contraction) -> float:
+def _loose_horizon(a, maps, beta, params, g, contraction) -> float:
     """Horizon long enough for the slowest decaying mode to contract by ``contraction``."""
-    m, _ = _gain_flow_operator(a, maps, beta, params, g, dual)
+    m, _ = consensus.gain_flow_operator(a, maps, beta, params, g)
     w = np.linalg.eigvals(m)
     decaying = w.real[w.real < -1e-9]
     slow = float(-decaying.max())
     return float(np.log(contraction) / slow)
 
 
-def suite_consensus(seed: int = 0, graphs: int = 3) -> list[CheckResult]:
+def suite_consensus(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     results = []
     delta = 0.5
@@ -275,7 +265,7 @@ def suite_consensus(seed: int = 0, graphs: int = 3) -> list[CheckResult]:
         ok = True
         detail = []
         repro = {}
-        for gi in range(graphs):
+        for gi in range(3):
             n = int(rng.integers(2, 4))
             n_agents = 5
             a = rng.normal(size=(n, n)) / np.sqrt(n)
@@ -287,10 +277,13 @@ def suite_consensus(seed: int = 0, graphs: int = 3) -> list[CheckResult]:
                 maps = {i: rng.normal(size=(1, n)) for i in ids}
                 cagg = np.vstack([maps[i] for i in ids])
                 target = bass.dual_bass_solve(a, cagg, beta, check_observability=False).Y_star / n_agents
+                # the dual flow is the gain flow on (A^T, C_i^T)
+                flow_a, flow_maps = a.T, {i: c.T for i, c in maps.items()}
             else:
                 maps = {i: rng.normal(size=(n, 1)) for i in ids}
                 bagg = np.hstack([maps[i] for i in ids])
                 target = bass.bass_solve(a, bagg, beta, check_controllability=False).X_star / n_agents
+                flow_a, flow_maps = a, maps
             params = consensus.bass_rate_params(a, beta, g, delta)
             # the initial flow error is ~err0_scale per agent; both runs
             # below contract it past 1e-8 at their slowest rate
@@ -298,7 +291,7 @@ def suite_consensus(seed: int = 0, graphs: int = 3) -> list[CheckResult]:
             budget = err0_scale * n_agents / 1e-8
             t_final = float(np.log(budget) / delta)
             t_grid = np.linspace(0.0, t_final, 241)
-            errs = _flow_error_series(a, maps, beta, params, g, target, t_grid, rng, dual=dual)
+            errs = _flow_error_series(flow_a, flow_maps, beta, params, g, target, t_grid, rng)
             rate = fit_decay_rate(t_grid, errs)
             if errs[-1] >= 1e-6 or rate < 0.95 * delta:
                 ok = False
@@ -309,9 +302,9 @@ def suite_consensus(seed: int = 0, graphs: int = 3) -> list[CheckResult]:
             # (uncertified) rate: read the slow mode off the lifted
             # operator and size the horizon with it
             loose = FlowParams(float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.2, 2.0)))
-            t2 = _loose_horizon(a, maps, beta, loose, g, dual, budget)
+            t2 = _loose_horizon(flow_a, flow_maps, beta, loose, g, budget)
             t_grid2 = np.linspace(0.0, t2, 201)
-            errs2 = _flow_error_series(a, maps, beta, loose, g, target, t_grid2, rng, dual=dual)
+            errs2 = _flow_error_series(flow_a, flow_maps, beta, loose, g, target, t_grid2, rng)
             if errs2[-1] >= 1e-6:
                 ok = False
                 repro = {"graph_index": gi, "seed": seed, "dual": dual,
@@ -532,9 +525,8 @@ def suite_appendix(seed: int = 0, bound_count: int = 500, eq_count: int = 25) ->
         nu_full = np.kron(rmat, eye) @ nu_t
         z_stack = np.stack([unvec(nu_full[i * n * n : (i + 1) * n * n], n) for i in range(n_agents)])
         x_stack = np.stack([unvec(chi_b, n)] * n_agents)
-        st = consensus.BassConsensusState(ids, z_stack, x_stack)
-        d = consensus.bass_flow_derivative(st, a, maps, beta, params, g)
-        resid = max(float(np.abs(d.Z).max()), float(np.abs(d.X).max()))
+        s = np.concatenate([z_stack.ravel(), x_stack.ravel()])
+        resid = float(np.abs(consensus.bass_flow_derivative(s, a, maps, beta, params, g)).max())
         if err_chi > 1e-10 or resid > 1e-12 * max(1.0, induced_2norm(x_star)):
             eq_fails.append({"index": idx, "err_chi": float(err_chi), "residual": float(resid)})
     results.append(
@@ -552,11 +544,8 @@ def suite_appendix(seed: int = 0, bound_count: int = 500, eq_count: int = 25) ->
         params = FlowParams(1.0, 1.5)
         zeta_star, psi_tilde = analysis.size_equilibrium(n_agents, params, g_bar)
         rmat, _ = r_matrix(g_bar)
-        st = consensus.SizeEstState(
-            g_bar.nodes, rmat @ psi_tilde, np.full(g_bar.n, zeta_star)
-        )
-        d = consensus.size_flow_derivative(st, params, g_bar)
-        resid = max(float(np.abs(d.psi).max()), float(np.abs(d.zeta).max()))
+        s = np.concatenate([rmat @ psi_tilde, np.full(g_bar.n, zeta_star)])
+        resid = float(np.abs(consensus.size_flow_derivative(s, params, g_bar)).max())
         if resid > 1e-12 * max(1.0, n_agents):
             size_fails.append({"N": n_agents, "residual": resid})
     results.append(

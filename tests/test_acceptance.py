@@ -76,8 +76,8 @@ def test_c4_gain_flow_equilibria():
 
     # simulated convergence to the closed-form equilibria in transformed
     # coordinates, on one representative instance
-    from plugplay.consensus import BassConsensusState, flow_drift, pi_flow_operator
-    from plugplay.graph import laplacian, r_matrix
+    from plugplay.consensus import gain_flow_operator
+    from plugplay.graph import r_matrix
 
     rng = np.random.default_rng(SEED)
     a = rng.normal(size=(2, 2))
@@ -87,14 +87,13 @@ def test_c4_gain_flow_equilibria():
     maps = {i: rng.normal(size=(2, 1)) for i in ids}
     params = FlowParams(1.0, 1.0)
     nu_star, chi_star = analysis.bass_equilibria(a, maps, 1.0, params, g)
-    proto = BassConsensusState(ids, rng.normal(size=(3, 2, 2)), rng.normal(size=(3, 2, 2)))
-    q = np.stack([2.0 * maps[i] @ maps[i].T for i in ids])
-    m, c = pi_flow_operator(flow_drift(a, 1.0), params.k, params.gamma, laplacian(g), q)
-    series = suites.propagate_affine(m, c, proto.pack(), np.linspace(0.0, 60.0, 61))
-    final = proto.unpack(series[-1])
+    s0 = rng.normal(size=24)  # (vec Z_1..Z_3, vec X_1..X_3)
+    m, c = gain_flow_operator(a, maps, 1.0, params, g)
+    series = suites.propagate_affine(m, c, s0, np.linspace(0.0, 60.0, 61))
+    z_final, x_final = series[-1].reshape(2, 3, 2, 2)
     rmat, _ = r_matrix(g)
-    chi = np.stack([m.ravel(order="F") for m in final.X])
-    nu = np.stack([m.ravel(order="F") for m in final.Z])
+    chi = np.stack([m.ravel(order="F") for m in x_final])
+    nu = np.stack([m.ravel(order="F") for m in z_final])
     sim_err = max(
         float(np.linalg.norm(chi.mean(axis=0) - chi_star)),
         float(np.linalg.norm((rmat.T @ chi).ravel())),

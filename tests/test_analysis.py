@@ -254,8 +254,8 @@ class TestBassEquilibria:
             assert induced_2norm(unvec(chi_b, n) - x_star / n_agents) < 1e-10
 
     def test_flow_converges_to_equilibria_in_transformed_coordinates(self):
-        from plugplay.consensus import BassConsensusState, flow_drift, pi_flow_operator
-        from plugplay.graph import laplacian, r_matrix
+        from plugplay.consensus import gain_flow_operator
+        from plugplay.graph import r_matrix
 
         rng = np.random.default_rng(3)
         a = rng.normal(size=(2, 2))
@@ -267,16 +267,14 @@ class TestBassEquilibria:
         beta = 1.0
         nu_t_star, chi_b_star = analysis.bass_equilibria(a, maps, beta, params, g)
 
-        proto = BassConsensusState(ids, rng.normal(size=(3, 2, 2)), rng.normal(size=(3, 2, 2)))
-        q = np.stack([2.0 * maps[i] @ maps[i].T for i in ids])
-        m, c = pi_flow_operator(flow_drift(a, beta), params.k, params.gamma, laplacian(g), q)
+        s0 = rng.normal(size=24)  # (vec Z_1..Z_3, vec X_1..X_3)
+        m, c = gain_flow_operator(a, maps, beta, params, g)
         t_grid = np.linspace(0.0, 60.0, 61)
-        series = propagate_affine(m, c, proto.pack(), t_grid)
-        final = proto.unpack(series[-1])
+        series = propagate_affine(m, c, s0, t_grid)
+        z_final, x_final = series[-1].reshape(2, 3, 2, 2)
         rmat, _ = r_matrix(g)
-        eye4 = np.eye(4)
-        chi = np.stack([m.ravel(order="F") for m in final.X])  # (N, n^2)
-        nu = np.stack([m.ravel(order="F") for m in final.Z])
+        chi = np.stack([m.ravel(order="F") for m in x_final])  # (N, n^2)
+        nu = np.stack([m.ravel(order="F") for m in z_final])
         chi_bar = chi.mean(axis=0)
         chi_tilde = (rmat.T @ chi).ravel()
         nu_tilde = (rmat.T @ nu).ravel()

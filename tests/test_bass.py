@@ -4,7 +4,7 @@ from dataclasses import replace
 
 from plugplay import bass
 from plugplay.graph import Graph
-from plugplay.matlib import induced_2norm, spectral_abscissa
+from plugplay.matlib import induced_2norm, inverse, spectral_abscissa
 from plugplay.plant import Channel, PlantModel, aggregate
 
 from test_plant import load_transport_plant
@@ -117,7 +117,7 @@ class TestDual:
         _, c = aggregate(p)
         sol = bass.dual_bass_solve(p.A, c, beta=0.25, heights=[2, 2, 2])
         assert spectral_abscissa(p.A + sol.L @ c) <= -0.25 + 1e-6
-        y_inv = sol.Y_star_inv
+        y_inv = inverse(sol.Y_star)
         for i, blk in enumerate(sol.L_blocks):
             ci = p.channels[i].C
             assert np.allclose(blk, -y_inv @ ci.T, atol=1e-8)

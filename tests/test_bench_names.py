@@ -11,6 +11,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from plugplay import suites
 from plugplay.sim import build_load_transport_scenario, run_scenario
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -40,6 +41,36 @@ def test_every_traced_name_resolves():
         if not callable(obj):
             missing.append(f"{metric}: plugplay.{mod_name}.{attr}")
     assert not missing, "tracer names with no callable in plugplay: " + ", ".join(missing)
+
+
+# The module-level names that ``perfbench/test_perfbench.py`` checks the
+# tracer patches where they are looked up (agent, bass, consensus and sim
+# import them from elsewhere).
+LOOKED_UP = (
+    ("agent", "inverse"),
+    ("agent", "singular_values"),
+    ("bass", "solve_lyapunov"),
+    ("consensus", "solve_lyapunov"),
+    ("sim", "rk4_step"),
+    ("sim", "validate_scenario"),
+)
+
+
+def test_every_looked_up_name_resolves():
+    missing = [
+        f"plugplay.{mod_name}.{attr}"
+        for mod_name, attr in LOOKED_UP
+        if not callable(getattr(importlib.import_module(f"plugplay.{mod_name}"), attr, None))
+    ]
+    assert not missing, "names the benchmark's self-test patches are gone: " + ", ".join(missing)
+
+
+def test_verify_records_flow_derivatives():
+    tracer = load_tracer()
+    tr = tracer.Tracer()
+    with tr:
+        suites.suite_appendix(seed=0, bound_count=0)
+    assert tracer.layer_metrics(tr)["consensus.flow_derivative.calls"] > 0
 
 
 def test_simulator_layers_record_work():

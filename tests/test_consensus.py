@@ -5,14 +5,12 @@ from plugplay import bass
 from plugplay.analysis import bass_equilibria, size_equilibrium
 from plugplay.consensus import (
     INFORMER_ID,
-    BassConsensusState,
-    DualConsensusState,
     FlowParams,
-    SizeEstState,
     bass_flow_derivative,
     bass_rate_params,
     dual_flow_derivative,
     flow_drift,
+    gain_flow_operator,
     pi_flow_operator,
     size_flow_derivative,
     size_flow_operator,
@@ -31,66 +29,75 @@ def star4():
     return Graph.from_edges([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
 
 
+def pack(z, x):
+    """The flows' state vector: the first stack, then the second, row-major."""
+    return np.concatenate([np.ravel(z), np.ravel(x)])
+
+
+def unpack(s, n_agents):
+    """(Z, X) stacks of a gain-flow state, each (N, n, n)."""
+    z, x = np.split(np.asarray(s), 2)
+    n = int(round(np.sqrt(z.size // n_agents)))
+    return z.reshape(n_agents, n, n), x.reshape(n_agents, n, n)
+
+
 # Direct-form right-hand sides, written independently of the Kronecker
 # operators in ``consensus``: the oracle every operator is checked against.
 
 
-def oracle_gain_derivative(st, a, maps, beta, params, g):
+def oracle_gain_derivative(s, a, maps, beta, params, g):
     """Zdot_i = gamma sum_j L_ij X_j,
     Xdot_i = k [-(A + beta I) X_i - X_i (A + beta I)^T + 2 B_i B_i^T]
     - gamma sum_j L_ij (X_j + Z_j)."""
+    z, x = unpack(s, g.n)
     lap = laplacian(g)
     m = a + beta * np.eye(a.shape[0])
-    w2 = np.stack([2.0 * maps[i] @ maps[i].T for i in st.ids])
-    lx = np.tensordot(lap, st.X, axes=(1, 0))
-    lz = np.tensordot(lap, st.Z, axes=(1, 0))
+    w2 = np.stack([2.0 * maps[i] @ maps[i].T for i in g.nodes])
+    lx = np.tensordot(lap, x, axes=(1, 0))
+    lz = np.tensordot(lap, z, axes=(1, 0))
     dz = params.gamma * lx
-    dx = params.k * (-(m @ st.X) - st.X @ m.T + w2) - params.gamma * (lx + lz)
-    return type(st)(st.ids, dz, dx)
+    dx = params.k * (-(m @ x) - x @ m.T + w2) - params.gamma * (lx + lz)
+    return pack(dz, dx)
 
 
-def oracle_dual_derivative(st, a, cmaps, beta, params, g):
+def oracle_dual_derivative(s, a, cmaps, beta, params, g):
     """Wdot_i = gamma sum_j L_ij Y_j,
     Ydot_i = k [-(A + beta I)^T Y_i - Y_i (A + beta I) + 2 C_i^T C_i]
     - gamma sum_j L_ij (Y_j + W_j)."""
+    w, y = unpack(s, g.n)
     lap = laplacian(g)
     m = a + beta * np.eye(a.shape[0])
-    w2 = np.stack([2.0 * cmaps[i].T @ cmaps[i] for i in st.ids])
-    ly = np.tensordot(lap, st.Y, axes=(1, 0))
-    lw = np.tensordot(lap, st.W, axes=(1, 0))
+    w2 = np.stack([2.0 * cmaps[i].T @ cmaps[i] for i in g.nodes])
+    ly = np.tensordot(lap, y, axes=(1, 0))
+    lw = np.tensordot(lap, w, axes=(1, 0))
     dw = params.gamma * ly
-    dy = params.k * (-(m.T @ st.Y) - st.Y @ m + w2) - params.gamma * (ly + lw)
-    return DualConsensusState(st.ids, dw, dy)
+    dy = params.k * (-(m.T @ y) - y @ m + w2) - params.gamma * (ly + lw)
+    return pack(dw, dy)
 
 
-def oracle_size_derivative(st, params, g_bar):
+def oracle_size_derivative(s, params, g_bar):
     """psidot_i = gamma sum_j L_ij zeta_j; zetadot_i = k (or -k zeta_0 at
     the informer) - gamma sum_j L_ij (zeta_j + psi_j)."""
+    psi, zeta = np.split(np.asarray(s), 2)
     lap = laplacian(g_bar)
-    idx0 = st.ids.index(INFORMER_ID)
-    lz = lap @ st.zeta
-    lp = lap @ st.psi
-    drive = np.full(st.zeta.size, params.k)
-    drive[idx0] = -params.k * st.zeta[idx0]
-    return SizeEstState(st.ids, params.gamma * lz, drive - params.gamma * lz - params.gamma * lp)
+    idx0 = g_bar.nodes.index(INFORMER_ID)
+    lz = lap @ zeta
+    lp = lap @ psi
+    drive = np.full(zeta.size, params.k)
+    drive[idx0] = -params.k * zeta[idx0]
+    return pack(params.gamma * lz, drive - params.gamma * lz - params.gamma * lp)
 
 
-def probed(fn, proto):
-    """(M, c) of the affine map ``s -> fn(proto.unpack(s)).pack()``, probed
-    at 0 and at every unit vector."""
-    dim = proto.pack().size
-    c = fn(proto.unpack(np.zeros(dim))).pack()
+def probed(fn, dim):
+    """(M, c) of the affine map ``s -> fn(s)`` on R^dim, probed at 0 and at
+    every unit vector."""
+    c = fn(np.zeros(dim))
     m = np.empty((dim, dim))
     for j in range(dim):
         e = np.zeros(dim)
         e[j] = 1.0
-        m[:, j] = fn(proto.unpack(e)).pack() - c
+        m[:, j] = fn(e) - c
     return m, c
-
-
-def gain_operator(a, maps, beta, params, g):
-    q = np.stack([2.0 * maps[i] @ maps[i].T for i in g.nodes])
-    return pi_flow_operator(flow_drift(a, beta), params.k, params.gamma, laplacian(g), q)
 
 
 def size_operator(params, g_bar):
@@ -104,10 +111,8 @@ class TestBassFlow:
         g = Graph.from_edges([1], [])
         params = FlowParams(2.0, 1.0)
         x_star = bass.bass_solve(a, b, 1.0).X_star
-        st = BassConsensusState((1,), np.zeros((1, 2, 2)), x_star[None])
-        d = bass_flow_derivative(st, a, {1: b}, 1.0, params, g)
-        assert np.abs(d.X).max() < 1e-12
-        assert np.abs(d.Z).max() < 1e-12
+        d = bass_flow_derivative(pack(np.zeros(4), x_star), a, {1: b}, 1.0, params, g)
+        assert np.abs(d).max() < 1e-12  # Zdot and Xdot
 
     def test_closed_form_equilibrium_is_fixed_point(self):
         rng = np.random.default_rng(0)
@@ -123,29 +128,29 @@ class TestBassFlow:
         nu_full = np.kron(rmat, np.eye(4)) @ nu_t
         z = np.stack([unvec(nu_full[i * 4 : (i + 1) * 4], 2) for i in range(3)])
         x = np.stack([unvec(chi_b, 2)] * 3)
-        d = bass_flow_derivative(BassConsensusState(ids, z, x), a, maps, beta, params, g)
-        assert np.abs(d.X).max() < 1e-12
-        assert np.abs(d.Z).max() < 1e-12
+        d = bass_flow_derivative(pack(z, x), a, maps, beta, params, g)
+        assert np.abs(d).max() < 1e-12
 
     def test_symmetric_two_agents_stay_identical(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         b = np.array([[0.0], [1.0]])
         g = Graph.from_edges([1, 2], [(1, 2)])
         params = FlowParams(1.0, 1.0)
-        st = BassConsensusState.zeros((1, 2), 2)
-        flat = st.pack()
-        f = lambda t, y: bass_flow_derivative(st.unpack(y), a, {1: b, 2: b}, 1.0, params, g).pack()
+        flat = np.zeros(16)
+        f = lambda t, y: bass_flow_derivative(y, a, {1: b, 2: b}, 1.0, params, g)
         for k in range(200):
             flat = rk4_step(f, flat, k * 1e-2, 1e-2)
-        out = st.unpack(flat)
-        assert np.allclose(out.X[0], out.X[1], atol=1e-14)
-        assert np.abs(out.Z).max() < 1e-14  # coupling never activates
+        z, x = unpack(flat, 2)
+        assert np.allclose(x[0], x[1], atol=1e-14)
+        assert np.abs(z).max() < 1e-14  # coupling never activates
 
     def test_graph_mismatch_rejected(self):
-        st = BassConsensusState.zeros((1, 2), 2)
         g = Graph.from_edges([1, 3], [(1, 3)])
+        maps = {1: np.eye(2), 2: np.eye(2)}
         with pytest.raises(ValueError):
-            bass_flow_derivative(st, np.eye(2), {1: np.eye(2), 2: np.eye(2)}, 1.0, FlowParams(1, 1), g)
+            bass_flow_derivative(np.zeros(16), np.eye(2), maps, 1.0, FlowParams(1, 1), g)
+        with pytest.raises(ValueError):
+            gain_flow_operator(np.eye(2), maps, 1.0, FlowParams(1, 1), g)
 
     def test_conservation_of_integral_state(self):
         # sum_i Zdot_i = 0 along the flow; RK4 drift stays tiny
@@ -156,15 +161,15 @@ class TestBassFlow:
         maps = {i: rng.normal(size=(2, 1)) for i in ids}
         params = FlowParams(1.0, 2.0)
         beta = 3.0
-        st0 = BassConsensusState(ids, rng.normal(size=(4, 2, 2)), rng.normal(size=(4, 2, 2)))
-        total0 = st0.Z.sum(axis=0)
-        flat = st0.pack()
-        m, c = gain_operator(a, maps, beta, params, g)
+        z0, x0 = rng.normal(size=(4, 2, 2)), rng.normal(size=(4, 2, 2))
+        total0 = z0.sum(axis=0)
+        flat = pack(z0, x0)
+        m, c = gain_flow_operator(a, maps, beta, params, g)
         f = lambda t, y: m @ y + c
         h = 1e-3
         for k in range(1000):
             flat = rk4_step(f, flat, k * h, h)
-        drift = np.abs(st0.unpack(flat).Z.sum(axis=0) - total0).max()
+        drift = np.abs(unpack(flat, 4)[0].sum(axis=0) - total0).max()
         assert drift < 1e-9  # over one unit of time
 
 
@@ -181,13 +186,11 @@ class TestInitializationFree:
         target = bass.bass_solve(a, bagg, 1.0, check_controllability=False).X_star / 3
         t_grid = np.linspace(0.0, 60.0, 31)
         for _ in range(20):
-            proto = BassConsensusState(
-                ids, 5 * rng.normal(size=(3, 2, 2)), 5 * rng.normal(size=(3, 2, 2))
-            )
-            m, c = gain_operator(a, maps, 1.0, params, g)
-            final = proto.unpack(propagate_affine(m, c, proto.pack(), t_grid)[-1])
+            s0 = pack(5 * rng.normal(size=(3, 2, 2)), 5 * rng.normal(size=(3, 2, 2)))
+            m, c = gain_flow_operator(a, maps, 1.0, params, g)
+            _, x = unpack(propagate_affine(m, c, s0, t_grid)[-1], 3)
             for i in range(3):
-                assert np.linalg.norm(final.X[i] - target, 2) < 1e-6
+                assert np.linalg.norm(x[i] - target, 2) < 1e-6
 
 
 class TestDualFlow:
@@ -198,22 +201,17 @@ class TestDualFlow:
         g = Graph.from_edges(ids, [(1, 2)])
         cmaps = {i: rng.normal(size=(2, 3)) for i in ids}
         params = FlowParams(0.8, 1.2)
-        w = rng.normal(size=(2, 3, 3))
-        y = rng.normal(size=(2, 3, 3))
-        d_dual = dual_flow_derivative(DualConsensusState(ids, w, y), a, cmaps, 1.5, params, g)
-        d_primal = bass_flow_derivative(
-            BassConsensusState(ids, w, y), a.T, {i: c.T for i, c in cmaps.items()}, 1.5, params, g
-        )
-        assert np.array_equal(d_dual.W, d_primal.Z)
-        assert np.array_equal(d_dual.Y, d_primal.X)
+        s = pack(rng.normal(size=(2, 3, 3)), rng.normal(size=(2, 3, 3)))
+        d_dual = dual_flow_derivative(s, a, cmaps, 1.5, params, g)
+        d_primal = bass_flow_derivative(s, a.T, {i: c.T for i, c in cmaps.items()}, 1.5, params, g)
+        assert np.array_equal(d_dual, d_primal)
 
     def test_single_agent_equilibrium_is_dual_solution(self):
         a = np.array([[1.0]])
         c = np.array([[1.0]])
         y_star = bass.dual_bass_solve(a, c, 2.0).Y_star
-        st = DualConsensusState((1,), np.zeros((1, 1, 1)), y_star[None])
-        d = dual_flow_derivative(st, a, {1: c}, 2.0, FlowParams(1, 1), Graph.from_edges([1], []))
-        assert np.abs(d.Y).max() < 1e-12
+        d = dual_flow_derivative(pack(0.0, y_star), a, {1: c}, 2.0, FlowParams(1, 1), Graph.from_edges([1], []))
+        assert np.abs(unpack(d, 1)[1]).max() < 1e-12
 
     def test_identical_channels_converge_to_common_constant(self):
         # all output maps equal: every Y_i settles at Y*/N
@@ -223,20 +221,19 @@ class TestDualFlow:
         cmaps = {i: p.channel(i).C for i in ids}
         cagg = np.vstack([cmaps[i] for i in ids])
         y_star = bass.dual_bass_solve(p.A, cagg, 0.25).Y_star
-        st = DualConsensusState(ids, np.zeros((3, 4, 4)), np.stack([y_star / 3] * 3))
-        d = dual_flow_derivative(st, p.A, cmaps, 0.25, FlowParams(1, 1), g)
-        assert np.abs(d.Y).max() < 1e-10
-        assert np.abs(d.W).max() < 1e-10
+        s = pack(np.zeros((3, 4, 4)), np.stack([y_star / 3] * 3))
+        d = dual_flow_derivative(s, p.A, cmaps, 0.25, FlowParams(1, 1), g)
+        assert np.abs(d).max() < 1e-10  # Wdot and Ydot
 
 
 class TestSizeFlow:
     def test_zero_state_star(self):
-        st = SizeEstState.zeros((0, 1, 2, 3))
-        d = size_flow_derivative(st, FlowParams(1.5, 1.0), star4())
-        assert d.zeta[0] == 0.0
+        d = size_flow_derivative(np.zeros(8), FlowParams(1.5, 1.0), star4())
+        dpsi, dzeta = np.split(d, 2)
+        assert dzeta[0] == 0.0
         for i in (1, 2, 3):
-            assert d.zeta[i] == 1.5
-        assert np.abs(d.psi).max() == 0.0
+            assert dzeta[i] == 1.5
+        assert np.abs(dpsi).max() == 0.0
 
     def test_single_agent_blended_equilibrium(self):
         # two-node case: equilibrium zeta = 1 everywhere
@@ -244,9 +241,8 @@ class TestSizeFlow:
         params = FlowParams(1.0, 2.0)
         _, psi_t = size_equilibrium(1, params, g)
         rmat, _ = r_matrix(g)
-        st = SizeEstState((0, 1), rmat @ psi_t, np.ones(2))
-        d = size_flow_derivative(st, params, g)
-        assert np.abs(d.pack()).max() < 1e-12
+        d = size_flow_derivative(pack(rmat @ psi_t, np.ones(2)), params, g)
+        assert np.abs(d).max() < 1e-12
         # hand-computed offset: psi = -+ k/(2 gamma)
         assert np.allclose(rmat @ psi_t, [-0.25, 0.25])
 
@@ -257,41 +253,37 @@ class TestSizeFlow:
             zeta_star, psi_t = size_equilibrium(n_agents, params, g)
             assert zeta_star == n_agents
             rmat, _ = r_matrix(g)
-            st = SizeEstState(g.nodes, rmat @ psi_t, np.full(g.n, float(n_agents)))
-            d = size_flow_derivative(st, params, g)
-            assert np.abs(d.pack()).max() < 1e-12
+            d = size_flow_derivative(pack(rmat @ psi_t, np.full(g.n, float(n_agents))), params, g)
+            assert np.abs(d).max() < 1e-12
 
     def test_conservation_of_psi(self):
         g = star4()
         params = FlowParams(1.0, 1.0)
         rng = np.random.default_rng(3)
-        st0 = SizeEstState(g.nodes, rng.normal(size=4), rng.normal(size=4))
-        total0 = st0.psi.sum()
-        flat = st0.pack()
+        psi0 = rng.normal(size=4)
+        flat = pack(psi0, rng.normal(size=4))
         m, c = size_operator(params, g)
         f = lambda t, y: m @ y + c
         for k in range(1000):
             flat = rk4_step(f, flat, k * 1e-3, 1e-3)
-        assert abs(st0.unpack(flat).psi.sum() - total0) < 1e-9
+        assert abs(flat[:4].sum() - psi0.sum()) < 1e-9
 
     def test_missing_informer_rejected(self):
-        st = SizeEstState.zeros((1, 2))
         g = Graph.from_edges([1, 2], [(1, 2)])
         with pytest.raises(ValueError):
-            size_flow_derivative(st, FlowParams(1, 1), g)
+            size_flow_derivative(np.zeros(4), FlowParams(1, 1), g)
 
     def test_convergence_to_network_size(self):
         # size estimates reach the agent count through the package RK4
         g = star4()
         params = FlowParams(1.0, 1.0)
-        st0 = SizeEstState.zeros(g.nodes)
-        flat = st0.pack()
+        flat = np.zeros(2 * g.n)
         m, c = size_operator(params, g)
         f = lambda t, y: m @ y + c
         h = 1e-3
         for k in range(120_000):
             flat = rk4_step(f, flat, k * h, h)
-        zeta = st0.unpack(flat).zeta
+        zeta = flat[g.n :]
         assert np.abs(zeta - 3.0).max() < 1e-3
 
 
@@ -311,34 +303,33 @@ class TestSingleOperator:
             # mixed channel widths
             bmaps = {i: rng.normal(size=(n, int(rng.integers(1, 4)))) for i in ids}
             cmaps = {i: rng.normal(size=(int(rng.integers(1, 4)), n)) for i in ids}
-            primal = BassConsensusState(ids, rng.normal(size=(n_agents, n, n)), rng.normal(size=(n_agents, n, n)))
-            dual = DualConsensusState(ids, primal.Z, primal.X)
+            s = pack(rng.normal(size=(n_agents, n, n)), rng.normal(size=(n_agents, n, n)))
             cases = (
-                (gain_operator(a, bmaps, beta, params, g),
-                 probed(lambda st: oracle_gain_derivative(st, a, bmaps, beta, params, g), primal),
-                 bass_flow_derivative(primal, a, bmaps, beta, params, g),
-                 oracle_gain_derivative(primal, a, bmaps, beta, params, g)),
-                (gain_operator(a.T, {i: c.T for i, c in cmaps.items()}, beta, params, g),
-                 probed(lambda st: oracle_dual_derivative(st, a, cmaps, beta, params, g), dual),
-                 dual_flow_derivative(dual, a, cmaps, beta, params, g),
-                 oracle_dual_derivative(dual, a, cmaps, beta, params, g)),
+                (gain_flow_operator(a, bmaps, beta, params, g),
+                 probed(lambda v: oracle_gain_derivative(v, a, bmaps, beta, params, g), s.size),
+                 bass_flow_derivative(s, a, bmaps, beta, params, g),
+                 oracle_gain_derivative(s, a, bmaps, beta, params, g)),
+                (gain_flow_operator(a.T, {i: c.T for i, c in cmaps.items()}, beta, params, g),
+                 probed(lambda v: oracle_dual_derivative(v, a, cmaps, beta, params, g), s.size),
+                 dual_flow_derivative(s, a, cmaps, beta, params, g),
+                 oracle_dual_derivative(s, a, cmaps, beta, params, g)),
             )
             for (m, c), (m_ref, c_ref), d, d_ref in cases:
                 scale = np.abs(m_ref).max()
                 assert np.abs(m - m_ref).max() <= 1e-14 * scale
                 assert np.abs(c - c_ref).max() <= 1e-14 * np.abs(c_ref).max()
-                assert np.abs(d.pack() - d_ref.pack()).max() <= 1e-13 * np.abs(d_ref.pack()).max()
+                assert np.abs(d - d_ref).max() <= 1e-13 * np.abs(d_ref).max()
         for n_agents in range(1, 9):
             for topo in ("star", "ring", "path"):
                 g_bar = informer_topology(topo, n_agents)
                 params = size_rate_params(n_agents, g_bar, 0.2)
-                proto = SizeEstState(g_bar.nodes, rng.normal(size=g_bar.n), rng.normal(size=g_bar.n))
+                s = pack(rng.normal(size=g_bar.n), rng.normal(size=g_bar.n))
                 m, c = size_operator(params, g_bar)
-                m_ref, c_ref = probed(lambda st: oracle_size_derivative(st, params, g_bar), proto)
+                m_ref, c_ref = probed(lambda v: oracle_size_derivative(v, params, g_bar), s.size)
                 assert np.abs(m - m_ref).max() <= 1e-14 * np.abs(m_ref).max()
                 assert np.array_equal(c, c_ref)
-                d = size_flow_derivative(proto, params, g_bar).pack()
-                d_ref = oracle_size_derivative(proto, params, g_bar).pack()
+                d = size_flow_derivative(s, params, g_bar)
+                d_ref = oracle_size_derivative(s, params, g_bar)
                 assert np.abs(d - d_ref).max() <= 1e-13 * np.abs(d_ref).max()
 
     def test_mode_block_is_eigenbasis_transform_of_full_operator(self):

@@ -13,21 +13,6 @@ def kron_lyapunov(a, q):
     return ml.unvec(np.linalg.solve(ml.kron_sum(a, a), -ml.vec(q)), a.shape[0])
 
 
-class TestKron:
-    def test_identity(self):
-        assert np.allclose(ml.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_scalar_scaling(self):
-        assert np.allclose(ml.kron([[2.0]], np.eye(2)), 2 * np.eye(2))
-
-    def test_block_expansion(self):
-        # expanded by hand: block (i,j) of the result is A[i,j] * B
-        out = ml.kron([[0, 1], [0, 0]], [[1], [1]])
-        expected = np.array([[0, 1], [0, 1], [0, 0], [0, 0]], dtype=float)
-        assert out.shape == (4, 2)
-        assert np.array_equal(out, expected)
-
-
 class TestKronSum:
     def test_scalars(self):
         assert np.allclose(ml.kron_sum([[2.0]], [[3.0]]), [[5.0]])
@@ -63,7 +48,7 @@ class TestVec:
         for _ in range(20):
             a, b, c = (rng.normal(size=(2, 2)) for _ in range(3))
             lhs = ml.vec(a @ b @ c)
-            rhs = ml.kron(c.T, a) @ ml.vec(b)
+            rhs = np.kron(c.T, a) @ ml.vec(b)
             assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_unvec_roundtrip(self):
@@ -237,17 +222,6 @@ class TestEigen:
         assert ml.min_real_part([[0, 1], [0, 0]]) == 0.0
         assert np.isclose(ml.spectral_abscissa([[0, 1], [-2, -2]]), -1.0)
         assert np.isclose(ml.min_real_part([[0, 1], [-2, -2]]), -1.0)
-
-
-class TestHurwitz:
-    def test_negative_identity(self):
-        assert ml.is_hurwitz(-np.eye(3))
-
-    def test_nilpotent_not_hurwitz(self):
-        assert not ml.is_hurwitz([[0, 1], [0, 0]])
-
-    def test_damped_oscillator(self):
-        assert ml.is_hurwitz([[0, 1], [-2, -2]])
 
 
 class TestNormsInverse:
