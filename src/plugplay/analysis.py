@@ -6,8 +6,12 @@ integrates it at every step, and :func:`flat_closed_loop_matrix` is the
 same matrix at converged gains.  The independent check of it is
 :func:`closed_loop_matrix`, built in averaged/disagreement error
 coordinates (x, ebar, etilde), whose coupling blocks come with their
-norm bounds; the two must have one spectrum.  The module also computes
-the closed-form equilibria that the PI flows must converge to.
+norm bounds (:func:`verify_block_bounds`); the two must have one
+spectrum.  Both functions, like :func:`observer_loop_matrix`, take a
+stack of instances of one shape and answer it with batched numpy calls,
+which run the same BLAS or LAPACK routine on each matrix as a lone
+call; a lone instance is a stack of one.  The module also computes the
+closed-form equilibria that the PI flows must converge to.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bass import ThresholdCertificate, _theta
+from .bass import ThresholdCertificate, _theta_bound
 from .consensus import INFORMER_ID, FlowParams, flow_drift
 from .graph import Graph, is_connected, laplacian, r_matrix
 from .matlib import as_matrix, induced_2norm, vec
@@ -45,12 +49,13 @@ class ClosedLoopDecomposition:
     `assembled` is the full matrix; squares 1..5 are the coupling
     blocks; G and H define the stacked observer-error dynamics
     ``edot = G e + H x - gamma (L (x) I) e`` from which the blocks are
-    projected.
+    projected.  For a stack of instances every array has a leading
+    instance axis and `gamma` is an array.
     """
 
     n: int
     n_agents: int
-    gamma: float
+    gamma: float | np.ndarray
     assembled: np.ndarray
     square1: np.ndarray
     square2: np.ndarray
@@ -63,14 +68,25 @@ class ClosedLoopDecomposition:
     lambda_plus: np.ndarray
 
 
-def _blocks(p: PlantModel, f_blocks, l_blocks):
+def _blocks(p: PlantModel, f_blocks, l_blocks, g: Graph):
     chans = sorted(p.channels, key=lambda c: c.id)
     n_agents = len(chans)
     if len(f_blocks) != n_agents or len(l_blocks) != n_agents:
         raise ValueError("one F and one L block per channel required")
+    if tuple(g.nodes) != tuple(c.id for c in chans):
+        raise ValueError(f"graph nodes {g.nodes} must be the channel ids")
     bf = [np.asarray(c.B) @ np.asarray(f) for c, f in zip(chans, f_blocks)]
     lc = [np.asarray(l) @ np.asarray(c.C) for c, l in zip(chans, l_blocks)]
     return chans, bf, lc
+
+
+def _instances(p, *per_plant):
+    """A lone instance as a stack of one: (single, plants, *per_plant)."""
+    if isinstance(p, PlantModel):
+        return (True, [p], *([x] for x in per_plant))
+    if not p:
+        raise ValueError("empty stack of instances")
+    return (False, p, *per_plant)
 
 
 def closed_loop_matrix(
@@ -83,61 +99,84 @@ def closed_loop_matrix(
     complement R.  For one agent the disagreement part is empty and the
     matrix reduces to the classical separation form
     ``[[A+BF, BF], [0, A+LC]]``.
+
+    `p` may also be a sequence of plants with one state size and one
+    agent count, with `f_blocks`, `l_blocks` and `g` one entry per plant
+    and `gamma` a scalar or one value per plant.  The result is then a
+    stack (see :class:`ClosedLoopDecomposition`), assembled with batched
+    products whose every matrix is the lone instance's.
     """
-    chans, bf, lc = _blocks(p, f_blocks, l_blocks)
-    n = p.n
-    n_agents = len(chans)
-    if tuple(g.nodes) != tuple(c.id for c in chans):
-        raise ValueError(f"graph nodes {g.nodes} must be the channel ids")
-    a = p.A
-    bfsum = sum(bf)
-    lcsum = sum(lc)
-    eye = np.eye(n)
-
-    row_bf = np.hstack(bf)  # n x Nn
-    gmat = np.zeros((n_agents * n, n_agents * n))
-    for i in range(n_agents):
-        sl = slice(i * n, (i + 1) * n)
-        gmat[sl, sl] = a + n_agents * lc[i] + n_agents * bf[i]
-    gmat -= np.tile(row_bf, (n_agents, 1))
-    hmat = np.vstack([n_agents * bf[i] - bfsum for i in range(n_agents)])
-
+    single, plants, fs, ls, gs = _instances(p, f_blocks, l_blocks, g)
+    n, n_agents = plants[0].n, len(plants[0].channels)
+    bfs, lcs = [], []
+    for q, f, l, gr in zip(plants, fs, ls, gs, strict=True):
+        if q.n != n or len(q.channels) != n_agents:
+            raise ValueError("a stack needs one state size and one agent count")
+        _, bf, lc = _blocks(q, f, l, gr)
+        bfs.append(bf)
+        lcs.append(lc)
+    batch = len(plants)
+    a = np.stack([q.A for q in plants])
+    bf, lc = np.array(bfs), np.array(lcs)  # (B, N, n, n)
     if n_agents == 1:
-        rmat = np.zeros((1, 0))
-        lam_plus = np.zeros((0, 0))
+        rmat, lam_plus = np.zeros((batch, 1, 0)), np.zeros((batch, 0, 0))
     else:
-        if not is_connected(g):
-            raise ValueError("graph must be connected (R undefined otherwise)")
-        rmat, lam_plus = r_matrix(g)
-    r_kron = np.kron(rmat, eye)  # Nn x (N-1)n
-    avg = np.tile(eye / n_agents, (1, n_agents))  # n x Nn
+        rmat, lam_plus = r_matrix(gs)
+    gammas = np.broadcast_to(np.asarray(gamma, dtype=float), (batch,))
+    nn = n_agents * n
+    eye = np.eye(n)
+    idx = np.arange(n_agents)
+
+    def by_rows(blocks):  # (B, N, n, n) -> (B, n, Nn), the blocks side by side
+        return np.swapaxes(blocks, 1, 2).reshape(batch, n, nn)
+
+    # sums over agents in agent order, as ``sum(list)`` adds them
+    bfsum = sum(np.moveaxis(bf, 1, 0))
+    lcsum = sum(np.moveaxis(lc, 1, 0))
+    row_bf = by_rows(bf)
+    alc = a[:, None] + n_agents * lc
+    # G: diagonal blocks A + N L_i C_i + N B_i F_i, less [B_1 F_1 ... B_N F_N]
+    # in every block row; built as (B, N, n, N, n), where fancy indexing
+    # puts the agent axis first
+    gmat = np.zeros((batch, n_agents, n, n_agents, n))
+    gmat[:, idx, :, idx, :] = np.moveaxis(alc + n_agents * bf, 1, 0)
+    gmat = gmat.reshape(batch, nn, nn)
+    gmat.reshape(batch, n_agents, n, nn)[...] -= row_bf[:, None]
+    hmat = (n_agents * bf - bfsum[:, None]).reshape(batch, nn, n)
+
+    # R (x) I_n and Lambda_plus (x) I_n, entry by entry as np.kron forms them
+    r_kron = (rmat[:, :, None, :, None] * eye[:, None, :]).reshape(batch, nn, nn - n)
+    r_kron_t = np.swapaxes(r_kron, 1, 2)
     ones_kron = np.tile(eye, (n_agents, 1))  # Nn x n
 
-    diag_alc = np.zeros((n_agents * n, n_agents * n))
-    for i in range(n_agents):
-        sl = slice(i * n, (i + 1) * n)
-        diag_alc[sl, sl] = a + n_agents * lc[i]
-
     s1 = row_bf @ r_kron
-    s2 = avg @ diag_alc @ r_kron
-    s3 = r_kron.T @ hmat
-    s4 = r_kron.T @ gmat @ ones_kron
-    s5 = r_kron.T @ gmat @ r_kron
+    # the average of the block diagonal diag(A + N L_i C_i): each entry
+    # is one product with 1/N, as a product with [I/N ... I/N] gives it
+    s2 = ((1.0 / n_agents) * by_rows(alc)) @ r_kron
+    s3 = r_kron_t @ hmat
+    rg = r_kron_t @ gmat
+    s4 = rg @ ones_kron
+    s5 = rg @ r_kron
+    # at the sizes `certify` reaches each (Nn)^2 array takes megabytes:
+    # free what is done, and scale Lambda_plus (x) I_n in place
+    del rg
 
-    dim = n + n + (n_agents - 1) * n
-    asm = np.zeros((dim, dim))
-    asm[:n, :n] = a + bfsum
-    asm[:n, n : 2 * n] = bfsum
-    asm[:n, 2 * n :] = s1
-    asm[n : 2 * n, n : 2 * n] = a + lcsum
-    asm[n : 2 * n, 2 * n :] = s2
-    asm[2 * n :, :n] = s3
-    asm[2 * n :, n : 2 * n] = s4
-    asm[2 * n :, 2 * n :] = s5 - gamma * np.kron(lam_plus, eye)
+    asm = np.zeros((batch, nn + n, nn + n))
+    asm[:, :n, :n] = a + bfsum
+    asm[:, :n, n : 2 * n] = bfsum
+    asm[:, :n, 2 * n :] = s1
+    asm[:, n : 2 * n, n : 2 * n] = a + lcsum
+    asm[:, n : 2 * n, 2 * n :] = s2
+    asm[:, 2 * n :, :n] = s3
+    asm[:, 2 * n :, n : 2 * n] = s4
+    lam_kron = (lam_plus[:, :, None, :, None] * eye[:, None, :]).reshape(batch, nn - n, nn - n)
+    lam_kron *= gammas[:, None, None]
+    np.subtract(s5, lam_kron, out=asm[:, 2 * n :, 2 * n :])
 
-    return ClosedLoopDecomposition(
-        n, n_agents, float(gamma), asm, s1, s2, s3, s4, s5, gmat, hmat, rmat, lam_plus
-    )
+    parts = (asm, s1, s2, s3, s4, s5, gmat, hmat, rmat, lam_plus)
+    if single:
+        return ClosedLoopDecomposition(n, n_agents, float(gammas[0]), *(x[0] for x in parts))
+    return ClosedLoopDecomposition(n, n_agents, gammas.copy(), *parts)
 
 
 def observer_loop_matrix(a, k0, jm, zeta, gamma, lap) -> np.ndarray:
@@ -180,10 +219,8 @@ def flat_closed_loop_matrix(
     Similar to the error-coordinate :func:`closed_loop_matrix`, so the
     two must have identical spectra.
     """
-    chans, bf, lc = _blocks(p, f_blocks, l_blocks)
+    chans, bf, lc = _blocks(p, f_blocks, l_blocks, g)
     n_agents = len(chans)
-    if tuple(g.nodes) != tuple(c.id for c in chans):
-        raise ValueError(f"graph nodes {g.nodes} must be the channel ids")
     return observer_loop_matrix(
         p.A,
         np.stack(bf),
@@ -215,6 +252,18 @@ class BlockBoundReport:
         return all(b.passed for b in self.bounds)
 
 
+def _norms(mats) -> np.ndarray:
+    """:func:`induced_2norm` of each matrix, one stacked SVD per shape."""
+    mats = [m if isinstance(m, np.ndarray) and m.ndim == 2 else as_matrix(m) for m in mats]
+    out = np.empty(len(mats))
+    by_shape: dict[tuple, list[int]] = {}
+    for k, m in enumerate(mats):
+        by_shape.setdefault(m.shape, []).append(k)
+    for ks in by_shape.values():
+        out[ks] = induced_2norm(np.array([mats[k] for k in ks], dtype=float))
+    return out
+
+
 def verify_block_bounds(
     decomp: ClosedLoopDecomposition, p: PlantModel, f_blocks, l_blocks
 ) -> BlockBoundReport:
@@ -224,21 +273,35 @@ def verify_block_bounds(
     ``|s1|^2 <= N max|F_i|^2``, ``|s3|^2 <= 4 N^3 max|F_i|^2``,
     ``|s2| <= theta/sqrt(N)``, ``|s4| <= sqrt(N) theta``, ``|s5| <= theta``
     where theta = |A| + N max|L_i| + 2 N max|F_i|.
+
+    On a stacked `decomp`, with `p`, `f_blocks` and `l_blocks` as given
+    to :func:`closed_loop_matrix`, it returns one report per instance,
+    each the report of that instance alone.
     """
-    for c in p.channels:
-        if induced_2norm(c.B) > 1 + 1e-9 or induced_2norm(c.C) > 1 + 1e-9:
-            raise ValueError(f"channel {c.id} is not normalized")
+    single, plants, fs, ls = _instances(p, f_blocks, l_blocks)
+    chans = [c for q in plants for c in q.channels]
+    unit = (_norms([c.B for c in chans]) <= 1 + 1e-9) & (_norms([c.C for c in chans]) <= 1 + 1e-9)
+    if not unit.all():
+        raise ValueError(f"channel {chans[int(np.argmin(unit))].id} is not normalized")
     n_agents = decomp.n_agents
-    theta, max_f, _ = _theta(p.A, f_blocks, l_blocks)
+    count = len(plants)
+    max_f = _norms([f for blocks in fs for f in blocks]).reshape(count, n_agents).max(axis=1)
+    max_l = _norms([l for blocks in ls for l in blocks]).reshape(count, n_agents).max(axis=1)
+    theta = _theta_bound(_norms([q.A for q in plants]), max_f, max_l, n_agents)
+    squares = (decomp.square1, decomp.square2, decomp.square3, decomp.square4, decomp.square5)
+    lhs = np.stack([np.atleast_1d(induced_2norm(s)) for s in squares], axis=1)
     sqrt_n = np.sqrt(n_agents)
-    bounds = (
-        BlockBound("square1_sq", induced_2norm(decomp.square1) ** 2, n_agents * max_f**2),
-        BlockBound("square2", induced_2norm(decomp.square2), theta / sqrt_n),
-        BlockBound("square3_sq", induced_2norm(decomp.square3) ** 2, 4 * n_agents**3 * max_f**2),
-        BlockBound("square4", induced_2norm(decomp.square4), sqrt_n * theta),
-        BlockBound("square5", induced_2norm(decomp.square5), theta),
-    )
-    return BlockBoundReport(bounds, float(theta))
+    reports = []
+    for (s1, s2, s3, s4, s5), mf, th in zip(lhs.tolist(), max_f.tolist(), theta.tolist()):
+        bounds = (
+            BlockBound("square1_sq", s1**2, n_agents * mf**2),
+            BlockBound("square2", s2, th / sqrt_n),
+            BlockBound("square3_sq", s3**2, 4 * n_agents**3 * mf**2),
+            BlockBound("square4", s4, sqrt_n * th),
+            BlockBound("square5", s5, th),
+        )
+        reports.append(BlockBoundReport(bounds, th))
+    return reports[0] if single else reports
 
 
 def bass_equilibria(

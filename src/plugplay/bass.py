@@ -187,12 +187,15 @@ def decay_certificate(sol: BassSolution, times, states) -> bool:
     return bool(np.all(lhs <= bound + _ENVELOPE_SLACK * max(norm0, 1.0)))
 
 
-def _theta(a: np.ndarray, f_blocks, l_blocks) -> tuple[float, float, float]:
-    n_agents = len(f_blocks)
+def _theta_bound(norm_a, max_f, max_l, n_agents: int):
+    """theta = |A| + N max|L_i| + 2 N max|F_i|; arrays give one per instance."""
+    return norm_a + n_agents * max_l + 2 * n_agents * max_f
+
+
+def _theta(a: np.ndarray, f_blocks, l_blocks) -> tuple[float, float]:
     max_f = max(induced_2norm(f) for f in f_blocks)
     max_l = max(induced_2norm(l) for l in l_blocks)
-    theta = induced_2norm(a) + n_agents * max_l + 2 * n_agents * max_f
-    return theta, max_f, max_l
+    return _theta_bound(induced_2norm(a), max_f, max_l, len(f_blocks)), max_f
 
 
 def gamma_threshold(theta: float, kappa: float, max_f: float, n_agents: int, lam2: float) -> float:
@@ -247,7 +250,7 @@ def threshold_certificate(
         raise CertificateError(
             f"Lyapunov identities violated (residuals {res1:.3e}, {res2:.3e})"
         )
-    theta, max_f, _ = _theta(a, f_blocks, l_blocks)
+    theta, max_f = _theta(a, f_blocks, l_blocks)
     delta = max(np.linalg.eigvalsh(m1)[-1], np.linalg.eigvalsh(m2)[-1])
     eps = min(np.linalg.eigvalsh(q1)[0], np.linalg.eigvalsh(q2)[0])
     kappa = delta / eps

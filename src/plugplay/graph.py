@@ -199,19 +199,24 @@ def r_matrix(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     Lambda_plus (diagonal, nonzero Laplacian eigenvalues ascending).
     R comes from the symmetric eigendecomposition of L; each column's
     sign is fixed by making its first nonzero entry positive, for
-    determinism.
+    determinism.  A sequence of graphs with one node count gives both
+    as stacks, from one stacked eigendecomposition.
     """
-    if not is_connected(g):
-        raise ValueError("r_matrix requires a connected graph")
-    if g.n < 2:
-        raise ValueError("r_matrix requires at least 2 nodes")
-    w, v = np.linalg.eigh(laplacian(g))
-    r = v[:, 1:].copy()
-    for k in range(r.shape[1]):
-        nonzero = np.nonzero(np.abs(r[:, k]) > 1e-12)[0]
-        if nonzero.size and r[nonzero[0], k] < 0:
-            r[:, k] = -r[:, k]
-    return r, np.diag(w[1:])
+    graphs = [g] if isinstance(g, Graph) else list(g)
+    for gr in graphs:
+        if not is_connected(gr):
+            raise ValueError("r_matrix requires a connected graph")
+        if gr.n < 2:
+            raise ValueError("r_matrix requires at least 2 nodes")
+    w, v = np.linalg.eigh(np.stack([laplacian(gr) for gr in graphs]))
+    r = v[..., 1:]
+    nonzero = np.abs(r) > 1e-12
+    first = np.take_along_axis(r, nonzero.argmax(axis=1)[:, None, :], axis=1)
+    r = np.where(nonzero.any(axis=1, keepdims=True) & (first < 0), -r, r)
+    size = w.shape[1] - 1
+    lam_plus = np.zeros((len(graphs), size, size))
+    lam_plus[:, np.arange(size), np.arange(size)] = w[:, 1:]
+    return (r[0], lam_plus[0]) if isinstance(g, Graph) else (r, lam_plus)
 
 
 def mohar_bound(n: int) -> float:

@@ -52,6 +52,16 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _stack(a, name: str) -> np.ndarray:
+    """A matrix as :func:`as_matrix` gives it, or a finite stack of them."""
+    m = np.asarray(a, dtype=float)
+    if m.ndim <= 2:
+        return as_matrix(m, name)
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return m
+
+
 def _square(a, name: str = "matrix") -> np.ndarray:
     m = as_matrix(a, name)
     if m.shape[0] != m.shape[1]:
@@ -115,10 +125,11 @@ def solve_lyapunov(a, q) -> np.ndarray:
     # check below catches its perturbed (info == 1) solutions
     y, s, _ = scipy.linalg.lapack.dtrsyl(t, t, -(u.T @ q @ u), tranb="T")
     x = u @ (y / s) @ u.T
-    if np.allclose(q, q.T, rtol=0, atol=1e-13 * max(1.0, induced_2norm(q))):
+    norm_q = induced_2norm(q)
+    if np.allclose(q, q.T, rtol=0, atol=1e-13 * max(1.0, norm_q)):
         x = 0.5 * (x + x.T)
     resid = induced_2norm(a @ x + x @ a.T + q)
-    scale = norm_a * induced_2norm(x) + induced_2norm(q)
+    scale = norm_a * induced_2norm(x) + norm_q
     if resid > LYAPUNOV_RTOL * max(scale, 1e-30):
         raise LyapunovError(
             f"Lyapunov residual {resid:.3e} exceeds {LYAPUNOV_RTOL:.1e} * {scale:.3e}"
@@ -133,9 +144,15 @@ def eigenvalues(a) -> np.ndarray:
     return w[np.lexsort((w.imag, w.real))]
 
 
-def spectral_abscissa(a) -> float:
-    """Largest real part among the eigenvalues."""
-    return float(eigenvalues(a).real.max())
+def spectral_abscissa(a):
+    """Largest real part among the eigenvalues.
+
+    A stack ``(..., n, n)`` gives each matrix's abscissa, as an array of
+    shape ``(...)``.
+    """
+    if np.ndim(a) <= 2:
+        return float(eigenvalues(a).real.max())
+    return np.linalg.eigvals(_stack(a, "matrix")).real.max(axis=-1)
 
 
 def min_real_part(a) -> float:
@@ -143,12 +160,18 @@ def min_real_part(a) -> float:
     return float(eigenvalues(a).real.min())
 
 
-def induced_2norm(a) -> float:
-    """Induced matrix 2-norm (largest singular value)."""
-    a = as_matrix(a, "A")
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+def induced_2norm(a):
+    """Induced matrix 2-norm (largest singular value).
+
+    A stack ``(..., m, n)`` gives each matrix's norm, as an array of
+    shape ``(...)``; numpy's stacked SVD runs the same LAPACK routine on
+    each matrix, so every entry equals the norm of that matrix alone.
+    """
+    m = _stack(a, "A")
+    if m.shape[-1] == 0 or m.shape[-2] == 0:
+        return 0.0 if m.ndim == 2 else np.zeros(m.shape[:-2])
+    top = np.linalg.svd(m, compute_uv=False)[..., 0]
+    return float(top) if m.ndim == 2 else top
 
 
 def singular_values(a) -> np.ndarray:

@@ -161,6 +161,34 @@ def fit_decay_rate(t: np.ndarray, err: np.ndarray) -> float:
     return float(-coef[0])
 
 
+# Most instances a suite holds between drawing and checking them.  The
+# bound keeps batching from raising the process's peak memory.
+HELD = 32
+
+
+def _batches(instances, shape):
+    """Group a stream of instances by shape, for batched checks.
+
+    Yields lists of instances of one shape, in any order.  Once `HELD`
+    instances wait, the largest group is yielded.  The
+    suites check each batch with stacked calls: numpy's stacked
+    products, SVDs and eigensolvers run the same BLAS or LAPACK routine
+    on each matrix as a call on that matrix alone, so an instance's
+    verdict does not depend on its batch.  Stacks are never zero-padded
+    to a common shape, since a padded matrix rounds differently.
+    """
+    waiting: dict = {}
+    held = 0
+    for inst in instances:
+        waiting.setdefault(shape(inst), []).append(inst)
+        held += 1
+        if held == HELD:
+            batch = waiting.pop(max(waiting, key=lambda k: len(waiting[k])))
+            held -= len(batch)
+            yield batch
+    yield from waiting.values()
+
+
 # ---------------------------------------------------------------------------
 # suite: gain synthesis (closed-loop abscissa + decay envelopes)
 
@@ -168,21 +196,32 @@ def fit_decay_rate(t: np.ndarray, err: np.ndarray) -> float:
 def check_gain_abscissa(seed: int = 0, count: int = 200) -> CheckResult:
     rng = np.random.default_rng(seed)
     bad = []
-    for idx in range(count):
-        a, b, beta, widths = random_gain_instance(rng)
-        try:
-            sol = bass.bass_solve(a, b, beta, widths=widths)
-        except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
-            bad.append((idx, f"solve failed: {exc}", a, b, beta))
-            continue
-        absc = spectral_abscissa(a + b @ sol.F)
-        lam_min = float(np.linalg.eigvalsh(sol.X_star)[0])
-        m = -(a + beta * np.eye(a.shape[0]))
-        resid = induced_2norm(m @ sol.X_star + sol.X_star @ m.T + 2 * b @ b.T)
-        scale = induced_2norm(m) * induced_2norm(sol.X_star) + induced_2norm(2 * b @ b.T)
-        recon = np.vstack(sol.F_blocks)
-        if absc > -beta + 1e-6 or lam_min <= 0 or resid > 1e-8 * scale or not np.array_equal(recon, sol.F):
-            bad.append((idx, f"abscissa={absc:.3e} lam_min={lam_min:.3e} resid={resid:.3e}", a, b, beta))
+
+    def solved():
+        for idx in range(count):
+            a, b, beta, widths = random_gain_instance(rng)
+            try:
+                sol = bass.bass_solve(a, b, beta, widths=widths)
+            except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
+                bad.append((idx, f"solve failed: {exc}", a, b, beta))
+                continue
+            yield idx, a, b, beta, sol
+
+    for batch in _batches(solved(), lambda inst: inst[1].shape[0]):
+        idxs, aa, bb, betas, sols = zip(*batch)
+        n = aa[0].shape[0]
+        absc = spectral_abscissa(np.stack([a + b @ sol.F for a, b, sol in zip(aa, bb, sols)]))
+        x = np.stack([sol.X_star for sol in sols])
+        lam_min = np.linalg.eigvalsh(x)[:, 0]
+        m = -(np.stack(aa) + np.array(betas)[:, None, None] * np.eye(n))
+        q = np.stack([2 * b @ b.T for b in bb])
+        resid = induced_2norm(m @ x + x @ np.swapaxes(m, 1, 2) + q)
+        scale = induced_2norm(m) * induced_2norm(x) + induced_2norm(q)
+        for k, (idx, a, b, beta, sol) in enumerate(zip(idxs, aa, bb, betas, sols)):
+            recon = np.vstack(sol.F_blocks)
+            if absc[k] > -beta + 1e-6 or lam_min[k] <= 0 or resid[k] > 1e-8 * scale[k] or not np.array_equal(recon, sol.F):
+                bad.append((idx, f"abscissa={absc[k]:.3e} lam_min={lam_min[k]:.3e} resid={resid[k]:.3e}", a, b, beta))
+    bad.sort(key=lambda item: item[0])
     return CheckResult(
         "gain_synthesis_abscissa",
         not bad,
@@ -373,14 +412,18 @@ def informer_topology(kind: str, n_agents: int) -> Graph:
 # suite: coupling-gain threshold
 
 
-def _eig_propagate(m: np.ndarray, x0: np.ndarray, t: float) -> np.ndarray:
-    """x(t) of xdot = M x via eigendecomposition (fine for huge stable modes)."""
+def _eig_propagate(m: np.ndarray, x0: np.ndarray, t) -> np.ndarray:
+    """x(t) of xdot = M x via eigendecomposition (fine for huge stable modes).
+
+    A stack of M ``(..., d, d)`` takes x0 ``(..., d)`` and t ``(...)``.
+    """
     w, v = np.linalg.eig(m)
-    coef = np.linalg.solve(v, x0.astype(complex))
+    coef = np.linalg.solve(v, x0.astype(complex)[..., None])
+    wt = w * np.asarray(t)[..., None]
     with np.errstate(over="ignore", under="ignore"):
-        grow = np.exp(w * t)
-        grow[w.real * t < -700] = 0.0
-    return (v @ (grow * coef)).real
+        grow = np.exp(wt)
+        grow[wt.real < -700] = 0.0
+    return (v @ (grow[..., None] * coef))[..., 0].real
 
 
 def suite_theorem1(seed: int = 0, count: int = 100) -> list[CheckResult]:
@@ -390,49 +433,61 @@ def suite_theorem1(seed: int = 0, count: int = 100) -> list[CheckResult]:
     bounds_fail = []
     spectrum_fail = []
 
-    for idx in range(count):
-        # resample until the certified threshold stays below ~1e8: past
-        # that, eigensolver backward error (|M| * eps) swamps the O(1)
-        # real parts and a Hurwitz check cannot certify either way
-        for _ in range(60):
-            p = random_normalized_plant(rng)
-            n_agents = len(p.channels)
-            ids = tuple(c.id for c in sorted(p.channels, key=lambda c: c.id))
-            g = random_connected_graph(rng, ids)
-            beta = float(rng.uniform(0.25, 1.0))
-            bmat, cmat = aggregate(p)
-            sol = bass.bass_solve(p.A, bmat, beta, widths=[c.m for c in sorted(p.channels, key=lambda c: c.id)])
-            dual = bass.dual_bass_solve(p.A, cmat, beta, heights=[c.p for c in sorted(p.channels, key=lambda c: c.id)])
-            cert = bass.bass_certificate(p, sol, dual, g)
-            if cert.gamma_min <= 1e8:
-                break
-        gamma = 1.01 * cert.gamma_min
-        decomp = analysis.closed_loop_matrix(p, sol.F_blocks, dual.L_blocks, gamma, g)
-        absc = spectral_abscissa(decomp.assembled)
-        if absc >= 0:
-            hurwitz_fail.append({"index": idx, "abscissa": absc, "gamma": gamma})
-            continue
-        # block-norm bounds hold on every instance
-        rep = analysis.verify_block_bounds(decomp, p, sol.F_blocks, dual.L_blocks)
-        if not rep.all_pass:
-            bounds_fail.append({"index": idx, "bounds": [(b.name, b.lhs, b.rhs) for b in rep.bounds]})
+    def hurwitz():
+        # the Hurwitz test runs as each instance is drawn: whether it
+        # passes decides the draws that follow
+        for idx in range(count):
+            # resample until the certified threshold stays below ~1e8: past
+            # that, eigensolver backward error (|M| * eps) swamps the O(1)
+            # real parts and a Hurwitz check cannot certify either way
+            for _ in range(60):
+                p = random_normalized_plant(rng)
+                n_agents = len(p.channels)
+                ids = tuple(c.id for c in sorted(p.channels, key=lambda c: c.id))
+                g = random_connected_graph(rng, ids)
+                beta = float(rng.uniform(0.25, 1.0))
+                bmat, cmat = aggregate(p)
+                sol = bass.bass_solve(p.A, bmat, beta, widths=[c.m for c in sorted(p.channels, key=lambda c: c.id)])
+                dual = bass.dual_bass_solve(p.A, cmat, beta, heights=[c.p for c in sorted(p.channels, key=lambda c: c.id)])
+                cert = bass.bass_certificate(p, sol, dual, g)
+                if cert.gamma_min <= 1e8:
+                    break
+            gamma = 1.01 * cert.gamma_min
+            decomp = analysis.closed_loop_matrix(p, sol.F_blocks, dual.L_blocks, gamma, g)
+            absc = spectral_abscissa(decomp.assembled)
+            if absc >= 0:
+                hurwitz_fail.append({"index": idx, "abscissa": absc, "gamma": gamma})
+                continue
+            # initial state of the flat loop over (x, xhat_1..xhat_N)
+            x0 = rng.normal(size=(n_agents + 1) * p.n)
+            gamma_mod = float(rng.uniform(0.5, 20.0))
+            yield idx, p, sol.F_blocks, dual.L_blocks, g, beta, gamma, x0, gamma_mod
+
+    for batch in _batches(hurwitz(), lambda inst: (inst[1].n, len(inst[1].channels))):
+        idxs, ps, fs, ls, gs, betas, gammas, x0s, gamma_mods = zip(*batch)
+        n = ps[0].n
+        # s1..s5 do not depend on gamma, so the loop at gamma_mod serves
+        # both the block-norm bounds and the spectrum check
+        decomp = analysis.closed_loop_matrix(ps, fs, ls, np.array(gamma_mods), gs)
+        reports = analysis.verify_block_bounds(decomp, ps, fs, ls)
         # simulated decay of the plant state over 20/beta
-        flat = analysis.flat_closed_loop_matrix(p, sol.F_blocks, dual.L_blocks, gamma, g)
-        x0 = rng.normal(size=flat.shape[0])
-        xt = _eig_propagate(flat, x0, 20.0 / beta)
-        n = p.n
-        lhs = np.linalg.norm(xt[:n])
-        rhs = 1e-2 * np.linalg.norm(x0[:n])
-        if lhs >= rhs:
-            decay_fail.append({"index": idx, "ratio": float(lhs / max(np.linalg.norm(x0[:n]), 1e-300))})
+        flat = np.stack([analysis.flat_closed_loop_matrix(*inst) for inst in zip(ps, fs, ls, gammas, gs)])
+        xts = _eig_propagate(flat, np.stack(x0s), 20.0 / np.array(betas))
         # spectrum equivalence at a moderate gain
-        gamma_mod = float(rng.uniform(0.5, 20.0))
-        asm = analysis.closed_loop_matrix(p, sol.F_blocks, dual.L_blocks, gamma_mod, g).assembled
-        flat_mod = analysis.flat_closed_loop_matrix(p, sol.F_blocks, dual.L_blocks, gamma_mod, g)
-        ev1 = np.sort_complex(np.linalg.eigvals(asm))
+        flat_mod = np.stack([analysis.flat_closed_loop_matrix(*inst) for inst in zip(ps, fs, ls, gamma_mods, gs)])
+        ev1 = np.sort_complex(np.linalg.eigvals(decomp.assembled))
         ev2 = np.sort_complex(np.linalg.eigvals(flat_mod))
-        if not _greedy_match(ev1, ev2, 1e-7):
-            spectrum_fail.append({"index": idx})
+        for k, idx in enumerate(idxs):
+            if not reports[k].all_pass:
+                bounds_fail.append({"index": idx, "bounds": [(b.name, b.lhs, b.rhs) for b in reports[k].bounds]})
+            lhs = np.linalg.norm(xts[k, :n])
+            rhs = 1e-2 * np.linalg.norm(x0s[k][:n])
+            if lhs >= rhs:
+                decay_fail.append({"index": idx, "ratio": float(lhs / max(np.linalg.norm(x0s[k][:n]), 1e-300))})
+            if not _greedy_match(ev1[k], ev2[k], 1e-7):
+                spectrum_fail.append({"index": idx})
+    for fails in (decay_fail, bounds_fail, spectrum_fail):
+        fails.sort(key=lambda item: item["index"])
 
     out = [
         CheckResult(
@@ -484,17 +539,23 @@ def suite_appendix(seed: int = 0, bound_count: int = 500, eq_count: int = 25) ->
     rng = np.random.default_rng(seed)
     results = []
 
+    def drawn():
+        for idx in range(bound_count):
+            p = random_normalized_plant(rng, n_max=4, agents_max=6)
+            chans = sorted(p.channels, key=lambda c: c.id)
+            g = random_connected_graph(rng, tuple(c.id for c in chans))
+            f_blocks = [rng.normal(size=(c.m, p.n)) for c in chans]
+            l_blocks = [rng.normal(size=(p.n, c.p)) for c in chans]
+            yield idx, p, f_blocks, l_blocks, g
+
     fails = []
-    for idx in range(bound_count):
-        p = random_normalized_plant(rng, n_max=4, agents_max=6)
-        ids = tuple(c.id for c in sorted(p.channels, key=lambda c: c.id))
-        g = random_connected_graph(rng, ids)
-        f_blocks = [rng.normal(size=(c.m, p.n)) for c in sorted(p.channels, key=lambda c: c.id)]
-        l_blocks = [rng.normal(size=(p.n, c.p)) for c in sorted(p.channels, key=lambda c: c.id)]
-        decomp = analysis.closed_loop_matrix(p, f_blocks, l_blocks, 1.0, g)
-        rep = analysis.verify_block_bounds(decomp, p, f_blocks, l_blocks)
-        if not rep.all_pass:
-            fails.append({"index": idx, "bounds": [(b.name, b.lhs, b.rhs) for b in rep.bounds]})
+    for batch in _batches(drawn(), lambda inst: (inst[1].n, len(inst[1].channels))):
+        idxs, ps, fs, ls, gs = zip(*batch)
+        decomp = analysis.closed_loop_matrix(ps, fs, ls, 1.0, gs)
+        for idx, rep in zip(idxs, analysis.verify_block_bounds(decomp, ps, fs, ls)):
+            if not rep.all_pass:
+                fails.append({"index": idx, "bounds": [(b.name, b.lhs, b.rhs) for b in rep.bounds]})
+    fails.sort(key=lambda item: item["index"])
     results.append(
         CheckResult(
             "block_bounds_random_gains",

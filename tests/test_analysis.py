@@ -3,9 +3,9 @@ import pytest
 
 from plugplay import analysis, bass
 from plugplay.consensus import FlowParams
-from plugplay.graph import Graph, laplacian
+from plugplay.graph import Graph, is_connected, laplacian, r_matrix
 from plugplay.matlib import induced_2norm, spectral_abscissa, unvec
-from plugplay.plant import Channel, PlantModel, aggregate
+from plugplay.plant import Channel, PlantModel, aggregate, normalize_channel
 from plugplay.suites import (
     propagate_affine,
     random_connected_graph,
@@ -111,6 +111,152 @@ class TestObserverLoop:
                 p.A, chans, fs, ls, np.full(n_agents, float(n_agents)), np.full(n_agents, gamma), g
             )
             assert np.array_equal(flat, want)
+
+
+def oracle_closed_loop(p, f_blocks, l_blocks, gamma, g):
+    """One instance at a time, with explicit Kronecker products: the
+    error-coordinate loop and its pieces, keyed by the field names of
+    ``analysis.ClosedLoopDecomposition``."""
+    chans = sorted(p.channels, key=lambda c: c.id)
+    n, n_agents = p.n, len(chans)
+    bf = [c.B @ f for c, f in zip(chans, f_blocks)]
+    lc = [l @ c.C for c, l in zip(chans, l_blocks)]
+    a, bfsum, lcsum, eye = p.A, sum(bf), sum(lc), np.eye(n)
+    row_bf = np.hstack(bf)
+    gmat = np.zeros((n_agents * n, n_agents * n))
+    diag_alc = np.zeros((n_agents * n, n_agents * n))
+    for i in range(n_agents):
+        sl = slice(i * n, (i + 1) * n)
+        gmat[sl, sl] = a + n_agents * lc[i] + n_agents * bf[i]
+        diag_alc[sl, sl] = a + n_agents * lc[i]
+    gmat -= np.tile(row_bf, (n_agents, 1))
+    hmat = np.vstack([n_agents * bf[i] - bfsum for i in range(n_agents)])
+    if n_agents == 1:
+        rmat, lam_plus = np.zeros((1, 0)), np.zeros((0, 0))
+    else:
+        assert is_connected(g)
+        rmat, lam_plus = r_matrix(g)
+    r_kron = np.kron(rmat, eye)
+    avg = np.tile(eye / n_agents, (1, n_agents))
+    ones_kron = np.tile(eye, (n_agents, 1))
+    out = {
+        "square1": row_bf @ r_kron,
+        "square2": avg @ diag_alc @ r_kron,
+        "square3": r_kron.T @ hmat,
+        "square4": r_kron.T @ gmat @ ones_kron,
+        "square5": r_kron.T @ gmat @ r_kron,
+        "G": gmat,
+        "H": hmat,
+        "R": rmat,
+        "lambda_plus": lam_plus,
+    }
+    asm = np.block([
+        [a + bfsum, bfsum, out["square1"]],
+        [np.zeros((n, n)), a + lcsum, out["square2"]],
+        [out["square3"], out["square4"], out["square5"] - gamma * np.kron(lam_plus, eye)],
+    ])
+    out["assembled"] = asm
+    return out
+
+
+def oracle_block_bounds(blocks, p, f_blocks, l_blocks):
+    """The five (name, lhs, rhs) bounds of one instance, from its blocks."""
+    for c in p.channels:
+        if induced_2norm(c.B) > 1 + 1e-9 or induced_2norm(c.C) > 1 + 1e-9:
+            raise ValueError(f"channel {c.id} is not normalized")
+    n_agents = len(f_blocks)
+    max_f = max(induced_2norm(f) for f in f_blocks)
+    max_l = max(induced_2norm(l) for l in l_blocks)
+    theta = induced_2norm(p.A) + n_agents * max_l + 2 * n_agents * max_f
+    sqrt_n = np.sqrt(n_agents)
+    return [
+        ("square1_sq", induced_2norm(blocks["square1"]) ** 2, n_agents * max_f**2),
+        ("square2", induced_2norm(blocks["square2"]), theta / sqrt_n),
+        ("square3_sq", induced_2norm(blocks["square3"]) ** 2, 4 * n_agents**3 * max_f**2),
+        ("square4", induced_2norm(blocks["square4"]), sqrt_n * theta),
+        ("square5", induced_2norm(blocks["square5"]), theta),
+    ]
+
+
+FIELDS = ("assembled", "square1", "square2", "square3", "square4", "square5", "G", "H", "R", "lambda_plus")
+
+
+def stack_instance(rng, n, n_agents):
+    """A normalized plant, its graph and random gains; widths and heights
+    of 1 or 2."""
+    ids = tuple(range(1, n_agents + 1))
+    g = random_connected_graph(rng, ids) if n_agents > 1 else Graph.from_edges(ids, [])
+    chans, fs, ls = [], [], []
+    for i in ids:
+        m_i, p_i = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        chans.append(normalize_channel(Channel(i, rng.normal(size=(n, m_i)), rng.normal(size=(p_i, n)))))
+        fs.append(rng.normal(size=(m_i, n)))
+        ls.append(rng.normal(size=(n, p_i)))
+    return PlantModel(rng.normal(size=(n, n)), tuple(chans)), fs, ls, g
+
+
+class TestStackedClosedLoop:
+    """The stacked assembly and bound check against the one-instance
+    oracles above."""
+
+    SHAPES = ((1, 1), (3, 1), (2, 2), (4, 2), (1, 3), (3, 4), (2, 6), (4, 5))
+
+    def stacks(self, seed, per_shape):
+        rng = np.random.default_rng(seed)
+        for n, n_agents in self.SHAPES:
+            insts = [stack_instance(rng, n, n_agents) for _ in range(per_shape)]
+            gammas = rng.uniform(0.5, 50.0, size=per_shape)
+            yield [list(x) for x in zip(*insts)], gammas
+
+    def test_stack_equals_the_oracle(self):
+        checked = 0
+        for (ps, fs, ls, gs), gammas in self.stacks(11, 7):
+            decomp = analysis.closed_loop_matrix(ps, fs, ls, gammas, gs)
+            reports = analysis.verify_block_bounds(decomp, ps, fs, ls)
+            assert len(reports) == len(ps)
+            assert np.array_equal(decomp.gamma, gammas)
+            for k, (p, f, l, g) in enumerate(zip(ps, fs, ls, gs)):
+                want = oracle_closed_loop(p, f, l, gammas[k], g)
+                for name in FIELDS:
+                    got = getattr(decomp, name)[k]
+                    assert got.shape == want[name].shape, name
+                    scale = np.abs(want[name]).max(initial=0.0)
+                    assert np.abs(got - want[name]).max(initial=0.0) <= 1e-15 * scale, name
+                bounds = oracle_block_bounds(want, p, f, l)
+                assert reports[k].all_pass == all(lhs <= rhs * (1 + 1e-12) + 1e-12 for _, lhs, rhs in bounds)
+                for b, (name, lhs, rhs) in zip(reports[k].bounds, bounds):
+                    assert b.name == name
+                    assert abs(b.lhs - lhs) <= 1e-15 * abs(lhs) and abs(b.rhs - rhs) <= 1e-15 * abs(rhs)
+                checked += 1
+        assert checked == 56
+
+    def test_batch_of_one_is_the_instance_bit_for_bit(self):
+        for (ps, fs, ls, gs), gammas in self.stacks(12, 1):
+            args = (ps[0], fs[0], ls[0])
+            one = analysis.closed_loop_matrix([ps[0]], [fs[0]], [ls[0]], gammas, [gs[0]])
+            lone = analysis.closed_loop_matrix(*args, gammas[0], gs[0])
+            assert lone.gamma == gammas[0] and isinstance(lone.gamma, float)
+            for name in FIELDS:
+                assert np.array_equal(getattr(one, name)[0], getattr(lone, name)), name
+            assert analysis.verify_block_bounds(one, [ps[0]], [fs[0]], [ls[0]]) == [
+                analysis.verify_block_bounds(lone, *args)
+            ]
+
+    def test_unnormalized_channel_in_a_stack_rejected(self):
+        rng = np.random.default_rng(13)
+        ps, fs, ls, gs = (list(x) for x in zip(*[stack_instance(rng, 3, 4) for _ in range(3)]))
+        c = ps[1].channels[2]
+        ps[1] = PlantModel(ps[1].A, ps[1].channels[:2] + (Channel(c.id, 3.0 * c.B, c.C),) + ps[1].channels[3:])
+        decomp = analysis.closed_loop_matrix(ps, fs, ls, 1.0, gs)
+        with pytest.raises(ValueError, match="^channel 3 is not normalized$"):
+            analysis.verify_block_bounds(decomp, ps, fs, ls)
+
+    def test_mixed_shapes_rejected(self):
+        rng = np.random.default_rng(14)
+        insts = [stack_instance(rng, 3, 2), stack_instance(rng, 3, 3)]
+        ps, fs, ls, gs = (list(x) for x in zip(*insts))
+        with pytest.raises(ValueError, match="one state size and one agent count"):
+            analysis.closed_loop_matrix(ps, fs, ls, 1.0, gs)
 
 
 class TestClosedLoopMatrix:

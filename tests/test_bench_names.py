@@ -7,14 +7,16 @@ name, would otherwise go unnoticed until the benchmark runs.  The tracer
 is loaded by path and only read.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-from plugplay import suites
+from plugplay import cli, suites
 from plugplay.sim import build_load_transport_scenario, run_scenario
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def load_tracer():
@@ -71,6 +73,34 @@ def test_verify_records_flow_derivatives():
     with tr:
         suites.suite_appendix(seed=0, bound_count=0)
     assert tracer.layer_metrics(tr)["consensus.flow_derivative.calls"] > 0
+
+
+def expected_layers(workload: str) -> list[str]:
+    """``EXPECTED[workload]`` of the benchmark's self-test, read without
+    importing it (it loads the workloads and pins thread counts)."""
+    tree = ast.parse((PERFBENCH / "test_perfbench.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["EXPECTED"]:
+            return ast.literal_eval(node.value)[workload]
+    raise AssertionError("EXPECTED not found in perfbench/test_perfbench.py")
+
+
+def test_verify_layers_record_work(capsys):
+    # every suite at a few instances, and one through the CLI
+    tracer = load_tracer()
+    tr = tracer.Tracer()
+    with tr:
+        suites.check_gain_abscissa(count=3)
+        suites.check_decay_envelopes(envelopes=2)
+        suites.suite_theorem1(count=2)
+        suites.suite_appendix(bound_count=3, eq_count=1)
+        assert cli.main(["verify", "consensus", "--seed", "0"]) == 0
+    capsys.readouterr()
+    m = tracer.layer_metrics(tr)
+    names = expected_layers("verify")
+    assert "analysis.verify_block_bounds.calls" in names
+    idle = [name for name in names if not m[name] > 0]
+    assert not idle, "verify layers that recorded no work: " + ", ".join(idle)
 
 
 def test_simulator_layers_record_work():

@@ -259,6 +259,26 @@ class TestNormsInverse:
     def test_norm_of_empty_is_zero(self):
         assert ml.induced_2norm(np.zeros((0, 0))) == 0.0
         assert ml.induced_2norm(np.zeros((3, 0))) == 0.0
+        assert np.array_equal(ml.induced_2norm(np.zeros((4, 3, 0))), np.zeros(4))
+        assert ml.induced_2norm(np.zeros((0, 3, 3))).shape == (0,)
+
+    def test_stack_gives_each_matrix_norm_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        for shape in [(5, 3, 3), (2, 4, 1, 6), (7, 1, 4), (3, 8, 8)]:
+            a = rng.normal(size=shape)
+            got = ml.induced_2norm(a)
+            assert got.shape == shape[:-2]
+            for idx in np.ndindex(*shape[:-2]):
+                assert got[idx] == ml.induced_2norm(a[idx])
+
+    def test_stacked_abscissa_gives_each_matrix_abscissa(self):
+        rng = np.random.default_rng(10)
+        a = rng.normal(size=(6, 4, 4))
+        got = ml.spectral_abscissa(a)
+        assert got.shape == (6,)
+        assert [float(x) for x in got] == [ml.spectral_abscissa(m) for m in a]
+        with pytest.raises(ValueError):
+            ml.spectral_abscissa(np.zeros((2, 3, 4)))
 
     def test_inverse_residual(self):
         rng = np.random.default_rng(7)
@@ -284,3 +304,5 @@ class TestValidation:
                 ml.as_matrix([[bad]])
             with pytest.raises(ValueError, match="^A contains non-finite entries$"):
                 ml.induced_2norm([[1.0, bad]])
+            with pytest.raises(ValueError, match="^A contains non-finite entries$"):
+                ml.induced_2norm([[[1.0, 0.0]], [[0.0, bad]]])

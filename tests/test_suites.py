@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from plugplay import bass, suites
+from plugplay import analysis, bass, suites
 from plugplay.matlib import rk4_propagator
 
 
@@ -58,3 +58,41 @@ def test_stacked_envelopes_equal_the_per_trajectory_loop(seed, monkeypatch):
     fails = [idx for idx, (*_, ok_ref) in enumerate(oracle) if not ok_ref]
     assert result.passed == (not fails)
     assert result.detail == f"{50 - len(fails)}/50 trajectories inside the envelope"
+
+
+def test_batching_changes_no_verdict(monkeypatch):
+    """Instances reach the stacked checks in batches of one shape; the
+    batch an instance lands in must not change its verdict, nor the
+    index reported for the first failure.  Stricter checks make some
+    instances of every kind fail."""
+    real_solve, real_abscissa, real_match = bass.bass_solve, suites.spectral_abscissa, suites._greedy_match
+
+    def solve(a, b, beta, **kwargs):
+        if a.shape[0] == 6:
+            raise ValueError("refused")
+        return real_solve(a, b, beta, **kwargs)
+
+    def abscissa(a):
+        # the batched gain check reads a stack: fail its n = 3 members
+        out = real_abscissa(a)
+        return out + 10.0 * (np.shape(a)[-1] == 3) if np.ndim(a) > 2 else out
+
+    monkeypatch.setattr(bass, "bass_solve", solve)
+    monkeypatch.setattr(suites, "spectral_abscissa", abscissa)
+    monkeypatch.setattr(suites, "_greedy_match", lambda ev1, ev2, tol: ev1.size % 5 and real_match(ev1, ev2, tol))
+    monkeypatch.setattr(analysis.BlockBound, "passed", property(lambda b: b.lhs <= 0.45 * b.rhs))
+
+    def run():
+        return [
+            suites.check_gain_abscissa(seed=5, count=16),
+            *suites.suite_theorem1(seed=5, count=10),
+            suites.suite_appendix(seed=5, bound_count=40, eq_count=0)[0],
+        ]
+
+    whole = run()
+    monkeypatch.setattr(suites, "HELD", 2)
+    assert run() == whole
+    failed = {r.name: r.repro for r in whole if not r.passed}
+    assert {"gain_synthesis_abscissa", "block_bounds_synthesized_gains", "spectrum_equivalence",
+            "block_bounds_random_gains"} <= failed.keys()
+    assert all(r["index"] > 0 for r in failed.values())
