@@ -323,7 +323,7 @@ def suite_consensus(seed: int = 0) -> list[CheckResult]:
                 bagg = np.hstack([maps[i] for i in ids])
                 target = bass.bass_solve(a, bagg, beta, check_controllability=False).X_star / n_agents
                 flow_a, flow_maps = a, maps
-            params = consensus.bass_rate_params(a, beta, g, delta)
+            params = consensus.bass_rate_params(flow_a, beta, g, delta)
             # the initial flow error is ~err0_scale per agent; both runs
             # below contract it past 1e-8 at their slowest rate
             err0_scale = 10.0
