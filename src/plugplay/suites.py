@@ -170,12 +170,12 @@ def _batches(instances, shape):
     """Group a stream of instances by shape, for batched checks.
 
     Yields lists of instances of one shape, in any order.  Once `HELD`
-    instances wait, the largest group is yielded.  The
-    suites check each batch with stacked calls: numpy's stacked
-    products, SVDs and eigensolvers run the same BLAS or LAPACK routine
-    on each matrix as a call on that matrix alone, so an instance's
-    verdict does not depend on its batch.  Stacks are never zero-padded
-    to a common shape, since a padded matrix rounds differently.
+    instances wait, the largest group is yielded.  The suites check each
+    batch with stacked calls: numpy's stacked products, SVDs and
+    eigensolvers run the same BLAS or LAPACK routine on each matrix as a
+    call on that matrix alone, so an instance's verdict does not depend
+    on its batch.  Stacks are never zero-padded to a common shape, since
+    a padded matrix rounds differently.
     """
     waiting: dict = {}
     held = 0
