@@ -23,7 +23,7 @@ import numpy as np
 from .bass import ThresholdCertificate, _theta_bound
 from .consensus import INFORMER_ID, FlowParams, flow_drift
 from .graph import Graph, is_connected, laplacian, r_matrix
-from .matlib import as_matrix, induced_2norm, vec
+from .matlib import as_matrix, induced_2norm, induced_2norms, vec
 from .plant import PlantModel
 
 __all__ = [
@@ -252,18 +252,6 @@ class BlockBoundReport:
         return all(b.passed for b in self.bounds)
 
 
-def _norms(mats) -> np.ndarray:
-    """:func:`induced_2norm` of each matrix, one stacked SVD per shape."""
-    mats = [m if isinstance(m, np.ndarray) and m.ndim == 2 else as_matrix(m) for m in mats]
-    out = np.empty(len(mats))
-    by_shape: dict[tuple, list[int]] = {}
-    for k, m in enumerate(mats):
-        by_shape.setdefault(m.shape, []).append(k)
-    for ks in by_shape.values():
-        out[ks] = induced_2norm(np.array([mats[k] for k in ks], dtype=float))
-    return out
-
-
 def verify_block_bounds(
     decomp: ClosedLoopDecomposition, p: PlantModel, f_blocks, l_blocks
 ) -> BlockBoundReport:
@@ -280,14 +268,14 @@ def verify_block_bounds(
     """
     single, plants, fs, ls = _instances(p, f_blocks, l_blocks)
     chans = [c for q in plants for c in q.channels]
-    unit = (_norms([c.B for c in chans]) <= 1 + 1e-9) & (_norms([c.C for c in chans]) <= 1 + 1e-9)
+    unit = (induced_2norms([m for c in chans for m in (c.B, c.C)]) <= 1 + 1e-9).reshape(-1, 2).all(axis=1)
     if not unit.all():
         raise ValueError(f"channel {chans[int(np.argmin(unit))].id} is not normalized")
     n_agents = decomp.n_agents
     count = len(plants)
-    max_f = _norms([f for blocks in fs for f in blocks]).reshape(count, n_agents).max(axis=1)
-    max_l = _norms([l for blocks in ls for l in blocks]).reshape(count, n_agents).max(axis=1)
-    theta = _theta_bound(_norms([q.A for q in plants]), max_f, max_l, n_agents)
+    max_f = induced_2norms([f for blocks in fs for f in blocks]).reshape(count, n_agents).max(axis=1)
+    max_l = induced_2norms([l for blocks in ls for l in blocks]).reshape(count, n_agents).max(axis=1)
+    theta = _theta_bound(induced_2norms([q.A for q in plants]), max_f, max_l, n_agents)
     squares = (decomp.square1, decomp.square2, decomp.square3, decomp.square4, decomp.square5)
     lhs = np.stack([np.atleast_1d(induced_2norm(s)) for s in squares], axis=1)
     sqrt_n = np.sqrt(n_agents)
@@ -374,7 +362,7 @@ def lyapunov_weights(cert: ThresholdCertificate, f_blocks, n_agents: int) -> tup
     """
     delta = max(np.linalg.eigvalsh(cert.M1)[-1], np.linalg.eigvalsh(cert.M2)[-1])
     eps = min(np.linalg.eigvalsh(cert.Q1)[0], np.linalg.eigvalsh(cert.Q2)[0])
-    max_f = max(induced_2norm(f) for f in f_blocks)
+    max_f = float(induced_2norms(f_blocks).max())
     theta = cert.theta
     phi_tilde = (delta / (2 * n_agents)) * np.sqrt(1 + theta**2 * delta**2 / eps**2)
     phi_bar = 2 * delta**2 * n_agents**2 * max_f**2 / eps**2 + phi_tilde * n_agents / delta

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import matlib
 from .graph import Graph, lambda2, mohar_bound
-from .matlib import as_matrix, induced_2norm, inverse, solve_lyapunov, spectral_abscissa
+from .matlib import as_matrix, induced_2norms, inverse, solve_lyapunov, spectral_abscissa
 from .plant import PlantModel, aggregate, is_controllable, is_observable
 
 __all__ = [
@@ -75,16 +75,13 @@ def _split_rows(m: np.ndarray, widths) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class BassSolution:
-    """Shift, Lyapunov solution X*, aggregate gain F and per-channel slices."""
+    """Shift, Lyapunov solution X* and its inverse, gain F and per-channel slices."""
 
     beta: float
     X_star: np.ndarray
+    X_star_inv: np.ndarray
     F: np.ndarray
     F_blocks: tuple[np.ndarray, ...]
-
-    @property
-    def X_star_inv(self) -> np.ndarray:
-        return inverse(self.X_star)
 
 
 @dataclass(frozen=True)
@@ -143,7 +140,7 @@ def bass_solve(a, b, beta: float, widths=None, check_controllability: bool = Tru
     _check_pd(x_star, "Lyapunov solution X*")
     x_inv = inverse(x_star)
     f = -b.T @ x_inv
-    sol = BassSolution(float(beta), x_star, f, _split_rows(f, widths) if widths else (f,))
+    sol = BassSolution(float(beta), x_star, x_inv, f, _split_rows(f, widths) if widths else (f,))
     closed = spectral_abscissa(a + b @ f)
     if closed > -beta + ABSCISSA_TOL:
         raise matlib.LyapunovError(
@@ -192,12 +189,6 @@ def _theta_bound(norm_a, max_f, max_l, n_agents: int):
     return norm_a + n_agents * max_l + 2 * n_agents * max_f
 
 
-def _theta(a: np.ndarray, f_blocks, l_blocks) -> tuple[float, float]:
-    max_f = max(induced_2norm(f) for f in f_blocks)
-    max_l = max(induced_2norm(l) for l in l_blocks)
-    return _theta_bound(induced_2norm(a), max_f, max_l, len(f_blocks)), max_f
-
-
 def gamma_threshold(theta: float, kappa: float, max_f: float, n_agents: int, lam2: float) -> float:
     """Right-hand side of the coupling-gain inequality."""
     return (
@@ -222,7 +213,9 @@ def threshold_certificate(
 
     The supplied (M1, Q1) must satisfy ``M1 (A+BF) + (A+BF)^T M1 = -2 Q1``
     and (M2, Q2) the analogue for ``A + LC`` (checked, not assumed, to
-    a relative residual of ``_IDENTITY_RTOL``).
+    a relative residual of ``_IDENTITY_RTOL``).  kappa = delta / eps reads
+    delta = max lmax(M_i) and eps = min lmin(Q_i) off the symmetric parts
+    whose eigenvalues the positive-definiteness check computes.
     `lam2` overrides the graph's algebraic connectivity, e.g. to evaluate
     the threshold with the 4/N^2 worst-case bound; for a single agent the
     coupling is vacuous and 4/N^2 = 4 is used.
@@ -232,27 +225,24 @@ def threshold_certificate(
     n_agents = len(p.channels)
     if len(f_blocks) != n_agents or len(l_blocks) != n_agents:
         raise ValueError("one F and one L block per channel required")
-    m1 = as_matrix(m1, "M1")
-    m2 = as_matrix(m2, "M2")
-    q1 = as_matrix(q1, "Q1")
-    q2 = as_matrix(q2, "Q2")
-    for mat, what in ((m1, "M1"), (m2, "M2"), (q1, "Q1"), (q2, "Q2")):
-        _check_pd(mat, what)
+    names = ("M1", "M2", "Q1", "Q2")
+    m1, m2, q1, q2 = (as_matrix(m, what) for m, what in zip((m1, m2, q1, q2), names))
+    w_m1, w_m2, w_q1, w_q2 = (_check_pd(m, what) for m, what in zip((m1, m2, q1, q2), names))
     f = np.vstack(list(f_blocks))
     ell = np.hstack(list(l_blocks))
     abf = a + bmat @ f
     alc = a + ell @ cmat
-    res1 = induced_2norm(m1 @ abf + abf.T @ m1 + 2 * q1)
-    res2 = induced_2norm(m2 @ alc + alc.T @ m2 + 2 * q2)
-    scale1 = max(induced_2norm(m1) * induced_2norm(abf), induced_2norm(q1), 1.0)
-    scale2 = max(induced_2norm(m2) * induced_2norm(alc), induced_2norm(q2), 1.0)
+    resids = (m1 @ abf + abf.T @ m1 + 2 * q1, m2 @ alc + alc.T @ m2 + 2 * q2)
+    norms = induced_2norms([*resids, m1, abf, q1, m2, alc, q2, a, *f_blocks, *l_blocks])
+    res1, res2, n_m1, n_abf, n_q1, n_m2, n_alc, n_q2, norm_a = norms[:9].tolist()
+    scale1 = max(n_m1 * n_abf, n_q1, 1.0)
+    scale2 = max(n_m2 * n_alc, n_q2, 1.0)
     if res1 > _IDENTITY_RTOL * scale1 or res2 > _IDENTITY_RTOL * scale2:
-        raise CertificateError(
-            f"Lyapunov identities violated (residuals {res1:.3e}, {res2:.3e})"
-        )
-    theta, max_f = _theta(a, f_blocks, l_blocks)
-    delta = max(np.linalg.eigvalsh(m1)[-1], np.linalg.eigvalsh(m2)[-1])
-    eps = min(np.linalg.eigvalsh(q1)[0], np.linalg.eigvalsh(q2)[0])
+        raise CertificateError(f"Lyapunov identities violated (residuals {res1:.3e}, {res2:.3e})")
+    max_f = float(norms[9 : 9 + n_agents].max())
+    theta = _theta_bound(norm_a, max_f, float(norms[9 + n_agents :].max()), n_agents)
+    delta = max(w_m1[-1], w_m2[-1])
+    eps = min(w_q1[0], w_q2[0])
     kappa = delta / eps
     if lam2 is None:
         if n_agents == 1:

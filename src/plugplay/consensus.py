@@ -29,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from .graph import Graph, is_connected, lambda2, laplacian
-from .matlib import as_matrix, induced_2norm, kron_sum, min_real_part, solve_lyapunov
+from .matlib import as_matrix, induced_2norms, kron_sum, min_real_part, solve_lyapunov
 
 __all__ = [
     "INFORMER_ID",
@@ -210,9 +210,8 @@ def bass_rate_params(a, beta: float, g: Graph, delta: float) -> FlowParams:
     p = solve_lyapunov(abar.T, 2.0 * np.eye(abar.shape[0]))
     w = np.linalg.eigvalsh(0.5 * (p + p.T))
     lam2 = lambda2(g) if g.n >= 2 else 4.0
-    coeff = (6.0 + np.sqrt(4.0 + induced_2norm(p) ** 2 * induced_2norm(abar) ** 2)) / (
-        2.0 * lam2 * w[0]
-    )
+    norm_p, norm_abar = induced_2norms([p, abar]).tolist()
+    coeff = (6.0 + np.sqrt(4.0 + norm_p**2 * norm_abar**2)) / (2.0 * lam2 * w[0])
     k = w[-1] * delta if delta > 0 else 1.0
     return FlowParams(float(k), float(coeff * k))
 

@@ -23,6 +23,7 @@ __all__ = [
     "spectral_abscissa",
     "min_real_part",
     "induced_2norm",
+    "induced_2norms",
     "singular_values",
     "inverse",
     "rk4_propagator",
@@ -114,7 +115,7 @@ def solve_lyapunov(a, q) -> np.ndarray:
     q = _square(q, "Q")
     if a.shape != q.shape:
         raise ValueError(f"A and Q must have equal shapes, got {a.shape} vs {q.shape}")
-    norm_a = induced_2norm(a)
+    norm_a, norm_q = induced_2norms([a, q])
     t, u = scipy.linalg.schur(a, output="real")
     w = np.linalg.eigvals(t)
     if np.abs(w[:, None] + w[None, :]).min() <= SINGULARITY_RTOL * 2.0 * norm_a:
@@ -125,11 +126,10 @@ def solve_lyapunov(a, q) -> np.ndarray:
     # check below catches its perturbed (info == 1) solutions
     y, s, _ = scipy.linalg.lapack.dtrsyl(t, t, -(u.T @ q @ u), tranb="T")
     x = u @ (y / s) @ u.T
-    norm_q = induced_2norm(q)
-    if np.allclose(q, q.T, rtol=0, atol=1e-13 * max(1.0, norm_q)):
+    if np.abs(q - q.T).max() <= 1e-13 * max(1.0, norm_q):
         x = 0.5 * (x + x.T)
-    resid = induced_2norm(a @ x + x @ a.T + q)
-    scale = norm_a * induced_2norm(x) + norm_q
+    resid, norm_x = induced_2norms([a @ x + x @ a.T + q, x])
+    scale = norm_a * norm_x + norm_q
     if resid > LYAPUNOV_RTOL * max(scale, 1e-30):
         raise LyapunovError(
             f"Lyapunov residual {resid:.3e} exceeds {LYAPUNOV_RTOL:.1e} * {scale:.3e}"
@@ -151,13 +151,13 @@ def spectral_abscissa(a):
     shape ``(...)``.
     """
     if np.ndim(a) <= 2:
-        return float(eigenvalues(a).real.max())
+        return float(np.linalg.eigvals(_square(a)).real.max())
     return np.linalg.eigvals(_stack(a, "matrix")).real.max(axis=-1)
 
 
 def min_real_part(a) -> float:
     """Smallest real part among the eigenvalues."""
-    return float(eigenvalues(a).real.min())
+    return float(np.linalg.eigvals(_square(a)).real.min())
 
 
 def induced_2norm(a):
@@ -172,6 +172,20 @@ def induced_2norm(a):
         return 0.0 if m.ndim == 2 else np.zeros(m.shape[:-2])
     top = np.linalg.svd(m, compute_uv=False)[..., 0]
     return float(top) if m.ndim == 2 else top
+
+
+def induced_2norms(mats) -> np.ndarray:
+    """:func:`induced_2norm` of each matrix in a sequence of any shapes.
+
+    The matrices are grouped by shape and each group takes one stacked
+    SVD, so every entry equals the norm of that matrix alone.
+    """
+    mats = [m if isinstance(m, np.ndarray) and m.ndim == 2 else as_matrix(m) for m in mats]
+    out = np.empty(len(mats))
+    for shape in {m.shape for m in mats}:
+        ks = [k for k, m in enumerate(mats) if m.shape == shape]
+        out[ks] = induced_2norm(np.array([mats[k] for k in ks], dtype=float))
+    return out
 
 
 def singular_values(a) -> np.ndarray:

@@ -9,12 +9,12 @@ recovered (the normalized plant sees ``|B_i| u_i`` as input and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .matlib import as_matrix, induced_2norm, singular_values
+from .matlib import as_matrix, induced_2norms, singular_values
 
 __all__ = [
     "Channel",
@@ -93,22 +93,32 @@ class PlantModel:
         raise KeyError(f"no channel with id {cid}")
 
 
-def normalize_channel(c: Channel) -> Channel:
-    """Rescale B and C to unit induced 2-norm, recording the norms.
+def _normalized(maps) -> tuple[Channel, ...]:
+    """One channel per ``(id, B, C, input_scale, output_scale)``, with B and
+    C rescaled to unit induced 2-norm and their norms folded into the scales.
 
-    Zero maps pass through unchanged with scale 1, so a degenerate
-    channel never divides by zero.
+    One :func:`induced_2norms` call takes all the norms.  A zero map passes
+    through unchanged, so a degenerate channel never divides by zero.
     """
-    nb = induced_2norm(c.B)
-    nc = induced_2norm(c.C)
-    b, sb = (c.B / nb, c.input_scale * nb) if nb > 0 else (c.B, c.input_scale)
-    cc, sc = (c.C / nc, c.output_scale * nc) if nc > 0 else (c.C, c.output_scale)
-    return replace(c, B=b, C=cc, input_scale=sb, output_scale=sc)
+    maps = list(maps)
+    norms = induced_2norms([m for _, b, c, *_ in maps for m in (b, c)]).tolist()
+    out = []
+    for (cid, b, c, sb, sc), nb, nc in zip(maps, norms[::2], norms[1::2]):
+        b, sb = (b / nb, sb * nb) if nb > 0 else (b, sb)
+        c, sc = (c / nc, sc * nc) if nc > 0 else (c, sc)
+        out.append(Channel(cid, b, c, sb, sc))
+    return tuple(out)
+
+
+def normalize_channel(c: Channel) -> Channel:
+    """Rescale B and C to unit induced 2-norm, recording the norms."""
+    return _normalized([(c.id, c.B, c.C, c.input_scale, c.output_scale)])[0]
 
 
 def normalize_plant(p: PlantModel) -> PlantModel:
-    """Normalize every channel of the plant."""
-    return replace(p, channels=tuple(normalize_channel(c) for c in p.channels))
+    """Normalize every channel of the plant, as :func:`normalize_channel` does."""
+    maps = [(c.id, c.B, c.C, c.input_scale, c.output_scale) for c in p.channels]
+    return PlantModel(p.A, _normalized(maps))
 
 
 def aggregate(p: PlantModel, active: Iterable[int] | None = None) -> tuple[np.ndarray, np.ndarray]:

@@ -17,8 +17,8 @@ from scipy.linalg import expm
 from . import analysis, bass, consensus
 from .consensus import INFORMER_ID, FlowParams
 from .graph import Graph, laplacian, r_matrix
-from .matlib import induced_2norm, min_real_part, rk4_propagator, spectral_abscissa, unvec
-from .plant import Channel, PlantModel, aggregate, normalize_channel
+from .matlib import induced_2norm, induced_2norms, min_real_part, rk4_propagator, solve_lyapunov, spectral_abscissa, unvec
+from .plant import PlantModel, _normalized, aggregate
 
 __all__ = [
     "CheckResult",
@@ -87,8 +87,6 @@ def random_gain_instance(rng: np.random.Generator, n_max: int = 6, m_max: int = 
     certified tolerances stop being meaningful in double precision for
     any implementation.
     """
-    from .matlib import solve_lyapunov
-
     for _ in range(50):
         n = int(rng.integers(2, n_max + 1))
         m = int(rng.integers(1, min(m_max, n) + 1))
@@ -118,13 +116,12 @@ def random_normalized_plant(
     n_agents = int(rng.integers(agents_min, agents_max + 1))
     a = rng.normal(size=(n, n)) / np.sqrt(n)
     a = a + (float(rng.uniform(0.0, 0.3)) - min_real_part(a)) * np.eye(n)
-    chans = []
+    maps = []
     for i in range(1, n_agents + 1):
         b = rng.normal(size=(n, 1))
         p_i = int(rng.integers(1, 3))
-        c = rng.normal(size=(p_i, n))
-        chans.append(normalize_channel(Channel(i, b, c)))
-    return PlantModel(a, tuple(chans))
+        maps.append((i, b, rng.normal(size=(p_i, n)), 1.0, 1.0))
+    return PlantModel(a, _normalized(maps))
 
 
 def propagate_affine(m: np.ndarray, w: np.ndarray, s0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
@@ -215,8 +212,8 @@ def check_gain_abscissa(seed: int = 0, count: int = 200) -> CheckResult:
         lam_min = np.linalg.eigvalsh(x)[:, 0]
         m = -(np.stack(aa) + np.array(betas)[:, None, None] * np.eye(n))
         q = np.stack([2 * b @ b.T for b in bb])
-        resid = induced_2norm(m @ x + x @ np.swapaxes(m, 1, 2) + q)
-        scale = induced_2norm(m) * induced_2norm(x) + induced_2norm(q)
+        resid, norm_m, norm_x, norm_q = induced_2norms([*(m @ x + x @ np.swapaxes(m, 1, 2) + q), *m, *x, *q]).reshape(4, -1)
+        scale = norm_m * norm_x + norm_q
         for k, (idx, a, b, beta, sol) in enumerate(zip(idxs, aa, bb, betas, sols)):
             recon = np.vstack(sol.F_blocks)
             if absc[k] > -beta + 1e-6 or lam_min[k] <= 0 or resid[k] > 1e-8 * scale[k] or not np.array_equal(recon, sol.F):

@@ -3,8 +3,8 @@ import pytest
 from dataclasses import replace
 
 from plugplay import bass
-from plugplay.graph import Graph
-from plugplay.matlib import induced_2norm, inverse, spectral_abscissa
+from plugplay.graph import Graph, lambda2
+from plugplay.matlib import SingularMatrixError, induced_2norm, inverse, spectral_abscissa
 from plugplay.plant import Channel, PlantModel, aggregate
 
 from test_plant import load_transport_plant
@@ -71,6 +71,16 @@ class TestBassSolve:
             x_inv = sol.X_star_inv
             for j, blk in enumerate(sol.F_blocks):
                 assert np.allclose(blk, -b[:, j : j + 1].T @ x_inv, atol=1e-9)
+
+    def test_stored_inverse_is_the_inverse(self):
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            n = int(rng.integers(2, 6))
+            a = rng.normal(size=(n, n))
+            b = rng.normal(size=(n, 2))
+            sol = bass.bass_solve(a, b, 1.0 + max(0.0, -np.linalg.eigvals(a).real.min()))
+            assert np.array_equal(sol.X_star_inv, inverse(sol.X_star))
+            assert np.array_equal(sol.F, -b.T @ sol.X_star_inv)
 
     def test_input_scaling_property(self):
         # B -> cB scales X* by c^2 and F by 1/c
@@ -206,6 +216,69 @@ class TestThresholdCertificate:
                 p, sol.F_blocks, dual.L_blocks,
                 np.eye(1), np.eye(1), np.eye(1), np.eye(1),
             )
+
+    @pytest.mark.parametrize("slot", range(4))
+    def test_non_pd_certificate_refused(self, slot):
+        p = scalar_plant()
+        sol = bass.bass_solve(p.A, p.channels[0].B, 2.0)
+        dual = bass.dual_bass_solve(p.A, p.channels[0].C, 2.0)
+        mats = [np.eye(1)] * 4  # M1, Q1, M2, Q2
+        mats[slot] = np.array([[-1.0]]) if slot % 2 else np.zeros((1, 1))
+        with pytest.raises(SingularMatrixError):
+            bass.threshold_certificate(p, sol.F_blocks, dual.L_blocks, *mats)
+
+    @pytest.mark.parametrize("which", ["Q1", "Q2"])
+    def test_perturbed_identity_refused(self, which):
+        # the Bass instantiation with one Q scaled by 1 + 1e-6
+        p = load_transport_plant((0, 3))
+        b, c = aggregate(p)
+        sol = bass.bass_solve(p.A, b, 0.25, widths=[1, 1])
+        dual = bass.dual_bass_solve(p.A, c, 0.25, heights=[2, 2])
+        m1 = 0.5 * (sol.X_star_inv + sol.X_star_inv.T)
+        m2 = 0.5 * (dual.Y_star + dual.Y_star.T)
+        q1, q2 = 0.25 * m1, 0.25 * m2
+        g = Graph.from_edges([1, 2], [(1, 2)])
+        bass.threshold_certificate(p, sol.F_blocks, dual.L_blocks, m1, q1, m2, q2, g=g)
+        if which == "Q1":
+            q1 = (1 + 1e-6) * q1
+        else:
+            q2 = (1 + 1e-6) * q2
+        with pytest.raises(bass.CertificateError):
+            bass.threshold_certificate(p, sol.F_blocks, dual.L_blocks, m1, q1, m2, q2, g=g)
+
+    def test_values_equal_the_per_matrix_formula(self):
+        # theta, kappa and gamma_min as one norm and one eigensolve per
+        # matrix give them, on theorem1-style random instances
+        from plugplay.suites import random_connected_graph, random_normalized_plant
+
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            p = random_normalized_plant(rng, agents_min=1)
+            chans = sorted(p.channels, key=lambda ch: ch.id)
+            n_agents = len(chans)
+            g = random_connected_graph(rng, tuple(ch.id for ch in chans))
+            beta = float(rng.uniform(0.25, 1.0))
+            b, c = aggregate(p)
+            sol = bass.bass_solve(p.A, b, beta, widths=[ch.m for ch in chans])
+            dual = bass.dual_bass_solve(p.A, c, beta, heights=[ch.p for ch in chans])
+            cert = bass.bass_certificate(p, sol, dual, g)
+
+            m1 = 0.5 * (sol.X_star_inv + sol.X_star_inv.T)
+            m2 = 0.5 * (dual.Y_star + dual.Y_star.T)
+            q1, q2 = beta * m1, beta * m2
+            max_f = max(induced_2norm(f) for f in sol.F_blocks)
+            max_l = max(induced_2norm(l) for l in dual.L_blocks)
+            theta = induced_2norm(p.A) + n_agents * max_l + 2 * n_agents * max_f
+            delta = max(np.linalg.eigvalsh(m1)[-1], np.linalg.eigvalsh(m2)[-1])
+            eps = min(np.linalg.eigvalsh(q1)[0], np.linalg.eigvalsh(q2)[0])
+            kappa = delta / eps
+            lam2 = 4.0 if n_agents == 1 else lambda2(g)
+            gamma_min = (
+                theta + theta**2 * kappa
+                + 4 * n_agents**2 * max_f**2 * kappa * np.sqrt(1 + theta**2 * kappa**2)
+            ) / lam2
+            assert (cert.theta, cert.kappa, cert.gamma_min, cert.lambda_2) == (
+                float(theta), float(kappa), float(gamma_min), float(lam2))
 
     def test_mohar_variant_is_no_less_conservative(self):
         p = load_transport_plant((0, 3, 6))

@@ -99,6 +99,33 @@ class TestSolveLyapunov:
             assert np.array_equal(x, x.T)
             assert np.linalg.eigvalsh(x)[0] > 0
 
+    def test_failed_residual_check_refused(self, monkeypatch):
+        # a Sylvester solve that returns a perturbed Y must not pass
+        real = scipy.linalg.lapack.dtrsyl
+
+        def perturbed(*args, **kwargs):
+            y, scale, info = real(*args, **kwargs)
+            return y + 1e-6 * np.abs(y).max(), scale, info
+
+        a = -np.array([[1.0, 0.3], [0.0, 2.0]])
+        q = np.array([[2.0, 0.5], [0.5, 1.0]])
+        ml.solve_lyapunov(a, q)
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", perturbed)
+        with pytest.raises(ml.LyapunovError, match="residual"):
+            ml.solve_lyapunov(a, q)
+
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_symmetry_decision_is_allclose(self, step):
+        # |Q|_2 < 1, so Q counts as symmetric when |Q - Q^T| <= 1e-13;
+        # an asymmetry just inside, at and just outside that tolerance
+        atol = 1e-13
+        d = atol if step == 0 else np.nextafter(atol, step * np.inf)
+        q = np.array([[0.5, d], [0.0, 0.25]])
+        assert ml.induced_2norm(q) < 1.0
+        x = ml.solve_lyapunov(-np.array([[1.0, 0.3], [0.0, 2.0]]), q)
+        symmetrized = bool(np.array_equal(x, x.T))
+        assert symmetrized == np.allclose(q, q.T, rtol=0, atol=atol) == (step <= 0)
+
     def test_no_unique_solution(self):
         # A has eigenvalues +1 and -1, which sum to zero
         with pytest.raises(ml.LyapunovError):
@@ -270,6 +297,21 @@ class TestNormsInverse:
             assert got.shape == shape[:-2]
             for idx in np.ndindex(*shape[:-2]):
                 assert got[idx] == ml.induced_2norm(a[idx])
+
+    def test_norms_of_mixed_shapes_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        shapes = [(3, 3), (1, 4), (3, 3), (4, 2), (1, 4), (2, 0), (3, 3), (5, 1)]
+        mats = [rng.normal(size=s) for s in shapes]
+        got = ml.induced_2norms(mats)
+        assert got.shape == (len(mats),)
+        for k, m in enumerate(mats):
+            assert got[k] == ml.induced_2norm(m)
+        # lists are coerced as induced_2norm coerces them
+        assert ml.induced_2norms([[[3.0, 4.0]], [1.0, 2.0]]).tolist() == [
+            ml.induced_2norm([[3.0, 4.0]]), ml.induced_2norm([1.0, 2.0])]
+        assert ml.induced_2norms([]).shape == (0,)
+        with pytest.raises(ValueError):
+            ml.induced_2norms([np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]])])
 
     def test_stacked_abscissa_gives_each_matrix_abscissa(self):
         rng = np.random.default_rng(10)

@@ -58,6 +58,39 @@ class TestNormalization:
             assert induced_2norm(c.B) <= 1 + 1e-12
             assert induced_2norm(c.C) <= 1 + 1e-12
 
+    def test_plant_equals_each_channel_bit_for_bit(self):
+        # one stacked norm call per plant must give each channel exactly
+        # what it gets alone, and what one SVD per map gives
+        def one_svd_per_map(c):
+            nb, nc = (float(np.linalg.svd(m, compute_uv=False)[0]) for m in (c.B, c.C))
+            b, sb = (c.B / nb, c.input_scale * nb) if nb > 0 else (c.B, c.input_scale)
+            cc, sc = (c.C / nc, c.output_scale * nc) if nc > 0 else (c.C, c.output_scale)
+            return Channel(c.id, b, cc, sb, sc)
+
+        rng = np.random.default_rng(7)
+        n = 4
+        chans = (
+            Channel(1, rng.normal(size=(n, 1)), rng.normal(size=(1, n))),
+            Channel(2, rng.normal(size=(n, 3)), rng.normal(size=(2, n)), input_scale=2.5),
+            Channel(3, np.zeros((n, 2)), rng.normal(size=(3, n))),
+            Channel(4, rng.normal(size=(n, 1)), np.zeros((2, n)), output_scale=1.0),
+            Channel(5, rng.normal(size=(n, 3)), rng.normal(size=(1, n)), 0.5, 3.0),
+            Channel(6, rng.normal(size=(n, 1)), rng.normal(size=(2, n))),
+        )
+        plant = PlantModel(rng.normal(size=(n, n)), chans)
+        got = normalize_plant(plant)
+        assert np.array_equal(got.A, plant.A)
+        assert len(got.channels) == len(chans)
+        for g, c in zip(got.channels, chans):
+            for want in (normalize_channel(c), one_svd_per_map(c)):
+                assert g.id == want.id
+                assert np.array_equal(g.B, want.B) and np.array_equal(g.C, want.C)
+                assert g.input_scale == want.input_scale and g.output_scale == want.output_scale
+        zero_b, zero_c = got.channel(3), got.channel(4)
+        assert np.array_equal(zero_b.B, np.zeros((n, 2))) and zero_b.input_scale == 1.0
+        assert np.array_equal(zero_c.C, np.zeros((2, n))) and zero_c.output_scale == 1.0
+        assert zero_b.output_scale != 1.0 and zero_c.input_scale != 1.0
+
 
 class TestAggregate:
     def test_single_channel(self):

@@ -1,8 +1,13 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
-from plugplay import analysis, bass, suites
+import plugplay
+from plugplay import analysis, bass, matlib, suites
 from plugplay.matlib import rk4_propagator
+from plugplay.plant import Channel, PlantModel
 
 
 def oracle_envelopes(seed: int, envelopes: int = 50):
@@ -96,3 +101,65 @@ def test_batching_changes_no_verdict(monkeypatch):
     assert {"gain_synthesis_abscissa", "block_bounds_synthesized_gains", "spectrum_equivalence",
             "block_bounds_random_gains"} <= failed.keys()
     assert all(r["index"] > 0 for r in failed.values())
+
+
+def oracle_normalized_plant(rng, n_max=4, agents_max=5, agents_min=2):
+    """The per-channel loop: each channel drawn, then normalized alone
+    with one SVD per map."""
+    n = int(rng.integers(2, n_max + 1))
+    n_agents = int(rng.integers(agents_min, agents_max + 1))
+    a = rng.normal(size=(n, n)) / np.sqrt(n)
+    a = a + (float(rng.uniform(0.0, 0.3)) - np.linalg.eigvals(a).real.min()) * np.eye(n)
+    chans = []
+    for i in range(1, n_agents + 1):
+        b = rng.normal(size=(n, 1))
+        p_i = int(rng.integers(1, 3))
+        c = rng.normal(size=(p_i, n))
+        nb, nc = (float(np.linalg.svd(m, compute_uv=False)[0]) for m in (b, c))
+        chans.append(Channel(i, b / nb, c / nc, nb, nc))
+    return PlantModel(a, tuple(chans))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_plant_draws_the_per_channel_plant(seed):
+    for kwargs in ({}, {"n_max": 4, "agents_max": 6}):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got, want = suites.random_normalized_plant(rng, **kwargs), oracle_normalized_plant(ref, **kwargs)
+            assert np.array_equal(got.A, want.A)
+            assert [c.id for c in got.channels] == [c.id for c in want.channels]
+            for g, w in zip(got.channels, want.channels):
+                assert np.array_equal(g.B, w.B) and np.array_equal(g.C, w.C)
+                assert (g.input_scale, g.output_scale) == (w.input_scale, w.output_scale)
+        # the generator is left where the loop leaves it
+        assert rng.random() == ref.random()
+
+
+def test_stacked_norms_change_no_report(monkeypatch):
+    """With ``matlib.induced_2norms`` replaced by one ``np.linalg.svd``
+    per matrix, wherever a module looks it up, no report changes."""
+
+    def run():
+        return [
+            suites.check_gain_abscissa(count=10),
+            *suites.suite_theorem1(count=5),
+            *suites.suite_appendix(bound_count=20, eq_count=2),
+        ]
+
+    stacked = run()
+    calls = []
+
+    def one_svd_per_matrix(mats):
+        calls.append(len(mats))
+        return np.array([
+            np.linalg.svd(m, compute_uv=False)[0] if m.size else 0.0
+            for m in (np.atleast_2d(np.asarray(m, dtype=float)) for m in mats)
+        ])
+
+    for info in pkgutil.iter_modules(plugplay.__path__):
+        mod = importlib.import_module(f"plugplay.{info.name}")
+        if getattr(mod, "induced_2norms", None) is matlib.induced_2norms:
+            monkeypatch.setattr(mod, "induced_2norms", one_svd_per_matrix)
+    alone = run()
+    assert calls
+    assert alone == stacked
