@@ -7,12 +7,19 @@ returns its time-varying feedback gain, injection gain and coupling
 gain; the sample-and-hold inverse filter keeps the gains bounded while
 the matrix iterates pass through singular transients.
 
-The coupling gain applied is the paper's threshold formula capped at
-``AgentParams.gamma_cap``; the agent applies the cap itself.  Where two
-O(n^2) norm bounds on Y's singular values already prove that the
-formula reaches the cap, no SVD of Y is taken, and the gain is the one
-the exact formula would give, bit for bit.  :meth:`ControlAgent.threshold`
-gives the uncapped value.
+The coupling gain applied is Theorem 1's threshold capped at
+``AgentParams.gamma_cap``; the agent applies the cap itself.  The
+formula lives in :func:`bass.gamma_threshold` only.  The agent
+evaluates it with local substitutes for what it cannot see: its clamped
+size estimate zeta = max(zeta_i, 1) for N, sigma_max(Phi(X_i)) / zeta
+and sigma_max(Phi(Y_i)) / zeta as bounds on every agent's |F_j| and
+|L_j|, and Mohar's 4 / zeta^2 for the graph's lambda2.  kappa is the
+conditioning ratio of the held Phi(X_i) and of zeta^2 Y_i, which at
+converged flows are N X*^{-1} and N Y*: the certificate's own kappa.
+Where two O(n^2) norm bounds on Y's singular values already prove that
+the formula reaches the cap, no SVD of Y is taken, and the gain is the
+one the exact formula would give, bit for bit.
+:meth:`ControlAgent.threshold` gives the uncapped value.
 
 An agent never sees another agent's channel maps or the plant state,
 only its own measurement and the neighbors' broadcast states.
@@ -24,6 +31,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .bass import _theta_bound, gamma_threshold
 from .matlib import as_matrix, induced_2norm, inverse, singular_values
 from .plant import Channel, normalize_channel
 
@@ -203,10 +211,12 @@ class ControlAgent:
         So the formula is first evaluated at two O(n^2) bounds per step,
         ``hi = (|Y|_F / sqrt(n)) (1 - delta) <= sigma_max(Y)`` and ``lo =
         min_j |Y e_j| + delta |Y|_F >= sigma_min(Y)``, with delta =
-        ``SIGMA_BOUND_SLACK``.  The float formula does not decrease in
-        sigma_max, does not increase in sigma_min, and each of its
-        operations is monotone under rounding; delta covers the SVD's
-        absolute error (about p(n) eps |Y|_2, Golub and Van Loan, 8.6).
+        ``SIGMA_BOUND_SLACK``.  Y enters the formula through kappa only,
+        which does not decrease in sigma_max and does not increase in
+        sigma_min, and :func:`bass.gamma_threshold` does not decrease in
+        kappa; each of these operations is monotone under rounding.
+        delta covers the SVD's absolute error (about p(n) eps |Y|_2,
+        Golub and Van Loan, 8.6).
         So where the value at the bounds reaches the cap, or its
         denominator vanishes, the exact value does too, and the gain is
         the cap bit for bit.  A NaN or overflowing value at the bounds
@@ -266,21 +276,20 @@ class ControlAgent:
         return value if np.isfinite(value) else self.params.gamma_cap
 
     def _gamma_formula(self, zc, sx_max, sx_min, phi_y_max, sy_max, sy_min) -> np.ndarray:
-        """The threshold formula at K steps, from the clamped zeta ``zc``,
-        the extreme singular values of the held Phi(X), the largest one of
-        the held Phi(Y) and the extreme ones of Y.  It is +inf where the
-        denominator vanishes (kappa is infinite) and NaN where the value
+        """The threshold at K steps, from the clamped zeta ``zc``, the
+        extreme singular values of the held Phi(X), the largest one of
+        the held Phi(Y) and the extreme ones of Y: one plus
+        :func:`bass.gamma_threshold` at the agent's local substitutes
+        (see the module docstring), with kappa from Phi(X) and Y.  It is
+        +inf where kappa's denominator vanishes and NaN where the value
         overflows or is NaN."""
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             zc2 = zc * zc
             den = self.params.beta * np.minimum(sx_min, zc2 * sy_min)
             kappa = np.maximum(sx_max, zc2 * sy_max) / den
-            theta = self._norm_a + phi_y_max + 2.0 * sx_max
-            gamma = 1.0 + (zc2 / 4.0) * (
-                theta
-                + theta * theta * kappa
-                + 4.0 * (sx_max * sx_max) * kappa * np.sqrt(1.0 + (theta * theta) * (kappa * kappa))
-            )
+            max_f = sx_max / zc
+            theta = _theta_bound(self._norm_a, max_f, phi_y_max / zc, zc)
+            gamma = 1.0 + gamma_threshold(theta, kappa, max_f, zc, 4.0 / zc2)
         return np.where(den <= 0.0, np.inf, np.where(np.isfinite(gamma), gamma, np.nan))
 
 

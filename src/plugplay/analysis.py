@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bass import ThresholdCertificate, _theta_bound
+from .bass import _theta_bound
 from .consensus import INFORMER_ID, FlowParams, flow_drift
 from .graph import Graph, is_connected, laplacian, r_matrix
 from .matlib import as_matrix, induced_2norm, induced_2norms, vec
@@ -36,7 +36,6 @@ __all__ = [
     "verify_block_bounds",
     "bass_equilibria",
     "size_equilibrium",
-    "lyapunov_weights",
     "error_coordinates",
     "lyapunov_value",
 ]
@@ -352,21 +351,6 @@ def size_equilibrium(
         np.diag(1.0 / np.diag(lam_plus)) @ (rmat.T @ (w - n_agents * j1))
     )
     return float(n_agents), psi_tilde
-
-
-def lyapunov_weights(cert: ThresholdCertificate, f_blocks, n_agents: int) -> tuple[float, float]:
-    """Weights (phi_bar, phi_tilde) of the certified composite Lyapunov function.
-
-    ``V = (x^T M1 x + phi_bar ebar^T M2 ebar + phi_tilde |etilde|^2) / 2``
-    decreases along the closed loop whenever gamma exceeds the threshold.
-    """
-    delta = max(np.linalg.eigvalsh(cert.M1)[-1], np.linalg.eigvalsh(cert.M2)[-1])
-    eps = min(np.linalg.eigvalsh(cert.Q1)[0], np.linalg.eigvalsh(cert.Q2)[0])
-    max_f = float(induced_2norms(f_blocks).max())
-    theta = cert.theta
-    phi_tilde = (delta / (2 * n_agents)) * np.sqrt(1 + theta**2 * delta**2 / eps**2)
-    phi_bar = 2 * delta**2 * n_agents**2 * max_f**2 / eps**2 + phi_tilde * n_agents / delta
-    return float(phi_bar), float(phi_tilde)
 
 
 def error_coordinates(x: np.ndarray, xhats: np.ndarray, rmat: np.ndarray):

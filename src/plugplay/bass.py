@@ -100,13 +100,17 @@ class ThresholdCertificate:
 
     gamma_min is the threshold: any coupling gain strictly above it
     makes the assembled closed loop asymptotically stable (the bound is
-    conservative).
+    conservative).  phi_bar and phi_tilde weigh the composite Lyapunov
+    function ``V = (x^T M1 x + phi_bar ebar^T M2 ebar + phi_tilde
+    |etilde|^2) / 2`` that decreases along the loop at such a gain.
     """
 
     theta: float
     kappa: float
     gamma_min: float
     lambda_2: float
+    phi_bar: float
+    phi_tilde: float
     M1: np.ndarray
     M2: np.ndarray
     Q1: np.ndarray
@@ -189,12 +193,19 @@ def _theta_bound(norm_a, max_f, max_l, n_agents: int):
     return norm_a + n_agents * max_l + 2 * n_agents * max_f
 
 
-def gamma_threshold(theta: float, kappa: float, max_f: float, n_agents: int, lam2: float) -> float:
-    """Right-hand side of the coupling-gain inequality."""
+def gamma_threshold(theta, kappa, max_f, n_agents, lam2):
+    """Right-hand side of Theorem 1's coupling-gain inequality.
+
+    The arguments may be arrays that broadcast.  Squares are products,
+    so every operation is one IEEE operation: an array gives, bit for
+    bit, its elementwise scalar calls, and the value does not decrease
+    in kappa >= 0, also under rounding.
+    """
+    tt = theta * theta
     return (
         theta
-        + theta**2 * kappa
-        + 4 * n_agents**2 * max_f**2 * kappa * np.sqrt(1 + theta**2 * kappa**2)
+        + tt * kappa
+        + 4 * (n_agents * n_agents) * (max_f * max_f) * kappa * np.sqrt(1 + tt * (kappa * kappa))
     ) / lam2
 
 
@@ -207,7 +218,7 @@ def threshold_certificate(
     m2,
     q2,
     g: Graph | None = None,
-    lam2: float | None = None,
+    use_mohar: bool = False,
 ) -> ThresholdCertificate:
     """Verify the Lyapunov certificate pair and evaluate the gain threshold.
 
@@ -215,10 +226,10 @@ def threshold_certificate(
     and (M2, Q2) the analogue for ``A + LC`` (checked, not assumed, to
     a relative residual of ``_IDENTITY_RTOL``).  kappa = delta / eps reads
     delta = max lmax(M_i) and eps = min lmin(Q_i) off the symmetric parts
-    whose eigenvalues the positive-definiteness check computes.
-    `lam2` overrides the graph's algebraic connectivity, e.g. to evaluate
-    the threshold with the 4/N^2 worst-case bound; for a single agent the
-    coupling is vacuous and 4/N^2 = 4 is used.
+    whose eigenvalues the positive-definiteness check computes.  The
+    threshold takes the graph's algebraic connectivity, or with
+    ``use_mohar`` its worst case 4/N^2 over connected graphs; for a
+    single agent the coupling is vacuous and 4/N^2 = 4 is used.
     """
     a = p.A
     bmat, cmat = aggregate(p)
@@ -244,16 +255,20 @@ def threshold_certificate(
     delta = max(w_m1[-1], w_m2[-1])
     eps = min(w_q1[0], w_q2[0])
     kappa = delta / eps
-    if lam2 is None:
-        if n_agents == 1:
-            lam2 = 4.0  # vacuous coupling; 4/N^2 convention keeps the value finite
-        else:
-            if g is None:
-                raise ValueError("a graph or explicit lam2 is required for N > 1")
-            lam2 = lambda2(g)
+    if n_agents == 1:
+        lam2 = 4.0  # vacuous coupling; 4/N^2 convention keeps the value finite
+    elif use_mohar:
+        lam2 = mohar_bound(n_agents)
+    elif g is None:
+        raise ValueError("a graph is required for N > 1 unless use_mohar")
+    else:
+        lam2 = lambda2(g)
     gamma_min = gamma_threshold(theta, kappa, max_f, n_agents, lam2)
+    phi_tilde = (delta / (2 * n_agents)) * np.sqrt(1 + theta**2 * delta**2 / eps**2)
+    phi_bar = 2 * delta**2 * n_agents**2 * max_f**2 / eps**2 + phi_tilde * n_agents / delta
     return ThresholdCertificate(
-        float(theta), float(kappa), float(gamma_min), float(lam2), m1, m2, q1, q2
+        float(theta), float(kappa), float(gamma_min), float(lam2), float(phi_bar), float(phi_tilde),
+        m1, m2, q1, q2,
     )
 
 
@@ -262,7 +277,6 @@ def bass_certificate(
     sol: BassSolution,
     dual: DualBassSolution,
     g: Graph | None = None,
-    lam2: float | None = None,
     use_mohar: bool = False,
 ) -> ThresholdCertificate:
     """Threshold certificate instantiated with the synthesis solutions.
@@ -275,9 +289,6 @@ def bass_certificate(
     m1 = sol.X_star_inv
     m1 = 0.5 * (m1 + m1.T)
     m2 = 0.5 * (dual.Y_star + dual.Y_star.T)
-    if use_mohar:
-        n_agents = len(p.channels)
-        lam2 = 4.0 if n_agents == 1 else mohar_bound(n_agents)
     return threshold_certificate(
         p,
         sol.F_blocks,
@@ -287,5 +298,5 @@ def bass_certificate(
         m2,
         sol.beta * m2,
         g=g,
-        lam2=lam2,
+        use_mohar=use_mohar,
     )

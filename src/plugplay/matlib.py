@@ -19,7 +19,6 @@ __all__ = [
     "vec",
     "unvec",
     "solve_lyapunov",
-    "eigenvalues",
     "spectral_abscissa",
     "min_real_part",
     "induced_2norm",
@@ -135,13 +134,6 @@ def solve_lyapunov(a, q) -> np.ndarray:
             f"Lyapunov residual {resid:.3e} exceeds {LYAPUNOV_RTOL:.1e} * {scale:.3e}"
         )
     return x
-
-
-def eigenvalues(a) -> np.ndarray:
-    """All eigenvalues of a square matrix, sorted by (real, imag)."""
-    a = _square(a)
-    w = np.linalg.eigvals(a)
-    return w[np.lexsort((w.imag, w.real))]
 
 
 def spectral_abscissa(a):

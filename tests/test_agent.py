@@ -217,6 +217,25 @@ class TestGains:
         # and it clears the worst-case-connectivity threshold
         cert = bass.bass_certificate(p, sol, dual, use_mohar=True)
         assert got >= cert.gamma_min
+        # the same on random plants, for every agent: from its own flows
+        # at their limits, each agent's threshold is at least the
+        # centralized certificate's at Mohar's connectivity
+        from plugplay.suites import random_normalized_plant
+
+        rng = np.random.default_rng(24)
+        for _ in range(100):
+            p = random_normalized_plant(rng, agents_min=1)
+            chans = sorted(p.channels, key=lambda ch: ch.id)
+            n_agents = len(chans)
+            beta = float(rng.uniform(0.25, 1.0))
+            b, c = aggregate(p)
+            sol = bass.bass_solve(p.A, b, beta, widths=[ch.m for ch in chans])
+            dual = bass.dual_bass_solve(p.A, c, beta, heights=[ch.p for ch in chans])
+            gamma_min = bass.bass_certificate(p, sol, dual, use_mohar=True).gamma_min
+            for chan in chans:
+                ag = ControlAgent(p.A, chan, AgentParams(beta=beta))
+                converge_agent(ag, n_agents, sol.X_star, dual.Y_star)
+                assert ag.threshold(dual.Y_star / n_agents, float(n_agents)) >= gamma_min
 
     def test_effective_gamma_capped(self):
         # the agent applies min(gamma, gamma_cap) and gives the certificate
@@ -431,9 +450,9 @@ class TestGainRefresh:
 
 
 def float_gamma(ag, y, zeta):
-    """The threshold formula on Python floats, as the step-by-step engine
-    evaluated it, from the agent's current holds; the formula over a
-    stack must give the same bits."""
+    """The threshold on Python floats, from the agent's current holds:
+    one plus the scalar call of ``bass.gamma_threshold`` at the agent's
+    local substitutes.  The formula over a stack must give the same bits."""
     cap = ag.params.gamma_cap
     zc = max(float(zeta), 1.0)
     sx_max, sx_min = ag.phi_x.sigma_max, ag.phi_x.sigma_min
@@ -443,12 +462,9 @@ def float_gamma(ag, y, zeta):
     if den <= 0.0:
         return cap
     kappa = max(sx_max, zc2 * float(sy[0])) / den
-    theta = induced_2norm(ag.A) + ag.phi_y.sigma_max + 2.0 * sx_max
-    gamma = 1.0 + (zc2 / 4.0) * (
-        theta
-        + theta * theta * kappa
-        + 4.0 * (sx_max * sx_max) * kappa * math.sqrt(1.0 + (theta * theta) * (kappa * kappa))
-    )
+    max_f = sx_max / zc
+    theta = bass._theta_bound(induced_2norm(ag.A), max_f, ag.phi_y.sigma_max / zc, zc)
+    gamma = 1.0 + float(bass.gamma_threshold(theta, kappa, max_f, zc, 4.0 / zc2))
     return gamma if math.isfinite(gamma) else cap
 
 

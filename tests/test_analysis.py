@@ -429,13 +429,26 @@ class TestBassEquilibria:
         assert np.linalg.norm(nu_tilde - nu_t_star) < 1e-6
 
 
+def oracle_lyapunov_weights(cert, f_blocks, n_agents):
+    """(phi_bar, phi_tilde) from one eigensolve of each certificate
+    matrix and one norm of each feedback block."""
+    delta = max(np.linalg.eigvalsh(cert.M1)[-1], np.linalg.eigvalsh(cert.M2)[-1])
+    eps = min(np.linalg.eigvalsh(cert.Q1)[0], np.linalg.eigvalsh(cert.Q2)[0])
+    max_f = max(induced_2norm(f) for f in f_blocks)
+    theta = cert.theta
+    phi_tilde = (delta / (2 * n_agents)) * np.sqrt(1 + theta**2 * delta**2 / eps**2)
+    phi_bar = 2 * delta**2 * n_agents**2 * max_f**2 / eps**2 + phi_tilde * n_agents / delta
+    return float(phi_bar), float(phi_tilde)
+
+
 class TestLyapunovWeights:
     def test_composite_function_decreases_above_threshold(self):
         p = load_transport_plant((0, 3))
         sol, dual = bass_gains(p, beta=0.25)
         g = Graph.from_edges([1, 2], [(1, 2)])
         cert = bass.bass_certificate(p, sol, dual, g)
-        phi_bar, phi_tilde = analysis.lyapunov_weights(cert, sol.F_blocks, 2)
+        phi_bar, phi_tilde = cert.phi_bar, cert.phi_tilde
+        assert (phi_bar, phi_tilde) == oracle_lyapunov_weights(cert, sol.F_blocks, 2)
         assert phi_bar > 0 and phi_tilde > 0
         gamma = 1.01 * cert.gamma_min
         d = analysis.closed_loop_matrix(p, sol.F_blocks, dual.L_blocks, gamma, g)
@@ -453,6 +466,17 @@ class TestLyapunovWeights:
                 + phi_tilde * (etilde @ detilde)
             )
             assert vdot < 0
+
+    def test_weights_equal_the_per_matrix_formula(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            p = random_normalized_plant(rng, agents_min=1)
+            ids = tuple(ch.id for ch in sorted(p.channels, key=lambda ch: ch.id))
+            sol, dual = bass_gains(p, beta=float(rng.uniform(0.25, 1.0)))
+            for use_mohar in (False, True):
+                cert = bass.bass_certificate(p, sol, dual, random_connected_graph(rng, ids), use_mohar)
+                want = oracle_lyapunov_weights(cert, sol.F_blocks, len(ids))
+                assert (cert.phi_bar, cert.phi_tilde) == want
 
     def test_lyapunov_value_and_error_coordinates(self):
         rng = np.random.default_rng(5)

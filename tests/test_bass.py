@@ -280,6 +280,27 @@ class TestThresholdCertificate:
             assert (cert.theta, cert.kappa, cert.gamma_min, cert.lambda_2) == (
                 float(theta), float(kappa), float(gamma_min), float(lam2))
 
+    def test_array_threshold_equals_its_scalar_calls(self):
+        # the agents evaluate the formula over stacks, the certificate on
+        # scalars: both must give the same bits
+        rng = np.random.default_rng(12)
+        k = 2000
+        theta = 10.0 ** rng.uniform(-3, 6, size=k)
+        kappa = 10.0 ** rng.uniform(0, 12, size=k)
+        max_f = 10.0 ** rng.uniform(-3, 3, size=k)
+        zeta = rng.uniform(1.0, 40.0, size=k)
+        lam2 = 4.0 / (zeta * zeta)
+        got = bass.gamma_threshold(theta, kappa, max_f, zeta, lam2)
+        assert got.shape == (k,)
+        columns = (theta, kappa, max_f, zeta, lam2)
+        want = [bass.gamma_threshold(*row) for row in zip(*(col.tolist() for col in columns))]
+        assert np.array_equal(got, want)
+        # an integer agent count, as the certificate passes it
+        n_agents = rng.integers(1, 33, size=k)
+        got = bass.gamma_threshold(theta, kappa, max_f, n_agents, lam2)
+        rows = zip(theta.tolist(), kappa.tolist(), max_f.tolist(), n_agents.tolist(), lam2.tolist())
+        assert np.array_equal(got, [bass.gamma_threshold(*row) for row in rows])
+
     def test_mohar_variant_is_no_less_conservative(self):
         p = load_transport_plant((0, 3, 6))
         b, c = aggregate(p)

@@ -32,6 +32,7 @@ from plugplay.sim import (
 
 from parity_pins import PINS
 from test_agent import float_gamma
+from test_analysis import oracle_lyapunov_weights
 
 
 class TestRk4Step:
@@ -277,7 +278,8 @@ class TestStaticMode:
     def test_lyapunov_norm_monotone(self):
         scen, sol, dual, cert = scalar_static_scenario(t_end=10.0)
         tr = run_scenario(scen)
-        phi_bar, phi_tilde = analysis.lyapunov_weights(cert, sol.F_blocks, 2)
+        phi_bar, phi_tilde = cert.phi_bar, cert.phi_tilde
+        assert (phi_bar, phi_tilde) == oracle_lyapunov_weights(cert, sol.F_blocks, 2)
         rmat = analysis.closed_loop_matrix(
             scen.plant, sol.F_blocks, dual.L_blocks, scen.static.gamma, scen.graph
         ).R
