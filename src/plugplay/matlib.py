@@ -1,15 +1,17 @@
 """Dense real linear algebra used by every other module.
 
-Kronecker algebra, continuous-time Lyapunov solves, spectra, singular
-values, and the small validation helpers that keep NaN/Inf out of the
-numeric pipeline.  Everything is a plain ``numpy.ndarray``; all functions
-are pure.
+Kronecker algebra, continuous-time Lyapunov solves, the matrix
+exponential, spectra, singular values, and the small validation helpers
+that keep NaN/Inf out of the numeric pipeline.  Everything is a plain
+``numpy.ndarray``; all functions are pure.  The module needs numpy only:
+the Lyapunov solve is the matrix-sign Newton iteration and the
+exponential a scaled Pade approximant, so no caller pays for importing
+a Schur or Sylvester solver.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "SingularMatrixError",
@@ -19,6 +21,7 @@ __all__ = [
     "vec",
     "unvec",
     "solve_lyapunov",
+    "expm",
     "spectral_abscissa",
     "min_real_part",
     "induced_2norm",
@@ -32,6 +35,14 @@ __all__ = [
 SINGULARITY_RTOL = 1e-12
 # Largest relative residual a Lyapunov solution may leave.
 LYAPUNOV_RTOL = 1e-8
+# Most Newton steps the sign iteration of `solve_lyapunov` may take;
+# the equations of `verify all` take 3-7.
+SIGN_MAX_STEPS = 50
+# The sign iteration scales its steps while |A_k + I|_F exceeds
+# _SIGN_SCALED, and takes its last step once it is below _SIGN_LAST:
+# convergence is quadratic there, so that step ends near roundoff.
+_SIGN_SCALED = 0.1
+_SIGN_LAST = 1e-8
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -39,7 +50,12 @@ class SingularMatrixError(np.linalg.LinAlgError):
 
 
 class LyapunovError(np.linalg.LinAlgError):
-    """The Lyapunov equation has no unique solution (eigenvalue sum ~ 0)."""
+    """A Lyapunov equation this module does not solve, or a failed solve.
+
+    Raised when A's spectrum is not in one open half-plane at a margin
+    from the imaginary axis, when the sign iteration does not converge,
+    or when the solution fails its residual check.
+    """
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -91,40 +107,65 @@ def unvec(v, rows: int, cols: int | None = None) -> np.ndarray:
     return v.reshape((rows, cols), order="F")
 
 
+def _sign_newton(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The converged Q-iterate, ``2 X``, of the sign iteration for Hurwitz A.
+
+    Newton's iteration for the sign of ``Z = [[A, Q], [0, -A^T]]`` keeps
+    Z block upper triangular, so it runs on the two blocks:
+    ``A <- (A/c + c A^-1) / 2`` and ``Q <- (Q/c + c A^-1 Q A^-T) / 2``.
+    For Hurwitz A, sign(Z) is ``[[-I, 2X], [0, I]]`` (Roberts 1980).
+    Far from -I, the determinant scaling ``c = |det A|^(1/n)`` (Byers
+    1987) shortens the start; near it, c = 1 keeps the quadratic rate.
+    """
+    n = a.shape[0]
+    eye = np.eye(n)
+    err = np.inf
+    for _ in range(SIGN_MAX_STEPS):
+        inv = np.linalg.inv(a)
+        if err <= _SIGN_LAST:
+            return 0.5 * (q + inv @ q @ inv.T)
+        c = np.exp(np.linalg.slogdet(a)[1] / n) if err > _SIGN_SCALED else 1.0
+        a = (0.5 / c) * a + (0.5 * c) * inv
+        q = (0.5 / c) * q + (0.5 * c) * (inv @ q @ inv.T)
+        err = np.linalg.norm(a + eye)
+    raise LyapunovError(f"sign iteration did not converge in {SIGN_MAX_STEPS} steps")
+
+
 def solve_lyapunov(a, q) -> np.ndarray:
     """Solve the continuous Lyapunov equation A X + X A^T = -Q.
 
-    Bartels-Stewart (1972): one real Schur factorisation A = U T U^T,
-    then the quasi-triangular Sylvester equation T Y + Y T^T = -U^T Q U
-    (LAPACK ``trsyl``) and X = U Y U^T.  This costs O(n^3), where the
-    vectorized form (A (+) A) vec(X) = -vec(Q) costs O(n^6); the
-    equation is unique-solvable iff no two eigenvalues of A sum to zero,
-    which is read off the same Schur form.  The result is symmetrized
-    when Q is symmetric, and the residual is checked against
-    ``LYAPUNOV_RTOL``.
+    The matrix-sign Newton iteration (Roberts 1980) with determinant
+    scaling (Byers 1987): O(n^3) per step, a handful of steps, numpy
+    only.  It needs A's spectrum in one open half-plane.  Hurwitz A is
+    solved as is; when -A is Hurwitz, the same X solves
+    ``(-A) X + X (-A)^T = Q``, which is solved instead.  Either way the
+    solution is unique.  The result is symmetrized when Q is symmetric,
+    and the residual is checked against ``LYAPUNOV_RTOL``.
 
     Raises
     ------
     LyapunovError
-        If ``min |l_i + l_j|`` over the eigenvalues of A is at most
-        ``SINGULARITY_RTOL * 2 |A|_2``, i.e. the equation has no unique
-        solution, or if the residual check fails.
+        If A has eigenvalues in both half-planes, or one within
+        ``SINGULARITY_RTOL * |A|_2`` of the imaginary axis; if the
+        iteration does not converge within ``SIGN_MAX_STEPS`` steps; or
+        if the residual check fails.
     """
     a = _square(a, "A")
     q = _square(q, "Q")
     if a.shape != q.shape:
         raise ValueError(f"A and Q must have equal shapes, got {a.shape} vs {q.shape}")
     norm_a, norm_q = induced_2norms([a, q])
-    t, u = scipy.linalg.schur(a, output="real")
-    w = np.linalg.eigvals(t)
-    if np.abs(w[:, None] + w[None, :]).min() <= SINGULARITY_RTOL * 2.0 * norm_a:
+    re = np.linalg.eigvals(a).real
+    margin = SINGULARITY_RTOL * norm_a
+    if re.max() < -margin:
+        x = 0.5 * _sign_newton(a, q)
+    elif re.min() > margin:
+        x = 0.5 * _sign_newton(-a, -q)
+    else:
         raise LyapunovError(
-            "no unique Lyapunov solution: an eigenvalue pair of A sums to ~0"
+            "the sign iteration needs A's spectrum in one open half-plane: "
+            f"real parts span [{re.min():.3e}, {re.max():.3e}], margin {margin:.3e}"
         )
-    # trsyl returns Y scaled by s <= 1 to avoid overflow; the residual
-    # check below catches its perturbed (info == 1) solutions
-    y, s, _ = scipy.linalg.lapack.dtrsyl(t, t, -(u.T @ q @ u), tranb="T")
-    x = u @ (y / s) @ u.T
     if np.abs(q - q.T).max() <= 1e-13 * max(1.0, norm_q):
         x = 0.5 * (x + x.T)
     resid, norm_x = induced_2norms([a @ x + x @ a.T + q, x])
@@ -134,6 +175,45 @@ def solve_lyapunov(a, q) -> np.ndarray:
             f"Lyapunov residual {resid:.3e} exceeds {LYAPUNOV_RTOL:.1e} * {scale:.3e}"
         )
     return x
+
+
+# Numerator coefficients b_0..b_13 of the [13/13] Pade approximant to
+# exp, and theta_13, the largest norm of the scaled matrix at which its
+# backward error stays below the unit roundoff (Higham 2005).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+    960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential by scaling and squaring (Higham 2005).
+
+    ``exp(A) = r(A / 2^s)^(2^s)`` with r the [13/13] Pade approximant.
+    The scaling s is chosen from ``max(|A^6|_1^(1/6), |A^8|_1^(1/8))``
+    (Al-Mohy and Higham 2009), which is at most |A|_1 and often far
+    smaller for non-normal A: every needless squaring compounds the
+    roundoff of the approximant.
+    """
+    a = _square(a, "A")
+    b = _PADE13
+    eye = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    eta = max(np.abs(a6).sum(axis=0).max() ** (1 / 6), np.abs(a4 @ a4).sum(axis=0).max() ** (1 / 8))
+    s = max(0, int(np.ceil(np.log2(eta / _THETA13)))) if eta > 0 else 0
+    # dividing by powers of two is exact, so these are the powers of A / 2^s
+    a, a2, a4, a6 = a / 2.0**s, a2 / 4.0**s, a4 / 16.0**s, a6 / 64.0**s
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def spectral_abscissa(a):

@@ -12,12 +12,11 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import analysis, bass, consensus
 from .consensus import INFORMER_ID, FlowParams
 from .graph import Graph, laplacian, r_matrix
-from .matlib import induced_2norm, induced_2norms, min_real_part, rk4_propagator, solve_lyapunov, spectral_abscissa, unvec
+from .matlib import expm, induced_2norm, induced_2norms, min_real_part, rk4_propagator, solve_lyapunov, spectral_abscissa, unvec
 from .plant import PlantModel, _normalized, aggregate
 
 __all__ = [
@@ -125,19 +124,24 @@ def random_normalized_plant(
 
 
 def propagate_affine(m: np.ndarray, w: np.ndarray, s0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
-    """Exact sampling of ``sdot = M s + w`` on a uniform time grid."""
+    """Exact sampling of ``sdot = M s + w`` on a uniform time grid.
+
+    One step is ``s <- P s + q``, read off the exponential of the
+    augmented generator ``[[M, w], [0, 0]] dt``, which is
+    ``[[P, q], [0, 1]]``; the constant coordinate is never stepped, so
+    it cannot drift from 1.
+    """
     dim = s0.size
     dt = float(t_grid[1] - t_grid[0])
     aug = np.zeros((dim + 1, dim + 1))
     aug[:dim, :dim] = m
     aug[:dim, dim] = w
     prop = expm(aug * dt)
+    p, q = prop[:dim, :dim], prop[:dim, dim]
     out = np.empty((t_grid.size, dim))
-    s = np.concatenate([s0, [1.0]])
-    out[0] = s0
+    out[0] = s = s0
     for k in range(1, t_grid.size):
-        s = prop @ s
-        out[k] = s[:dim]
+        out[k] = s = p @ s + q
     return out
 
 

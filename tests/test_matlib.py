@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from plugplay import consensus
 from plugplay import matlib as ml
-from plugplay.consensus import bass_rate_params
-from plugplay.graph import Graph, lambda2
+from plugplay.consensus import INFORMER_ID, FlowParams, bass_rate_params
+from plugplay.graph import Graph, lambda2, laplacian
+from plugplay.suites import informer_topology, random_connected_graph, random_gain_instance
 
 
 def kron_lyapunov(a, q):
@@ -74,14 +76,17 @@ class TestSolveLyapunov:
 
     def test_against_schur_solver(self):
         rng = np.random.default_rng(3)
-        for _ in range(30):
+        for k in range(30):
             n = rng.integers(2, 7)
-            a = rng.normal(size=(n, n)) - 2 * np.eye(n)
+            a = rng.normal(size=(n, n))
+            a = a - (ml.spectral_abscissa(a) + rng.uniform(0.2, 1.0)) * np.eye(n)
+            if k % 2:
+                a = -a  # -A is Hurwitz
             q = rng.normal(size=(n, n))
             q = q @ q.T + np.eye(n)
             x = ml.solve_lyapunov(a, q)
             # independent route: Bartels-Stewart via scipy
-            x_ref = scipy.linalg.solve_lyapunov(a, -q)
+            x_ref = scipy.linalg.solve_continuous_lyapunov(a, -q)
             assert np.allclose(x, x_ref, atol=1e-8 * max(1, np.linalg.norm(x_ref)))
 
     def test_residual_and_spd_on_random_stable(self):
@@ -100,19 +105,58 @@ class TestSolveLyapunov:
             assert np.linalg.eigvalsh(x)[0] > 0
 
     def test_failed_residual_check_refused(self, monkeypatch):
-        # a Sylvester solve that returns a perturbed Y must not pass
-        real = scipy.linalg.lapack.dtrsyl
+        # a sign iteration that returns a perturbed Q-iterate must not pass
+        real = ml._sign_newton
 
-        def perturbed(*args, **kwargs):
-            y, scale, info = real(*args, **kwargs)
-            return y + 1e-6 * np.abs(y).max(), scale, info
+        def perturbed(a, q):
+            q_inf = real(a, q)
+            return q_inf + 1e-6 * np.abs(q_inf).max()
 
         a = -np.array([[1.0, 0.3], [0.0, 2.0]])
         q = np.array([[2.0, 0.5], [0.5, 1.0]])
         ml.solve_lyapunov(a, q)
-        monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", perturbed)
+        monkeypatch.setattr(ml, "_sign_newton", perturbed)
         with pytest.raises(ml.LyapunovError, match="residual"):
             ml.solve_lyapunov(a, q)
+
+    def test_near_imaginary_eigenvalue_refused(self):
+        # |A|_2 = 1, so an eigenvalue with |Re| <= 1e-12 counts as on the axis
+        q = np.array([[2.0, 0.5], [0.5, 1.0]])
+        for sign in (-1.0, 1.0):
+            with pytest.raises(ml.LyapunovError, match="half-plane"):
+                ml.solve_lyapunov(sign * np.diag([1.0, 1e-13]), q)
+            x = ml.solve_lyapunov(sign * np.diag([1.0, 1e-11]), q)
+            assert np.allclose(x * -sign, [[1.0, 0.5 / 1.00000000001], [0.5 / 1.00000000001, 0.5e11]], rtol=1e-9)
+
+    def test_nonconvergence_refused(self, monkeypatch):
+        a = -np.array([[1.0, 0.3], [0.0, 20.0]])
+        q = np.eye(2)
+        ml.solve_lyapunov(a, q)
+        monkeypatch.setattr(ml, "SIGN_MAX_STEPS", 2)
+        with pytest.raises(ml.LyapunovError, match="did not converge in 2 steps"):
+            ml.solve_lyapunov(a, q)
+
+    def test_against_scipy_on_gain_instances(self):
+        # the shifted equation of bass_solve, on the verify suites' pairs
+        rng = np.random.default_rng(14)
+        worst = 0.0
+        for _ in range(2000):
+            a, b, beta, *_ = random_gain_instance(rng)
+            m = -(a + beta * np.eye(a.shape[0]))
+            x = ml.solve_lyapunov(m, 2.0 * b @ b.T)
+            x_ref = scipy.linalg.solve_continuous_lyapunov(m, -2.0 * b @ b.T)
+            worst = max(worst, np.abs(x - x_ref).max() / np.abs(x_ref).max())
+        assert worst <= 1e-12
+
+    def test_against_scipy_on_rate_drift(self):
+        # bass_rate_params solves P Abar + Abar^T P = -2 I with Abar n^2 x n^2
+        rng = np.random.default_rng(15)
+        for _ in range(3):
+            a = rng.normal(size=(6, 6)) / np.sqrt(6)
+            abar = consensus.flow_drift(a, 0.5 - ml.min_real_part(a))
+            p = ml.solve_lyapunov(abar.T, 2.0 * np.eye(36))
+            p_ref = scipy.linalg.solve_continuous_lyapunov(abar.T, -2.0 * np.eye(36))
+            assert np.abs(p - p_ref).max() <= 1e-12 * np.abs(p_ref).max()
 
     @pytest.mark.parametrize("step", [-1, 0, 1])
     def test_symmetry_decision_is_allclose(self, step):
@@ -136,7 +180,7 @@ class TestSolveLyapunov:
 
 
 class TestKroneckerOracle:
-    """The production Bartels-Stewart solve against the vectorized system."""
+    """The production sign-iteration solve against the vectorized system."""
 
     @staticmethod
     def _agree(a, q):
@@ -154,7 +198,10 @@ class TestKroneckerOracle:
             self._agree(s @ t @ s.T, rng.normal(size=(n, n)))
 
     def test_mixed_sign_spectrum(self):
+        # the equation has a unique solution, but the sign iteration needs
+        # the spectrum in one half-plane, so solve_lyapunov refuses it
         rng = np.random.default_rng(12)
+        mixed = 0
         for _ in range(20):
             n = int(rng.integers(2, 13))
             # eigenvalues of both signs, every pair sum at least 0.3 from zero
@@ -165,7 +212,13 @@ class TestKroneckerOracle:
             w = np.linalg.eigvals(a)
             assert np.abs(w[:, None] + w[None, :]).min() > 0.29
             q = rng.normal(size=(n, n))
-            self._agree(a, q + q.T)
+            if abs(np.sign(lam).sum()) == n:
+                self._agree(a, q + q.T)
+                continue
+            mixed += 1
+            with pytest.raises(ml.LyapunovError, match="half-plane"):
+                ml.solve_lyapunov(a, q + q.T)
+        assert mixed >= 15
 
     def test_defective_jordan_block(self):
         for lam in (-1.0, 0.7):
@@ -213,6 +266,62 @@ class TestKroneckerOracle:
         params = bass_rate_params(a, 0.5 - ml.min_real_part(a), g, 0.5)
         assert np.isfinite(params.k) and params.k > 0
         assert np.isfinite(params.gamma) and params.gamma > 0
+
+
+def augmented(m, w, dt):
+    """``[[M, w], [0, 0]] dt``, the generator propagate_affine exponentiates."""
+    dim = w.size
+    aug = np.zeros((dim + 1, dim + 1))
+    aug[:dim, :dim] = m
+    aug[:dim, dim] = w
+    return aug * dt
+
+
+class TestExpm:
+    def test_closed_forms(self):
+        assert np.allclose(ml.expm(np.zeros((3, 3))), np.eye(3), rtol=0, atol=1e-15)
+        assert np.allclose(ml.expm(np.diag([-2.0, 0.5, 30.0])), np.diag(np.exp([-2.0, 0.5, 30.0])), rtol=1e-13, atol=0)
+        # nilpotent: exp(N) = I + N + N^2/2 exactly
+        n = np.diag([1.0, 2.0, 3.0], 1)
+        assert np.allclose(ml.expm(n), np.eye(4) + n + n @ n / 2 + n @ n @ n / 6, rtol=1e-15, atol=1e-15)
+        # a rotation generator
+        t = 0.7
+        assert np.allclose(ml.expm([[0.0, -t], [t, 0.0]]), [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]], atol=1e-15)
+
+    def test_against_scipy_on_consensus_operators(self):
+        # the augmented generators suite_consensus samples: gain flows at
+        # certified and loose parameters, and the size estimator
+        rng = np.random.default_rng(16)
+        ids = tuple(range(1, 6))
+        gens = []
+        for _ in range(4):
+            n = int(rng.integers(2, 4))
+            a = rng.normal(size=(n, n)) / np.sqrt(n)
+            a = a + (0.1 - ml.min_real_part(a)) * np.eye(n)
+            g = random_connected_graph(rng, ids)
+            maps = {i: rng.normal(size=(n, 1)) for i in ids}
+            for params in (bass_rate_params(a, 1.0, g, 0.5), FlowParams(*rng.uniform(0.2, 2.0, size=2))):
+                m, c = consensus.gain_flow_operator(a, maps, 1.0, params, g)
+                gens += [augmented(m, c, dt) for dt in (0.05, 0.19, 1.0)]
+        for n_agents in range(1, 9):
+            for topo in ("star", "ring", "path"):
+                g_bar = informer_topology(topo, n_agents)
+                params = consensus.size_rate_params(n_agents, g_bar, 0.2)
+                m, c = consensus.size_flow_operator(
+                    params.k, params.gamma, laplacian(g_bar), g_bar.nodes.index(INFORMER_ID)
+                )
+                gens.append(augmented(m, c, np.log(n_agents / 1e-5) / 0.2 / 200))
+        for z in gens:
+            ref = scipy.linalg.expm(z)
+            # squaring carries roundoff of order eps |Z|_1 into the result
+            tol = 1e-14 * max(1.0, np.abs(z).sum(axis=0).max())
+            assert np.abs(ml.expm(z) - ref).max() <= tol * np.abs(ref).max()
+
+    def test_non_normal_against_scipy(self):
+        # |A|_1 is 1e4 here, but |A^6|^(1/6) and |A^8|^(1/8) are ~20
+        a = np.array([[-1.0, 1e4], [0.0, -2.0]])
+        ref = scipy.linalg.expm(a)
+        assert np.abs(ml.expm(a) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestEigen:

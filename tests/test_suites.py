@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import plugplay
-from plugplay import analysis, bass, matlib, suites
+from plugplay import analysis, bass, consensus, matlib, suites
+from plugplay.consensus import INFORMER_ID, FlowParams
+from plugplay.graph import laplacian, r_matrix
 from plugplay.matlib import rk4_propagator
 from plugplay.plant import Channel, PlantModel
 
@@ -63,6 +65,20 @@ def test_stacked_envelopes_equal_the_per_trajectory_loop(seed, monkeypatch):
     fails = [idx for idx, (*_, ok_ref) in enumerate(oracle) if not ok_ref]
     assert result.passed == (not fails)
     assert result.detail == f"{50 - len(fails)}/50 trajectories inside the envelope"
+
+
+@pytest.mark.parametrize("n_agents", [1, 2, 4, 6])
+def test_propagate_affine_holds_the_size_fixed_point(n_agents):
+    """Started at the size estimator's equilibrium, 200 exact steps stay
+    there: the constant coordinate of the affine flow is never stepped."""
+    g_bar = suites.informer_topology("star", n_agents)
+    params = FlowParams(1.0, 1.5)
+    zeta_star, psi_tilde = analysis.size_equilibrium(n_agents, params, g_bar)
+    rmat, _ = r_matrix(g_bar)
+    s_star = np.concatenate([rmat @ psi_tilde, np.full(g_bar.n, zeta_star)])
+    m, c = consensus.size_flow_operator(params.k, params.gamma, laplacian(g_bar), g_bar.nodes.index(INFORMER_ID))
+    series = suites.propagate_affine(m, c, s_star, 0.5 * np.arange(201))
+    assert np.abs(series - s_star).max() <= 1e-12 * max(1, n_agents)
 
 
 def test_batching_changes_no_verdict(monkeypatch):
