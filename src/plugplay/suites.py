@@ -9,7 +9,7 @@ JSON-serializable reproduction blob.  All randomness flows through one
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -78,13 +78,16 @@ def random_connected_graph(rng: np.random.Generator, ids) -> Graph:
 
 
 def random_gain_instance(rng: np.random.Generator, n_max: int = 6, m_max: int = 4):
-    """(A, B, beta, widths): controllable pair with a valid shift in [0.1, 2].
+    """(A, B, beta, widths, sol): controllable pair with a valid shift in [0.1, 2].
 
     A is shifted so its leftmost eigenvalue has nonnegative real part,
     which makes every beta > 0 admissible.  Pairs whose shifted Gramian
     is conditioned worse than ~1e9 are resampled: past that point the
     certified tolerances stop being meaningful in double precision for
-    any implementation.
+    any implementation.  The Gramian is the X* of
+    ``bass.bass_solve(A, B, beta, widths=widths)``, and sol is that
+    solution, so the caller's checks reuse the one Lyapunov solve.  sol
+    is None if that call raises; the caller repeats it for the reason.
     """
     for _ in range(50):
         n = int(rng.integers(2, n_max + 1))
@@ -93,7 +96,12 @@ def random_gain_instance(rng: np.random.Generator, n_max: int = 6, m_max: int = 
         a = a + (float(rng.uniform(0.0, 0.5)) - min_real_part(a)) * np.eye(n)
         b = rng.normal(size=(n, m))
         beta = float(rng.uniform(0.1, 2.0))
-        x = solve_lyapunov(-(a + beta * np.eye(n)), 2.0 * b @ b.T)
+        try:
+            sol = bass.bass_solve(a, b, beta)
+            x = sol.X_star
+        except (ValueError, np.linalg.LinAlgError):
+            sol = None
+            x = solve_lyapunov(-(a + beta * np.eye(n)), 2.0 * b @ b.T)
         w = np.linalg.eigvalsh(x)
         if w[0] > 1e-9 * w[-1]:
             break
@@ -103,8 +111,9 @@ def random_gain_instance(rng: np.random.Generator, n_max: int = 6, m_max: int = 
         w_i = int(rng.integers(1, left + 1))
         widths.append(w_i)
         left -= w_i
-    beta = float(beta)
-    return a, b, beta, tuple(widths)
+    if sol is not None:
+        sol = replace(sol, F_blocks=bass._split_rows(sol.F, widths))
+    return a, b, beta, tuple(widths), sol
 
 
 def random_normalized_plant(
@@ -200,9 +209,10 @@ def check_gain_abscissa(seed: int = 0, count: int = 200) -> CheckResult:
 
     def solved():
         for idx in range(count):
-            a, b, beta, widths = random_gain_instance(rng)
+            a, b, beta, widths, sol = random_gain_instance(rng)
             try:
-                sol = bass.bass_solve(a, b, beta, widths=widths)
+                if sol is None:
+                    sol = bass.bass_solve(a, b, beta, widths=widths)
             except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
                 bad.append((idx, f"solve failed: {exc}", a, b, beta))
                 continue
@@ -238,8 +248,8 @@ def check_decay_envelopes(seed: int = 0, envelopes: int = 50) -> CheckResult:
     keep = max(1, steps // 100)
     sols, props, x0s = [], [], []
     for _ in range(envelopes):
-        a, b, beta, widths = random_gain_instance(rng, n_max=4, m_max=2)
-        sols.append(bass.bass_solve(a, b, beta, widths=widths))
+        a, b, beta, widths, sol = random_gain_instance(rng, n_max=4, m_max=2)
+        sols.append(sol if sol is not None else bass.bass_solve(a, b, beta, widths=widths))
         props.append(rk4_propagator(a + b @ sols[-1].F, h)[0])
         x0s.append(rng.normal(size=a.shape[0]))
     # RK4 with step h on xdot = Acl x: one batched product per step

@@ -316,7 +316,7 @@ class TestThresholdCertificate:
 
         rng = np.random.default_rng(2)
         for _ in range(50):
-            a, b, beta, _ = random_gain_instance(rng)
+            a, b, beta, _, _ = random_gain_instance(rng)
             sol = bass.bass_solve(a, b, beta)
             assert spectral_abscissa(a + b @ sol.F) <= -beta + 1e-6
             assert np.linalg.eigvalsh(sol.X_star)[0] > 0

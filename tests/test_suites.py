@@ -24,7 +24,7 @@ def oracle_envelopes(seed: int, envelopes: int = 50):
     keep = max(1, steps // 100)
     out = []
     for _ in range(envelopes):
-        a, b, beta, widths = suites.random_gain_instance(rng, n_max=4, m_max=2)
+        a, b, beta, widths, _ = suites.random_gain_instance(rng, n_max=4, m_max=2)
         sol = bass.bass_solve(a, b, beta, widths=widths)
         x = rng.normal(size=a.shape[0])
         prop, _ = rk4_propagator(a + b @ sol.F, h)
@@ -65,6 +65,48 @@ def test_stacked_envelopes_equal_the_per_trajectory_loop(seed, monkeypatch):
     fails = [idx for idx, (*_, ok_ref) in enumerate(oracle) if not ok_ref]
     assert result.passed == (not fails)
     assert result.detail == f"{50 - len(fails)}/50 trajectories inside the envelope"
+
+
+def test_gain_instance_carries_the_bass_solution():
+    """The instance's solution is the one a fresh bass_solve gives, bit for bit."""
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        a, b, beta, widths, sol = suites.random_gain_instance(rng)
+        fresh = bass.bass_solve(a, b, beta, widths=widths)
+        assert sol.beta == fresh.beta
+        for got, want in [(sol.X_star, fresh.X_star), (sol.X_star_inv, fresh.X_star_inv), (sol.F, fresh.F),
+                          *zip(sol.F_blocks, fresh.F_blocks)]:
+            assert np.array_equal(got, want)
+        assert len(sol.F_blocks) == len(fresh.F_blocks) == len(widths)
+
+
+def test_refused_gain_instance_is_reported(monkeypatch):
+    """When bass_solve refuses a drawn pair, the draw still resamples on
+    the Gramian alone, so the instances stay the same, and the check
+    reports each refusal."""
+    real_solve, real_draw = bass.bass_solve, suites.random_gain_instance
+    drawn = []
+
+    def draw(rng, *args, **kwargs):
+        inst = real_draw(rng, *args, **kwargs)
+        drawn.append(inst[0])
+        return inst
+
+    def solve(a, b, beta, **kwargs):
+        if a.shape[0] == 2:
+            raise ValueError("refused")
+        return real_solve(a, b, beta, **kwargs)
+
+    monkeypatch.setattr(suites, "random_gain_instance", draw)
+    suites.check_gain_abscissa(seed=3, count=12)
+    accepted, drawn = drawn, []
+    monkeypatch.setattr(bass, "bass_solve", solve)
+    result = suites.check_gain_abscissa(seed=3, count=12)
+    assert all(np.array_equal(a, b) for a, b in zip(drawn, accepted, strict=True))
+    sizes = [a.shape[0] for a in drawn]
+    assert 0 < sizes.count(2) < 12
+    assert result.detail == f"{12 - sizes.count(2)}/12 instances ok"
+    assert (result.repro["index"], result.repro["why"]) == (sizes.index(2), "solve failed: refused")
 
 
 @pytest.mark.parametrize("n_agents", [1, 2, 4, 6])
