@@ -37,8 +37,10 @@ within a step the whole system is affine and splits in two:
 
 Since an agent's gains depend on its own X, Y and zeta only, the runner
 works in chunks of K steps that never cross an event.  (a) The flows
-advance K steps and keep every step's value; the rows of their last
-block that lie past the chunk are carried into the next.  (b) Each
+advance K steps, and each block of rows is written as it is made into
+per-step stacks of X and Y, in agent coordinates, and of the size
+estimator; only each flow's current block is kept in modal
+coordinates, and carried into the next chunk.  (b) Each
 active agent, a :class:`agent.ControlAgent`, gets its X, Y and zeta
 stacks over the chunk in one ``refresh_gains`` call, which returns its
 F, L and gamma stacks, gamma as applied (capped at ``gamma_cap`` by the
@@ -49,20 +51,19 @@ cannot prove the cap, and once per agent at the end of the run for
 ``Trace.final_gains``.  (c) The chunk is walked in slices: each
 slice's frozen-gain observer maps are built in one batched pass from
 the gain stacks, ``rk4_step`` advances plant and observers through the
-slice step by step, and the chunk's samples are recorded together at
-its end.
+slice step by step, and the states at the chunk's record steps are
+recorded together at its end.
 
-One byte budget, ``CHUNK_BYTES``, sets both lengths per interval.  A
-chunk holds per-step stacks of the flows, X and Y, the gains and the
-plant-observer state, about ``6 N n^2`` floats a step, and is as long
-as the budget allows.  A slice holds one ``s x s`` map per step, s =
-n (N + 1), in half the budget, leaving the other half for the terms
-the maps are built from; the maps, quadratic in N, do not shorten the
-chunks.  The flows' block maps are per-interval state, outside the
-budget.  The one block of rows each flow carries from chunk to chunk
-is per-interval state too, held while the maps are built, so the
-slice's half makes room for it.  The results depend on neither
-length.
+One byte budget, ``CHUNK_BYTES``, sets both lengths per interval, and
+bounds what a chunk holds from its start to its end together with one
+slice.  The per-step stacks of the flows (X and Y, ``2 N n^2`` floats
+a step), the gains and the recorded states are allocated once per
+interval, K steps long, in half the budget, and every chunk writes into
+them.  A slice holds one ``s x s`` map per step, s = n (N + 1), and the
+terms the maps are built from in the other half, next to the block of
+rows each flow carries from chunk to chunk; the maps, quadratic in N, do
+not shorten the chunks.  The flows' block maps are per-interval state,
+outside the budget.  The results depend on neither length.
 
 A non-finite state raises IntegrationError with the time of the first
 step that produced it, whether plant, observers or a flow.  Traces are
@@ -73,6 +74,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -108,19 +110,18 @@ __all__ = [
 
 MODES = ("algorithm1", "static_gains", "state_feedback")
 
-# Bytes of per-step stacks that one chunk, and apart from it one map
-# slice, may hold.  A chunk keeps, per step and agent, its gain and dual
-# flow rows (4 n^2), X and Y (2 n^2), F, L, gamma and zeta, plus the
-# size-estimator row and the plant-observer state; its flow histories
-# hold one row more than it has steps.  A slice keeps one observer map
-# (s^2 floats, s = n (N + 1)) per step in half the budget; the other
-# half is for the per-agent terms the maps are built from, fewer than
-# s^2 floats a step from three agents on.  The flows' block maps are
-# per-interval state, outside the budget; the FLOW_BLOCK rows each flow
-# carries from chunk to chunk are per-interval state too, held while the
-# maps are built, so they come out of the slice's half.  See
-# _Runner._enter.
-CHUNK_BYTES = 1 << 20
+# Bytes that one chunk's per-step stacks and one observer-map slice may
+# hold together, half each.  From its first step to its last a chunk
+# holds X and Y in agent coordinates (2 N n^2 floats a step, with one row
+# more than it has steps), the size-estimator rows, F, L and gamma, and
+# the plant-observer state at its record steps; these stacks are
+# allocated once per interval and each chunk writes into them.  A slice
+# holds one observer map (s^2 floats, s = n (N + 1)) per step and the
+# terms the maps are built from, fewer than 4 N n^2 floats a step; its
+# half also holds the FLOW_BLOCK rows that each flow carries from chunk
+# to chunk.  The flows' block maps are per-interval state, outside the
+# budget.  See _Runner._enter.
+CHUNK_BYTES = 9 << 17  # 1.125 MiB
 
 # Steps per block of the flow recursion (a power of two): each block of
 # rows is one matrix product of the block before it.
@@ -148,7 +149,7 @@ def rk4_step(f, state: np.ndarray, t: float, h: float) -> np.ndarray:
     k3 = f(t + 0.5 * h, state + (0.5 * h) * k2)
     k4 = f(t + h, state + h * k3)
     out = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise IntegrationError("non-finite state after RK4 stage", t)
     return out
 
@@ -471,14 +472,16 @@ class _Runner:
     lives from its join to its leave.  Each flow has its block map in
     ``flow_maps`` and its current block of ``FLOW_BLOCK`` rows in
     ``flow_blocks``, ``(modes, FLOW_BLOCK, size)``, with the current
-    step at row ``pos``.  :meth:`_chunk` runs
-    ``chunk`` steps at a time, keeping per-step stacks of the flows (X
-    and Y in agent coordinates, ``x_mats`` and ``y_mats``, and the size
-    estimator ``sz_steps``) and the gains (``f``, ``l``, ``gamma``,
-    ``zeta``); :meth:`_maps` builds the observer maps ``slice`` steps at
-    a time.  At an event the state leaves the interval as one row per
-    agent id (:meth:`_export`) and the next interval stacks the rows of
-    its members (:meth:`_enter`).
+    step at row ``pos``: ``zx``, ``wy`` and ``sz`` are those rows.
+    :meth:`_enter` allocates the interval's per-step stacks, ``stacks``,
+    and :meth:`_chunk` runs ``chunk`` steps at a time through views of
+    them: the flows (X and Y in agent coordinates, ``x_mats`` and
+    ``y_mats``, and the size estimator ``sz_steps``), the gains (``f``,
+    ``l``, ``gamma``, ``zeta``) and the states at the record steps;
+    :meth:`_maps` builds the observer maps ``slice`` steps at a time.  At
+    an event the state leaves the interval as one row per agent id
+    (:meth:`_export`) and the next interval stacks the rows of its
+    members (:meth:`_enter`).
     """
 
     def __init__(self, scenario: Scenario):
@@ -533,22 +536,42 @@ class _Runner:
         else:
             self.state = np.concatenate([x, stack("xhat").ravel()])
         size, nn = self.state.size, n * n
-        # floats per step of the chunk's stacks, as CHUNK_BYTES counts them:
-        # the flow rows, then X, Y, the gains and the plant-observer state
-        flow_row = 0
+        # free the last interval's maps and stacks, and the chunk's views of them
+        self.flow_maps = self.flow_blocks = self.stacks = self.zx = self.wy = self.sz = None
+        self.x_mats = self.y_mats = self.sz_steps = self.f = self.l = self.gamma = self.zeta = None
+
+        # the stacks a chunk holds from its start to its end, by the shape of
+        # one step: the flows' values at its steps and after the last, the
+        # gains at its steps and the plant-observer state at its record steps
+        flows, gains = {}, {}
+        flow_row = 0  # floats of one modal row of every flow
         if mode != "static_gains":
-            flow_row += n_agents * 2 * nn
+            flows["x"], gains["f"] = (n_agents, n, n), self.f_shape
+            flow_row += 2 * n_agents * nn
         if mode == "algorithm1":
-            flow_row += n_agents * 2 * nn + 2 * (n_agents + 1)
-        per_step = size + flow_row
-        if mode != "static_gains":
-            per_step += n_agents * (nn + m_max * n)
-        if mode == "algorithm1":
-            per_step += n_agents * (nn + n * p_max + 2)
-        # the flow histories hold one row more than the chunk has steps
-        self.chunk = max(1, CHUNK_BYTES // (8 * per_step) - 1)
-        # the maps share their half with the FLOW_BLOCK rows each flow carries
-        self.slice = max(1, (CHUNK_BYTES // 2 - 8 * FLOW_BLOCK * flow_row) // (8 * size * size))
+            flows["y"], flows["sz"] = (n_agents, n, n), (2 * (n_agents + 1),)
+            gains["l"], gains["gamma"] = self.l_shape, (n_agents,)
+            flow_row += 2 * n_agents * nn + 2 * (n_agents + 1)
+        flow_floats = sum(math.prod(s) for s in flows.values())
+        per_step = flow_floats + sum(math.prod(s) for s in gains.values())
+        every = self.record_every
+        # a chunk of k steps holds k per_step + flow_floats + (k // every +
+        # 1) size floats, in half the budget ...
+        half = CHUNK_BYTES // 16 - flow_floats - size
+        self.chunk = max(1, half * every // (per_step * every + size))
+        # ... and a slice one map per step and the terms it is built from
+        # (analysis.observer_loop_matrix), s^2 + 4 N n^2 floats a step, in
+        # the other half, next to the FLOW_BLOCK rows each flow carries
+        slice_step = 8 * (size * size + 4 * n_agents * nn)
+        self.slice = max(1, (CHUNK_BYTES // 2 - 8 * FLOW_BLOCK * flow_row) // slice_step)
+        shapes = {name: (self.chunk + 1,) + s for name, s in flows.items()}
+        shapes.update({name: (self.chunk,) + s for name, s in gains.items()})
+        shapes["states"] = (self.chunk // every + 1, size)
+        self.stacks = self._allocate(shapes)
+        for name in ("f", "l"):
+            if name in self.stacks:
+                # b @ f and l @ c read the padding of narrower channels
+                self.stacks[name].fill(0.0)
 
         if mode == "static_gains":
             sg = self.s.static
@@ -566,7 +589,6 @@ class _Runner:
 
         # gain flow (and, in algorithm1, dual flow and size estimator):
         # each flow's block map and its first block of rows
-        self.flow_maps = self.flow_blocks = None  # free the last interval's maps first
         self.pos = 0
         lam, v = np.linalg.eigh(lap)
         self.v = v
@@ -619,6 +641,10 @@ class _Runner:
                 rows[a][key] = val
         return self.state[:n].copy(), rows, informer
 
+    def _allocate(self, shapes: dict) -> dict:
+        """The interval's per-step stacks, uninitialised, by name."""
+        return {name: np.empty(shape) for name, shape in shapes.items()}
+
     # -- one chunk -----------------------------------------------------------
 
     def _chunk(self, tr: Trace, s0: int, s1: int) -> None:
@@ -628,107 +654,113 @@ class _Runner:
         the plant has taken that step too, IntegrationError reports its
         time, as after any other non-finite step.
         """
-        h = self.h
+        h, every = self.h, self.record_every
         n_adv = min(s1, self.total_steps) - s0  # the final step records only
         failed = None
         if self.mode != "static_gains":
-            # free the last chunk's stacks before this one's are built
-            self.x_mats = self.y_mats = self.sz_steps = self.zeta = None
             failed = self._flows(n_adv)
             if failed is not None:
                 s1 = s0 + failed + 1
                 n_adv = s1 - s0
-        steps = np.arange(s0, s1)
+        k = s1 - s0
         if self.mode == "static_gains":
-            self.f = np.broadcast_to(self.static_maps[0], (steps.size,) + self.f_shape)
+            self.f = np.broadcast_to(self.static_maps[0], (k,) + self.f_shape)
         else:
-            self._gains(steps * h)
-        states = np.empty((steps.size, self.state.size))
+            self._gains(np.arange(s0, s1) * h)
+        # the chunk's step j is a record step when j % every == phase, and
+        # its state is then row j // every of the kept states
+        phase = -s0 % every
+        kept = self.stacks["states"]
         state = self.state
-        for j0 in range(0, steps.size, self.slice):
-            for j, g_j in enumerate(self._maps(j0, min(j0 + self.slice, steps.size)), j0):
-                states[j] = state
+        for j0 in range(0, k, self.slice):
+            for j, g_j in enumerate(self._maps(j0, min(j0 + self.slice, k)), j0):
+                if j % every == phase:
+                    kept[j // every] = state
                 if j < n_adv:
                     state = rk4_step(lambda _t, y, g=g_j: g @ y, state, (s0 + j) * h, h)
         self.state = state
-        rec = np.flatnonzero(steps % self.record_every == 0)
+        rec = np.arange(phase, k, every)
         if rec.size:
-            self._record(tr, steps[rec] // self.record_every, rec, states[rec])
+            self._record(tr, (s0 + rec) // every, rec, kept[: rec.size])
         if failed is not None:
             raise IntegrationError("non-finite state after RK4 stage", (s0 + failed) * h)
 
     def _flows(self, n_adv: int) -> int | None:
-        """Advance the flows n_adv steps, keeping each step's X, Y and size
-        estimator.
+        """Advance the flows n_adv steps, writing each step's X, Y and size
+        estimator into the interval's stacks.
 
         ``self.x_mats[j]``, ``self.y_mats[j]`` (agent coordinates, ``(N,
         n, n)``) and ``self.sz_steps[j]`` are the values at the chunk's
-        step j; the last advance leaves the current value.  Each flow's
-        rows come from its current block and the whole blocks after it,
-        the last of which is carried into the next chunk.  The modal
-        histories of the two matrix flows end with this call.  Returns
-        the first j whose advance gave a non-finite value, or None; the
-        kept values then stop at step j.
+        step j; the last advance leaves the current value, which is also
+        the row ``pos`` of each flow's block (``zx``, ``wy``, ``sz``).
+        Each flow's rows come from its current block and the whole blocks
+        after it, the last of which is carried into the next chunk.
+        Returns the first j whose advance gave a non-finite value, or
+        None; the kept values then stop at step j.
         """
-        algorithm1 = self.mode == "algorithm1"
-        hists = []
+        nn, pos = self.n * self.n, self.pos
+        v, stacks = self.v, self.stacks
+        outs = [stacks["x"].reshape(self.chunk + 1, -1, nn)]
+        if self.mode == "algorithm1":
+            outs += [stacks["y"].reshape(self.chunk + 1, -1, nn), stacks["sz"]]
+        failed = n_adv
         # a step that overflows is found below and reported as
         # IntegrationError; the steps after it need no warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, ((p_t, s), block) in enumerate(zip(self.flow_maps, self.flow_blocks)):
-                hist = np.empty((n_adv + 1, block.shape[0], block.shape[2]))
-                r = min(FLOW_BLOCK - self.pos, n_adv + 1)
-                hist[:r] = block[:, self.pos : self.pos + r].transpose(1, 0, 2)
-                while r <= n_adv:
+            for i, ((p_t, s), block, out) in enumerate(zip(self.flow_maps, self.flow_blocks, outs)):
+                r, lo = 0, pos
+                while True:
+                    rows = block[:, lo : lo + min(FLOW_BLOCK - lo, n_adv + 1 - r)]
+                    cnt = rows.shape[1]
+                    if i < 2:
+                        # X or Y in agent coordinates, one batched product
+                        np.matmul(v, rows[:, :, nn:].transpose(1, 0, 2), out=out[r : r + cnt])
+                    else:
+                        out[r : r + cnt] = rows[0]
+                    # row r + j comes from the advance of step r + j - 1; the
+                    # chunk's first row was checked when it was made
+                    ok = np.isfinite(rows).all(axis=(0, 2))
+                    ok[0] |= r == 0
+                    if not ok.all():
+                        failed = min(failed, r + int(np.argmin(ok)) - 1)
+                    r += cnt
+                    if r > n_adv:
+                        break
                     # the next block, y + (P y + s) for each of its rows,
                     # from one product per mode
                     nxt = np.matmul(block, p_t)
                     nxt += s[:, None]
                     nxt += block
-                    block = nxt
-                    hist[r : r + FLOW_BLOCK] = block[:, : n_adv + 1 - r].transpose(1, 0, 2)
-                    r += FLOW_BLOCK
+                    block, lo = nxt, 0
                 self.flow_blocks[i] = block
-                hists.append(hist)
-        self.pos = (self.pos + n_adv) % FLOW_BLOCK
-        zx = hists[0]
-        if algorithm1:
-            wy, sz = hists[1], hists[2][:, 0]
-        bad = np.zeros(n_adv, dtype=bool)
-        for hist in hists:
-            bad |= ~np.isfinite(hist[1:].reshape(n_adv, hist[0].size)).all(axis=1)
-        failed = int(np.argmax(bad)) if bad.any() else None
-        last = n_adv if failed is None else failed
-        n, nn, rows = self.n, self.n * self.n, last + 1
-        shape = (rows, len(self.actives), n, n)
-        self.zx = zx[last].copy()
-        self.x_mats = (self.v @ zx[:rows, :, nn:]).reshape(shape)
-        if algorithm1:
-            self.wy = wy[last].copy()
-            self.y_mats = (self.v @ wy[:rows, :, nn:]).reshape(shape)
-            self.sz_steps, self.sz = sz[:rows], sz[last].copy()
-        return failed
+        self.pos = (pos + n_adv) % FLOW_BLOCK
+        cur = [block[:, self.pos] for block in self.flow_blocks]
+        rows = failed + 1
+        self.zx, self.x_mats = cur[0], stacks["x"][:rows]
+        if self.mode == "algorithm1":
+            self.wy, self.y_mats = cur[1], stacks["y"][:rows]
+            self.sz, self.sz_steps = cur[2][0], stacks["sz"][:rows]
+        return failed if failed < n_adv else None
 
     def _gains(self, ts: np.ndarray) -> None:
         """Every agent's gains at the times ts.
 
         Each agent refreshes once over the whole chunk from its own X, Y
         and zeta stacks; ``self.f``, ``self.l``, ``self.gamma`` and
-        ``self.zeta`` are stacks over the chunk's steps.
+        ``self.zeta`` are the interval's stacks over the chunk's steps.
         """
         n_agents, k = len(self.actives), ts.size
-        self.f = np.zeros((k,) + self.f_shape)
+        self.f = f = self.stacks["f"][:k]
         if self.mode == "state_feedback":
             # no observer and zeta 0: the zeta clamp makes F_i = -B_i^T Phi(X_i)
             for i, ag in enumerate(self.members):
-                self.f[:, i, : self.widths[i][0]] = ag.refresh_gains(ts, self.x_mats[:k, i], None, 0.0)[0]
+                f[:, i, : self.widths[i][0]] = ag.refresh_gains(ts, self.x_mats[:k, i], None, 0.0)[0]
             return
         self.zeta = zeta = self.sz_steps[:k, n_agents + 2 :]
-        self.l = np.zeros((k,) + self.l_shape)
-        self.gamma = np.zeros((k, n_agents))
+        self.l, self.gamma = l, gamma = self.stacks["l"][:k], self.stacks["gamma"][:k]
         for i, ag in enumerate(self.members):
             m_i, p_i = self.widths[i]
-            self.f[:, i, :m_i], self.l[:, i, :, :p_i], self.gamma[:, i] = ag.refresh_gains(
+            f[:, i, :m_i], l[:, i, :, :p_i], gamma[:, i] = ag.refresh_gains(
                 ts, self.x_mats[:k, i], self.y_mats[:k, i], zeta[:, i]
             )
 

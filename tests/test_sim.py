@@ -1,5 +1,6 @@
 import copy
 import csv
+import hashlib
 import json
 import sys
 from dataclasses import replace
@@ -135,6 +136,23 @@ def two_agent_state_feedback_scenario(t_end=2.0):
         solver=SolverSettings(h=1e-3, t_end=t_end, record_every=100),
         params=AgentParams(beta=0.5, k_c=2.0, gamma_c=2.0),
         mode="state_feedback",
+    )
+
+
+def wide_joiner_scenario():
+    """Agent 3 joins with two inputs where the plant gives it one: F has
+    padding rows for agents 1 and 2 after the join."""
+    p = PlantModel(np.array([[1.0]]), tuple(Channel(i, [[1.0]], [[1.0]]) for i in (1, 2, 3)))
+    join = Event(time=0.05, kind="join", agent_id=3, channel=Channel(3, [[1.0, 0.5]], [[1.0]]),
+                 add_edges=((3, 2), (3, INFORMER_ID)))
+    return Scenario(
+        plant=p,
+        x0=[1.0],
+        initial_agents=(1, 2),
+        graph=Graph.from_edges([0, 1, 2], [(0, 1), (1, 2)]),
+        solver=SolverSettings(t_end=0.1),
+        params=AgentParams(beta=2.0),
+        events=(join,),
     )
 
 
@@ -364,19 +382,7 @@ class TestAlgorithm1Mode:
         assert tr.informer_zeta.shape == tr.times.shape
 
     def test_join_event_channel_overrides_plant_channel(self):
-        # the plant gives agent 3 one input; its join event supplies two
-        p = PlantModel(np.array([[1.0]]), tuple(Channel(i, [[1.0]], [[1.0]]) for i in (1, 2, 3)))
-        join = Event(time=0.05, kind="join", agent_id=3, channel=Channel(3, [[1.0, 0.5]], [[1.0]]),
-                     add_edges=((3, 2), (3, INFORMER_ID)))
-        scen = Scenario(
-            plant=p,
-            x0=[1.0],
-            initial_agents=(1, 2),
-            graph=Graph.from_edges([0, 1, 2], [(0, 1), (1, 2)]),
-            solver=SolverSettings(t_end=0.1),
-            params=AgentParams(beta=2.0),
-            events=(join,),
-        )
+        scen = wide_joiner_scenario()
         assert validate_scenario(scen)[1].channels[2].m == 2
         tr = run_scenario(scen)
         assert tr.u[3].shape[1] == 2
@@ -807,10 +813,10 @@ class TestChunkInvariance:
         },
         "seven_agents": seven_agent_scenario,
     }
-    # 1 byte gives one-step chunks; 73 632 gives 25-step chunks on the
+    # 1 byte gives one-step chunks; 61 440 gives 25-step chunks on the
     # three-agent intervals of the load-transport scenarios, so that a
     # filter sample (every 100 steps) opens a chunk inside an interval
-    BUDGETS = (1, 73_632)
+    BUDGETS = (1, 61_440)
 
     @pytest.mark.parametrize("case", list(SCENARIOS))
     def test_chunk_length_does_not_change_the_trace(self, case, monkeypatch):
@@ -853,37 +859,105 @@ class TestChunkInvariance:
 
 
 class TestChunkBudget:
-    """CHUNK_BYTES bounds a chunk's per-step stacks and, apart from them,
-    twice the maps of one slice."""
+    """CHUNK_BYTES bounds the per-step stacks that a chunk holds from its
+    start to its end together with one map slice: each in half of it."""
 
     def test_stacks_and_map_slices_stay_within_the_budget(self, monkeypatch):
         scen = seven_agent_scenario()
-        chunk, maps = sim._Runner._chunk, sim._Runner._maps
-        stack_bytes, map_bytes = [], []
-
-        def spy(runner, tr, s0, s1):
-            chunk(runner, tr, s0, s1)
-            # the modal gain and dual flow histories end in _flows: one
-            # row of each per kept step
-            rows = runner.x_mats.shape[0]
-            histories = rows * (runner.zx.nbytes + runner.wy.nbytes)
-            stacks = (runner.sz_steps, runner.x_mats, runner.y_mats, runner.f, runner.l, runner.gamma, runner.zeta)
-            stack_bytes.append(histories + sum(a.nbytes for a in stacks))
+        maps = sim._Runner._maps
+        held_bytes, slice_bytes = [], []
 
         def maps_spy(runner, j0, j1):
             g = maps(runner, j0, j1)
-            map_bytes.append(g.nbytes)
+            # the interval's stacks, which every chunk writes into, and the
+            # slice: its maps, the terms they are built from (4 N n^2 floats
+            # a step) and the block of rows each flow carries
+            n_agents, n = runner.f_shape[0], runner.n
+            held_bytes.append(sum(a.nbytes for a in runner.stacks.values()))
+            terms = 8 * (j1 - j0) * 4 * n_agents * n * n
+            slice_bytes.append(g.nbytes + terms + sum(b.nbytes for b in runner.flow_blocks))
             return g
 
-        monkeypatch.setattr(sim._Runner, "_chunk", spy)
         monkeypatch.setattr(sim._Runner, "_maps", maps_spy)
         tr = run_scenario(scen)
         assert len(tr.intervals) == 2 and len(tr.intervals[-1].actives) == 7
-        assert max(stack_bytes) <= sim.CHUNK_BYTES
-        assert max(map_bytes) <= sim.CHUNK_BYTES // 2
+        assert max(h + s for h, s in zip(held_bytes, slice_bytes)) <= sim.CHUNK_BYTES
+        assert max(held_bytes) <= sim.CHUNK_BYTES // 2
+        assert max(slice_bytes) <= sim.CHUNK_BYTES // 2
         # and the budget is used: neither length is cut short
-        assert max(stack_bytes) > sim.CHUNK_BYTES // 2
-        assert max(map_bytes) > sim.CHUNK_BYTES // 4
+        assert max(held_bytes) > sim.CHUNK_BYTES // 4
+        assert max(slice_bytes) > sim.CHUNK_BYTES // 4
+
+
+class TestIntervalStacks:
+    """The per-step stacks are allocated once per interval and every chunk
+    writes into them: no chunk reads a row that it did not write."""
+
+    SCENARIOS = {**TestChunkInvariance.SCENARIOS, "wide_joiner": wide_joiner_scenario}
+
+    @pytest.mark.parametrize("case", list(SCENARIOS))
+    def test_poisoned_stacks_leave_every_series_unchanged(self, case, monkeypatch):
+        # every stack starts as NaN instead of whatever memory it gets, so
+        # a row (or an F or L padding entry) read before it is written
+        # shows up in the trace
+        scen = self.SCENARIOS[case]()
+        want = _all_series(run_scenario(scen))
+        allocate = sim._Runner._allocate
+
+        def poisoned(runner, shapes):
+            stacks = allocate(runner, shapes)
+            for a in stacks.values():
+                a.fill(np.nan)
+            return stacks
+
+        monkeypatch.setattr(sim._Runner, "_allocate", poisoned)
+        for budget in (sim.CHUNK_BYTES, TestChunkInvariance.BUDGETS[1]):
+            monkeypatch.setattr(sim, "CHUNK_BYTES", budget)
+            got = _all_series(run_scenario(scen))
+            assert got.keys() == want.keys()
+            for name, val in want.items():
+                assert np.array_equal(got[name], val, equal_nan=True), (budget, name)
+
+    def test_chunks_write_into_the_interval_stacks(self, monkeypatch):
+        scen = TestChunkInvariance.SCENARIOS["algorithm1"]()
+        enter, allocate, chunk = sim._Runner._enter, sim._Runner._allocate, sim._Runner._chunk
+        entered, made, seen = [], [], []
+
+        def enter_spy(runner, iv, *args):
+            entered.append(iv)
+            enter(runner, iv, *args)
+
+        def allocate_spy(runner, shapes):
+            made.append(allocate(runner, shapes))
+            return made[-1]
+
+        def chunk_spy(runner, tr, s0, s1):
+            chunk(runner, tr, s0, s1)
+            stacks = runner.stacks
+            assert stacks is made[-1]
+            for view, name in ((runner.x_mats, "x"), (runner.y_mats, "y"), (runner.f, "f")):
+                assert np.shares_memory(view, stacks[name]), name
+            seen.append(len(made))
+
+        monkeypatch.setattr(sim, "CHUNK_BYTES", TestChunkInvariance.BUDGETS[1])
+        monkeypatch.setattr(sim._Runner, "_enter", enter_spy)
+        monkeypatch.setattr(sim._Runner, "_allocate", allocate_spy)
+        monkeypatch.setattr(sim._Runner, "_chunk", chunk_spy)
+        run_scenario(scen)
+        # one allocation per interval entered, and several chunks in each
+        assert len(made) == len(entered) == len(set(seen)) == 3
+        assert all(seen.count(i) > 2 for i in set(seen))
+
+    def test_a_second_run_in_one_process_gives_the_same_trace(self):
+        scen = seven_agent_scenario()
+        digests = []
+        for _ in range(2):
+            h = hashlib.sha256()
+            for name, val in sorted(_all_series(run_scenario(scen)).items()):
+                h.update(name.encode())
+                h.update(np.ascontiguousarray(np.asarray(val, dtype=float)).tobytes())
+            digests.append(h.hexdigest())
+        assert digests[0] == digests[1]
 
 
 def oracle_b_steps(op, c, h, b):
@@ -969,7 +1043,8 @@ class TestFlowBlocks:
         "seven_agents": seven_agent_scenario,
     }
 
-    @pytest.mark.parametrize("budget", [sim.CHUNK_BYTES, 73_632])
+    # budgets that split the intervals into several chunks
+    @pytest.mark.parametrize("budget", [1 << 20, 73_632])
     @pytest.mark.parametrize("case", list(SCENARIOS))
     def test_history_equals_the_one_step_recursion(self, case, budget, monkeypatch):
         # every kept X, Y and size-estimator row of each interval against
