@@ -19,7 +19,7 @@ import numpy as np
 from . import matlib
 from .graph import Graph, lambda2, mohar_bound
 from .matlib import as_matrix, induced_2norms, inverse, solve_lyapunov, spectral_abscissa
-from .plant import PlantModel, aggregate, is_controllable, is_observable
+from .plant import PlantModel, aggregate, is_controllable
 
 __all__ = [
     "CertificateError",
@@ -45,22 +45,14 @@ class CertificateError(ValueError):
     """Supplied certificate matrices do not satisfy their Lyapunov identities."""
 
 
-def _check_beta(a: np.ndarray, beta: float) -> None:
-    lo = max(0.0, -matlib.min_real_part(a))
-    if beta <= lo:
-        raise ValueError(
-            f"shift beta={beta} must exceed max(0, -min Re eig(A)) = {lo:.6g}"
-        )
-
-
-def _check_pd(x: np.ndarray, what: str) -> np.ndarray:
-    w = np.linalg.eigvalsh(0.5 * (x + x.T))
+def _pd_error(w: np.ndarray, what: str):
+    """The refusal of a symmetric matrix with eigenvalues w, or None if it is PD."""
     if w[0] <= _PD_RTOL * max(1.0, w[-1]):
-        raise matlib.SingularMatrixError(
+        return matlib.SingularMatrixError(
             f"{what} is not positive definite (eigenvalues in [{w[0]:.3e}, {w[-1]:.3e}]); "
             "the pair is likely uncontrollable/unobservable"
         )
-    return w
+    return None
 
 
 def _split_rows(m: np.ndarray, widths) -> tuple[np.ndarray, ...]:
@@ -71,6 +63,46 @@ def _split_rows(m: np.ndarray, widths) -> tuple[np.ndarray, ...]:
         out.append(m[at : at + w, :])
         at += w
     return tuple(out)
+
+
+def _is_stack(a) -> bool:
+    """A 3-D array, or a sequence of 2-D arrays, is a stack of matrices."""
+    if isinstance(a, np.ndarray):
+        return a.ndim == 3
+    return isinstance(a, (list, tuple)) and len(a) > 0 and isinstance(a[0], np.ndarray) and a[0].ndim == 2
+
+
+def _per_member(value, k: int, scalar: bool = False) -> list:
+    """A stack's argument as one entry per member: None, or with
+    ``scalar`` a scalar, is shared by all k members."""
+    if value is None or (scalar and np.ndim(value) == 0):
+        return [value] * k
+    if len(value) != k:
+        raise ValueError(f"one entry per member required, got {len(value)} for {k} members")
+    return list(value)
+
+
+def _groups(keys, members) -> list[list[int]]:
+    """The members, as lists of indices that share a key, in first-seen order."""
+    out: dict = {}
+    for i in members:
+        out.setdefault(keys[i], []).append(i)
+    return list(out.values())
+
+
+def _each(fn, *stacks, **kwargs) -> list:
+    """``fn`` over stacked arrays: its per-member list of results or refusals.
+
+    A stack of one makes the lone 2-D call, so a lone solve reaches
+    :func:`solve_lyapunov`, :func:`inverse` and :func:`is_controllable`
+    as a lone call.  The arrays were validated where they entered.
+    """
+    if len(stacks[0]) > 1:
+        return list(fn(*stacks, check_finite=False, **kwargs))
+    try:
+        return [fn(*(x[0] for x in stacks), check_finite=False, **{k: v[0] for k, v in kwargs.items()})]
+    except np.linalg.LinAlgError as exc:
+        return [exc]
 
 
 @dataclass(frozen=True)
@@ -117,7 +149,7 @@ class ThresholdCertificate:
     Q2: np.ndarray
 
 
-def bass_solve(a, b, beta: float, widths=None, check_controllability: bool = True) -> BassSolution:
+def bass_solve(a, b, beta, widths=None, check_controllability: bool = True, *, eig_real=None):
     """Stabilizing state-feedback gains with decay rate beta.
 
     Parameters
@@ -133,40 +165,157 @@ def bass_solve(a, b, beta: float, widths=None, check_controllability: bool = Tru
     check_controllability : bool
         Run the Kalman rank pre-check.  When False, uncontrollability
         is still caught post-hoc through a non-PD Lyapunov solution.
+    eig_real : array_like, optional
+        The real parts of A's eigenvalues, if the caller has them: they
+        serve the shift check and the Lyapunov solve's half-plane test.
+
+    A stack is a sequence of pairs (or 3-D arrays), with `beta`,
+    `widths` and `eig_real` one per member or shared.  The pairs may
+    have any shapes; the result is a list with, per member, its
+    :class:`BassSolution` or the exception its lone call raises.  A
+    lone call is a stack of one.
     """
-    a = as_matrix(a, "A")
-    b = as_matrix(b, "B")
-    _check_beta(a, beta)
-    if check_controllability and not is_controllable(a, b):
-        raise ValueError("(A, B) is not controllable")
-    m = -(a + beta * np.eye(a.shape[0]))
-    x_star = solve_lyapunov(m, 2.0 * b @ b.T)
-    _check_pd(x_star, "Lyapunov solution X*")
-    x_inv = inverse(x_star)
-    f = -b.T @ x_inv
-    sol = BassSolution(float(beta), x_star, x_inv, f, _split_rows(f, widths) if widths else (f,))
-    closed = spectral_abscissa(a + b @ f)
-    if closed > -beta + ABSCISSA_TOL:
-        raise matlib.LyapunovError(
-            f"closed-loop abscissa {closed:.6g} exceeds -beta = {-beta:.6g}"
-        )
-    return sol
+    lone = not _is_stack(a)
+    k = 1 if lone else len(a)
+    a, b = ([m] for m in (a, b)) if lone else (a, b)
+    a = [as_matrix(m, "A") for m in a]
+    b = [as_matrix(m, "B") for m in b]
+    rank = "(A, B) is not controllable" if check_controllability else None
+    out = _synthesize(
+        a, b, _per_member(beta, k, True), [widths] if lone else _per_member(widths, k),
+        [eig_real] if lone else _per_member(eig_real, k), [rank] * k, [False] * k,
+    )
+    return matlib._lone(out) if lone else out
 
 
-def dual_bass_solve(a, c, beta: float, heights=None, check_observability: bool = True) -> DualBassSolution:
+def dual_bass_solve(a, c, beta, heights=None, check_observability: bool = True):
     """Output-injection gains: :func:`bass_solve` on the dual pair (A^T, C^T).
 
     Solves ``-(A^T + beta I) Y - Y (A^T + beta I)^T + 2 C^T C = 0`` and
     sets ``L = -Y*^{-1} C^T``, the transpose of the dual pair's state
     feedback; ``A + L C`` then has abscissa <= -beta.  `heights` are the
-    per-channel output row counts.
+    per-channel output row counts.  Stacks as in :func:`bass_solve`.
     """
-    a = as_matrix(a, "A")
-    c = as_matrix(c, "C")
-    if check_observability and not is_observable(a, c):
-        raise ValueError("(C, A) is not observable")
-    sol = bass_solve(a.T, c.T, beta, widths=heights, check_controllability=False)
+    lone = not _is_stack(a)
+    k = 1 if lone else len(a)
+    a, c = ([m] for m in (a, c)) if lone else (a, c)
+    a = [as_matrix(m, "A").T for m in a]
+    c = [as_matrix(m, "C").T for m in c]
+    rank = "(C, A) is not observable" if check_observability else None
+    out = _synthesize(
+        a, c, _per_member(beta, k, True), [heights] if lone else _per_member(heights, k),
+        [None] * k, [rank] * k, [True] * k,
+    )
+    out = [sol if isinstance(sol, Exception) else _dual(sol) for sol in out]
+    return matlib._lone(out) if lone else out
+
+
+def bass_solve_pairs(a, b, c, beta, widths, heights) -> list:
+    """:func:`bass_solve` and :func:`dual_bass_solve` of a stack of plants.
+
+    Member i is the plant ``(a[i], b[i], c[i])`` at ``beta[i]``, with
+    both rank tests.  Its primal and dual equations share the stacks of
+    their state size and one eigensolve of A, and each ``(sol, dual)``
+    entry is what the lone calls return, or the exception they raise.
+    """
+    k = len(a)
+    a = [as_matrix(m, "A") for m in a]
+    b = [as_matrix(m, "B") for m in b]
+    c = [as_matrix(m, "C") for m in c]
+    beta, spectra = _per_member(beta, k, True), _real_spectra(a)
+    out = _synthesize(
+        a + [m.T for m in a], b + [m.T for m in c], beta + beta, list(widths) + list(heights),
+        spectra + spectra, ["(A, B) is not controllable"] * k + ["(C, A) is not observable"] * k,
+        [False] * k + [True] * k,
+    )
+    return [(sol, dual if isinstance(dual, Exception) else _dual(dual)) for sol, dual in zip(out[:k], out[k:])]
+
+
+def _real_spectra(a) -> list:
+    """The real parts of each matrix's eigenvalues, one eigensolve per size."""
+    out: list = [None] * len(a)
+    for g in _groups([m.shape[0] for m in a], range(len(a))):
+        for i, w in zip(g, np.linalg.eigvals(np.stack([a[i] for i in g]))):
+            out[i] = w.real
+    return out
+
+
+def _dual(sol: BassSolution) -> DualBassSolution:
     return DualBassSolution(sol.beta, sol.X_star, sol.F.T, tuple(f.T for f in sol.F_blocks))
+
+
+def _synthesize(a, b, beta, widths, re, rank, rank_first) -> list:
+    """Bass' gains of validated members, in stacks: the n x n work by n,
+    the rank test and ``F = -B^T X*^-1`` by (n, m).
+
+    ``rank[i]`` is the refusal of a failed rank test, or None to skip
+    it; with ``rank_first[i]`` that test is made before the shift check,
+    as :func:`dual_bass_solve` makes it.  Refusals are per member.
+    """
+    k = len(a)
+    n_of = [m.shape[0] for m in a]
+    nm = [(m.shape[0], bb.shape[1]) for m, bb in zip(a, b)]
+    missing = [i for i in range(k) if re[i] is None]
+    re = list(re)
+    for i, w in zip(missing, _real_spectra([a[i] for i in missing])):
+        re[i] = w
+    out: list = [None] * k
+    for i in range(k):
+        lo = max(0.0, -float(np.min(re[i])))
+        if beta[i] <= lo:
+            out[i] = ValueError(f"shift beta={beta[i]} must exceed max(0, -min Re eig(A)) = {lo:.6g}")
+    tested = [i for i in range(k) if rank[i] is not None and (out[i] is None or rank_first[i])]
+    for g in _groups(nm, tested):
+        for i, ok in zip(g, _each(is_controllable, np.stack([a[i] for i in g]), np.stack([b[i] for i in g]))):
+            if not ok:
+                out[i] = ValueError(rank[i])
+
+    def stacked(g, mats):  # the members g of a per-member list, as one array
+        return np.stack([mats[i] for i in g])
+
+    q, x = [None] * k, [None] * k
+    for g in _groups(nm, [i for i in range(k) if out[i] is None]):
+        bs = stacked(g, b)
+        for i, qi in zip(g, (2.0 * bs) @ np.swapaxes(bs, 1, 2)):
+            q[i] = qi
+    for g in _groups(n_of, [i for i in range(k) if out[i] is None]):
+        bet = np.array([beta[i] for i in g], dtype=float)
+        m = -(stacked(g, a) + bet[:, None, None] * np.eye(n_of[g[0]]))
+        shifted = -(np.stack([np.asarray(re[i], dtype=float) for i in g]) + bet[:, None])
+        for i, xi in zip(g, _each(solve_lyapunov, m, stacked(g, q), eig_real=shifted)):
+            out[i], x[i] = (xi, None) if isinstance(xi, Exception) else (None, xi)
+    x_inv = [None] * k
+    for g in _groups(n_of, [i for i in range(k) if out[i] is None]):
+        xs = stacked(g, x)
+        ws = np.linalg.eigvalsh(0.5 * (xs + np.swapaxes(xs, 1, 2)))
+        for i, w in zip(g, ws):
+            out[i] = _pd_error(w, "Lyapunov solution X*")
+        g = [i for i in g if out[i] is None]
+        if g:
+            for i, inv in zip(g, _each(inverse, stacked(g, x))):
+                out[i], x_inv[i] = (inv, None) if isinstance(inv, Exception) else (None, inv)
+    sols, closed = [None] * k, [None] * k
+    for g in _groups(nm, [i for i in range(k) if out[i] is None]):
+        bs = stacked(g, b)
+        fs = -np.swapaxes(bs, 1, 2) @ stacked(g, x_inv)
+        for i, f, acl in zip(g, fs, stacked(g, a) + bs @ fs):
+            try:
+                blocks = _split_rows(f, widths[i]) if widths[i] else (f,)
+            except ValueError as exc:
+                out[i] = exc
+                continue
+            sols[i] = BassSolution(float(beta[i]), x[i], x_inv[i], f, blocks)
+            closed[i] = acl
+    for g in _groups(n_of, [i for i in range(k) if sols[i] is not None]):
+        absc = spectral_abscissa(closed[g[0]]) if len(g) == 1 else spectral_abscissa(stacked(g, closed))
+        for i, ab in zip(g, np.atleast_1d(absc)):
+            if ab > -beta[i] + ABSCISSA_TOL:
+                out[i] = matlib.LyapunovError(
+                    f"closed-loop abscissa {ab:.6g} exceeds -beta = {-beta[i]:.6g}"
+                )
+            else:
+                out[i] = sols[i]
+    return out
 
 
 def decay_certificate(sol: BassSolution, times, states) -> bool:
@@ -230,46 +379,90 @@ def threshold_certificate(
     threshold takes the graph's algebraic connectivity, or with
     ``use_mohar`` its worst case 4/N^2 over connected graphs; for a
     single agent the coupling is vacuous and 4/N^2 = 4 is used.
+
+    `p` and the other arguments may also be sequences, one entry per
+    member (`g` may stay None).  The result is then a list with, per
+    member, its certificate or the exception its lone call raises; the
+    eigensolves, norms and connectivities run in stacks of one shape.
     """
-    a = p.A
-    bmat, cmat = aggregate(p)
-    n_agents = len(p.channels)
-    if len(f_blocks) != n_agents or len(l_blocks) != n_agents:
-        raise ValueError("one F and one L block per channel required")
-    names = ("M1", "M2", "Q1", "Q2")
-    m1, m2, q1, q2 = (as_matrix(m, what) for m, what in zip((m1, m2, q1, q2), names))
-    w_m1, w_m2, w_q1, w_q2 = (_check_pd(m, what) for m, what in zip((m1, m2, q1, q2), names))
-    f = np.vstack(list(f_blocks))
-    ell = np.hstack(list(l_blocks))
-    abf = a + bmat @ f
-    alc = a + ell @ cmat
-    resids = (m1 @ abf + abf.T @ m1 + 2 * q1, m2 @ alc + alc.T @ m2 + 2 * q2)
-    norms = induced_2norms([*resids, m1, abf, q1, m2, alc, q2, a, *f_blocks, *l_blocks])
-    res1, res2, n_m1, n_abf, n_q1, n_m2, n_alc, n_q2, norm_a = norms[:9].tolist()
-    scale1 = max(n_m1 * n_abf, n_q1, 1.0)
-    scale2 = max(n_m2 * n_alc, n_q2, 1.0)
-    if res1 > _IDENTITY_RTOL * scale1 or res2 > _IDENTITY_RTOL * scale2:
-        raise CertificateError(f"Lyapunov identities violated (residuals {res1:.3e}, {res2:.3e})")
-    max_f = float(norms[9 : 9 + n_agents].max())
-    theta = _theta_bound(norm_a, max_f, float(norms[9 + n_agents :].max()), n_agents)
-    delta = max(w_m1[-1], w_m2[-1])
-    eps = min(w_q1[0], w_q2[0])
-    kappa = delta / eps
-    if n_agents == 1:
-        lam2 = 4.0  # vacuous coupling; 4/N^2 convention keeps the value finite
-    elif use_mohar:
-        lam2 = mohar_bound(n_agents)
-    elif g is None:
-        raise ValueError("a graph is required for N > 1 unless use_mohar")
+    lone = isinstance(p, PlantModel)
+    if lone:
+        p, f_blocks, l_blocks, m1, q1, m2, q2, g = ([x] for x in (p, f_blocks, l_blocks, m1, q1, m2, q2, g))
     else:
-        lam2 = lambda2(g)
-    gamma_min = gamma_threshold(theta, kappa, max_f, n_agents, lam2)
-    phi_tilde = (delta / (2 * n_agents)) * np.sqrt(1 + theta**2 * delta**2 / eps**2)
-    phi_bar = 2 * delta**2 * n_agents**2 * max_f**2 / eps**2 + phi_tilde * n_agents / delta
-    return ThresholdCertificate(
-        float(theta), float(kappa), float(gamma_min), float(lam2), float(phi_bar), float(phi_tilde),
-        m1, m2, q1, q2,
-    )
+        g = _per_member(g, len(p))
+    names = ("M1", "M2", "Q1", "Q2")
+    mats = [tuple(as_matrix(m, what) for m, what in zip(ms, names)) for ms in zip(m1, m2, q1, q2)]
+    out = _certificates(p, f_blocks, l_blocks, mats, g, use_mohar)
+    return matlib._lone(out) if lone else out
+
+
+def _certificates(plants, f_blocks, l_blocks, mats, graphs, use_mohar: bool) -> list:
+    """:func:`threshold_certificate` of each member, with ``mats[i]`` its
+    validated (M1, M2, Q1, Q2).  Refusals are per member."""
+    k = len(plants)
+    out: list = [None] * k
+    for i, (p, fb, lb) in enumerate(zip(plants, f_blocks, l_blocks)):
+        if len(fb) != len(p.channels) or len(lb) != len(p.channels):
+            out[i] = ValueError("one F and one L block per channel required")
+    weights = [None] * k
+    for grp in _groups([p.n for p in plants], [i for i in range(k) if out[i] is None]):
+        ms = np.stack([m for i in grp for m in mats[i]])
+        ws = np.linalg.eigvalsh(0.5 * (ms + np.swapaxes(ms, 1, 2))).reshape(len(grp), 4, -1)
+        for i, w in zip(grp, ws):
+            refused = [e for e in map(_pd_error, w, ("M1", "M2", "Q1", "Q2")) if e]
+            out[i] = refused[0] if refused else None
+            weights[i] = w
+    live = [i for i in range(k) if out[i] is None]
+    # graph connectivity, where the threshold reads it
+    lam2 = [None] * k
+    read = [i for i in live if len(plants[i].channels) > 1 and not use_mohar and graphs[i] is not None]
+    for grp in _groups({i: graphs[i].n for i in read}, read):
+        for i, w in zip(grp, lambda2([graphs[i] for i in grp])):
+            lam2[i] = float(w)
+    loops, norm_mats = {}, []
+    for i in live:
+        p = plants[i]
+        bmat, cmat = aggregate(p)
+        m1, m2, q1, q2 = mats[i]
+        f = np.vstack(list(f_blocks[i]))
+        ell = np.hstack(list(l_blocks[i]))
+        abf = p.A + bmat @ f
+        alc = p.A + ell @ cmat
+        resids = (m1 @ abf + abf.T @ m1 + 2 * q1, m2 @ alc + alc.T @ m2 + 2 * q2)
+        loops[i] = len(norm_mats)
+        norm_mats += [*resids, m1, abf, q1, m2, alc, q2, p.A, *f_blocks[i], *l_blocks[i]]
+    all_norms = induced_2norms(norm_mats)
+    for i, at in loops.items():
+        n_agents = len(plants[i].channels)
+        norms = all_norms[at : at + 9 + 2 * n_agents]
+        res1, res2, n_m1, n_abf, n_q1, n_m2, n_alc, n_q2, norm_a = norms[:9].tolist()
+        scale1 = max(n_m1 * n_abf, n_q1, 1.0)
+        scale2 = max(n_m2 * n_alc, n_q2, 1.0)
+        if res1 > _IDENTITY_RTOL * scale1 or res2 > _IDENTITY_RTOL * scale2:
+            out[i] = CertificateError(f"Lyapunov identities violated (residuals {res1:.3e}, {res2:.3e})")
+            continue
+        max_f = float(norms[9 : 9 + n_agents].max())
+        theta = _theta_bound(norm_a, max_f, float(norms[9 + n_agents :].max()), n_agents)
+        if n_agents == 1:
+            lam2[i] = 4.0  # vacuous coupling; 4/N^2 convention keeps the value finite
+        elif use_mohar:
+            lam2[i] = mohar_bound(n_agents)
+        elif graphs[i] is None:
+            out[i] = ValueError("a graph is required for N > 1 unless use_mohar")
+            continue
+        w_m1, w_m2, w_q1, w_q2 = weights[i]
+        delta = max(w_m1[-1], w_m2[-1])
+        eps = min(w_q1[0], w_q2[0])
+        kappa = delta / eps
+        gamma_min = gamma_threshold(theta, kappa, max_f, n_agents, lam2[i])
+        phi_tilde = (delta / (2 * n_agents)) * np.sqrt(1 + theta**2 * delta**2 / eps**2)
+        phi_bar = 2 * delta**2 * n_agents**2 * max_f**2 / eps**2 + phi_tilde * n_agents / delta
+        m1, m2, q1, q2 = mats[i]
+        out[i] = ThresholdCertificate(
+            float(theta), float(kappa), float(gamma_min), float(lam2[i]), float(phi_bar), float(phi_tilde),
+            m1, m2, q1, q2,
+        )
+    return out
 
 
 def bass_certificate(
@@ -285,18 +478,25 @@ def bass_certificate(
     the certificate identities by construction.  With ``use_mohar`` the
     threshold is evaluated at the worst-case connectivity 4/N^2 instead
     of the actual graph's.
+
+    `p`, `sol`, `dual` and `g` may also be sequences, one entry per
+    member (`g` may stay None with ``use_mohar``).  The result is then a
+    list with, per member, its certificate or the exception its lone
+    call raises.
     """
-    m1 = sol.X_star_inv
-    m1 = 0.5 * (m1 + m1.T)
-    m2 = 0.5 * (dual.Y_star + dual.Y_star.T)
-    return threshold_certificate(
-        p,
-        sol.F_blocks,
-        dual.L_blocks,
+    lone = isinstance(p, PlantModel)
+    sols, duals = ([sol], [dual]) if lone else (sol, dual)
+    m1 = [0.5 * (s.X_star_inv + s.X_star_inv.T) for s in sols]
+    m2 = [0.5 * (d.Y_star + d.Y_star.T) for d in duals]
+    out = threshold_certificate(
+        [p] if lone else p,
+        [s.F_blocks for s in sols],
+        [d.L_blocks for d in duals],
         m1,
-        sol.beta * m1,
+        [s.beta * m for s, m in zip(sols, m1)],
         m2,
-        sol.beta * m2,
-        g=g,
+        [s.beta * m for s, m in zip(sols, m2)],
+        g=[g] if lone else g,
         use_mohar=use_mohar,
     )
+    return matlib._lone(out) if lone else out

@@ -4,8 +4,9 @@ Subcommands:
 
 * ``run <scenario.json> -o DIR`` — integrate a scenario, writing
   trace.csv, events.csv, and summary.json.
-* ``verify [suite] --seed S`` — run the randomized certificate suites
-  and print a pass/fail table.
+* ``verify [suite] --seed S [--json PATH]`` — run the randomized
+  certificate suites and print a pass/fail table; the JSON report also
+  gives each check's count of resampled candidates.
 * ``demo -o DIR`` — run the embedded load-transport scenario.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error.
@@ -149,7 +150,8 @@ def cmd_verify(args) -> int:
             "seed": args.seed,
             "passed": not any_fail,
             "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail, "repro": r.repro}
+                {"name": r.name, "passed": r.passed, "detail": r.detail, "repro": r.repro,
+                 "resampled": r.resampled}
                 for r in results
             ],
         }

@@ -165,12 +165,17 @@ def laplacian(g: Graph) -> np.ndarray:
     return _laplacian_cached(g)
 
 
-def lambda2(g: Graph) -> float:
-    """Second-smallest Laplacian eigenvalue (algebraic connectivity)."""
-    if g.n < 2:
+def lambda2(g: Graph):
+    """Second-smallest Laplacian eigenvalue (algebraic connectivity).
+
+    A sequence of graphs with one node count gives one value per graph,
+    as an array, from one stacked eigensolve.
+    """
+    graphs = [g] if isinstance(g, Graph) else list(g)
+    if any(gr.n < 2 for gr in graphs):
         raise ValueError("lambda2 requires at least 2 nodes")
-    w = np.linalg.eigvalsh(laplacian(g))
-    return float(w[1])
+    w = np.linalg.eigvalsh(np.stack([laplacian(gr) for gr in graphs]))[:, 1]
+    return float(w[0]) if isinstance(g, Graph) else w
 
 
 def is_connected(g: Graph) -> bool:

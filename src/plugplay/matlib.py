@@ -3,10 +3,12 @@
 Kronecker algebra, continuous-time Lyapunov solves, the matrix
 exponential, spectra, singular values, and the small validation helpers
 that keep NaN/Inf out of the numeric pipeline.  Everything is a plain
-``numpy.ndarray``; all functions are pure.  The module needs numpy only:
-the Lyapunov solve is the matrix-sign Newton iteration and the
-exponential a scaled Pade approximant, so no caller pays for importing
-a Schur or Sylvester solver.
+``numpy.ndarray``; all functions are pure.  The Lyapunov solve, the
+guarded inverse, the norms and the abscissa also take stacks of
+matrices, and answer each member as a lone call does.  The module
+needs numpy only: the Lyapunov solve is the matrix-sign Newton
+iteration and the exponential a scaled Pade approximant, so no caller
+pays for importing a Schur or Sylvester solver.
 """
 
 from __future__ import annotations
@@ -85,6 +87,41 @@ def _square(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _squares(a, name: str, check_finite: bool = True) -> np.ndarray:
+    """A square matrix as :func:`as_matrix` gives it, or a stack (k, n, n).
+
+    With ``check_finite=False`` the NaN/Inf test is skipped: the caller
+    has already checked these entries.
+    """
+    m = np.asarray(a, dtype=float)
+    if check_finite:
+        m = _stack(m, name)
+    elif m.ndim < 2:
+        m = np.atleast_2d(m)
+    if m.ndim > 3:
+        raise ValueError(f"{name} must be a matrix or a stack of them, got shape {m.shape}")
+    if m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"{name} must be square, got shape {m.shape}")
+    return m
+
+
+def _lone(out: list):
+    """The one member of a stack of one: its result, or its refusal raised.
+
+    The refusal leaves the list, and this frame, before it propagates:
+    its traceback holds the callers' frames, and an exception that those
+    frames still reached would keep them, and every array they hold,
+    alive until the cyclic garbage collector runs.
+    """
+    if not isinstance(out[0], Exception):
+        return out[0]
+    exc = out.pop()
+    try:
+        raise exc
+    finally:
+        del exc
+
+
 def kron_sum(a, b) -> np.ndarray:
     """Kronecker sum A (x) I_n + I_m (x) B of square A (m x m), B (n x n)."""
     a = _square(a, "A")
@@ -108,7 +145,8 @@ def unvec(v, rows: int, cols: int | None = None) -> np.ndarray:
 
 
 def _sign_newton(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The converged Q-iterate, ``2 X``, of the sign iteration for Hurwitz A.
+    """The converged Q-iterates, ``2 X``, of the sign iteration for a stack
+    ``(k, n, n)`` of Hurwitz A.
 
     Newton's iteration for the sign of ``Z = [[A, Q], [0, -A^T]]`` keeps
     Z block upper triangular, so it runs on the two blocks:
@@ -116,22 +154,41 @@ def _sign_newton(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     For Hurwitz A, sign(Z) is ``[[-I, 2X], [0, I]]`` (Roberts 1980).
     Far from -I, the determinant scaling ``c = |det A|^(1/n)`` (Byers
     1987) shortens the start; near it, c = 1 keeps the quadratic rate.
+
+    Each member leaves the stack after its own last step, so it takes
+    the steps it takes alone: numpy runs ``inv``, ``slogdet`` and each
+    product on every member as a lone call, and ``|A_k + I|_F`` is the
+    BLAS dot product ``np.linalg.norm`` takes.  A member still running
+    after ``SIGN_MAX_STEPS`` steps comes back as NaN.
     """
-    n = a.shape[0]
+    k, n = a.shape[:2]
+    out = np.full(a.shape, np.nan)
+    live = np.arange(k)
     eye = np.eye(n)
-    err = np.inf
+    err = np.full(k, np.inf)
     for _ in range(SIGN_MAX_STEPS):
         inv = np.linalg.inv(a)
-        if err <= _SIGN_LAST:
-            return 0.5 * (q + inv @ q @ inv.T)
-        c = np.exp(np.linalg.slogdet(a)[1] / n) if err > _SIGN_SCALED else 1.0
+        last = err <= _SIGN_LAST
+        if last.any():
+            il, ql = inv[last], q[last]
+            out[live[last]] = 0.5 * (ql + il @ ql @ np.swapaxes(il, 1, 2))
+            go = ~last
+            live, a, q, inv, err = live[go], a[go], q[go], inv[go], err[go]
+            if not live.size:
+                break
+        c = np.ones(live.size)
+        scaled = err > _SIGN_SCALED
+        if scaled.any():
+            c[scaled] = np.exp(np.linalg.slogdet(a[scaled])[1] / n)
+        c = c[:, None, None]
         a = (0.5 / c) * a + (0.5 * c) * inv
-        q = (0.5 / c) * q + (0.5 * c) * (inv @ q @ inv.T)
-        err = np.linalg.norm(a + eye)
-    raise LyapunovError(f"sign iteration did not converge in {SIGN_MAX_STEPS} steps")
+        q = (0.5 / c) * q + (0.5 * c) * (inv @ q @ np.swapaxes(inv, 1, 2))
+        d = (a + eye).reshape(live.size, 1, n * n)
+        err = np.sqrt((d @ np.swapaxes(d, 1, 2))[:, 0, 0])
+    return out
 
 
-def solve_lyapunov(a, q) -> np.ndarray:
+def solve_lyapunov(a, q, *, eig_real=None, check_finite: bool = True):
     """Solve the continuous Lyapunov equation A X + X A^T = -Q.
 
     The matrix-sign Newton iteration (Roberts 1980) with determinant
@@ -142,6 +199,15 @@ def solve_lyapunov(a, q) -> np.ndarray:
     solution is unique.  The result is symmetrized when Q is symmetric,
     and the residual is checked against ``LYAPUNOV_RTOL``.
 
+    A and Q may also be stacks ``(k, n, n)``.  Every member is then
+    solved with stacked calls that run on it as on a lone matrix, and
+    the result is a list with, per member, its X or the
+    :class:`LyapunovError` its lone call raises.  A lone call is a
+    stack of one.  ``eig_real``, the real parts of A's eigenvalues
+    (``(n,)``, or ``(k, n)`` for a stack), saves the eigensolve of the
+    half-plane test when the caller has them; ``check_finite=False``
+    skips the NaN/Inf test of arrays the caller has checked.
+
     Raises
     ------
     LyapunovError
@@ -150,31 +216,58 @@ def solve_lyapunov(a, q) -> np.ndarray:
         iteration does not converge within ``SIGN_MAX_STEPS`` steps; or
         if the residual check fails.
     """
-    a = _square(a, "A")
-    q = _square(q, "Q")
+    lone = np.ndim(a) <= 2
+    a = _squares(a, "A", check_finite)
+    q = _squares(q, "Q", check_finite)
     if a.shape != q.shape:
         raise ValueError(f"A and Q must have equal shapes, got {a.shape} vs {q.shape}")
-    norm_a, norm_q = induced_2norms([a, q])
-    re = np.linalg.eigvals(a).real
+    if not lone:
+        return _lyapunov(a, q, eig_real)
+    return _lone(_lyapunov(a[None], q[None], None if eig_real is None else np.asarray(eig_real)[None]))
+
+
+def _lyapunov(a: np.ndarray, q: np.ndarray, re) -> list:
+    k = a.shape[0]
+    out: list = [None] * k
+    if k == 0:
+        return out
+    norms = np.linalg.svd(np.concatenate([a, q]), compute_uv=False)[:, 0]
+    norm_a, norm_q = norms[:k], norms[k:]
+    re = np.linalg.eigvals(a).real if re is None else np.asarray(re, dtype=float)
+    hi, lo = re.max(axis=1), re.min(axis=1)
     margin = SINGULARITY_RTOL * norm_a
-    if re.max() < -margin:
-        x = 0.5 * _sign_newton(a, q)
-    elif re.min() > margin:
-        x = 0.5 * _sign_newton(-a, -q)
-    else:
-        raise LyapunovError(
+    hurwitz = hi < -margin
+    solvable = hurwitz | (lo > margin)
+    for i in np.flatnonzero(~solvable):
+        out[i] = LyapunovError(
             "the sign iteration needs A's spectrum in one open half-plane: "
-            f"real parts span [{re.min():.3e}, {re.max():.3e}], margin {margin:.3e}"
+            f"real parts span [{lo[i]:.3e}, {hi[i]:.3e}], margin {margin[i]:.3e}"
         )
-    if np.abs(q - q.T).max() <= 1e-13 * max(1.0, norm_q):
-        x = 0.5 * (x + x.T)
-    resid, norm_x = induced_2norms([a @ x + x @ a.T + q, x])
+    idx = np.flatnonzero(solvable)
+    if not idx.size:
+        return out
+    a, q, norm_a, norm_q = a[idx], q[idx], norm_a[idx], norm_q[idx]
+    sign = np.where(hurwitz[idx], 1.0, -1.0)[:, None, None]
+    x = 0.5 * _sign_newton(sign * a, sign * q)
+    sym = np.abs(q - np.swapaxes(q, 1, 2)).max(axis=(1, 2)) <= 1e-13 * np.maximum(1.0, norm_q)
+    x[sym] = 0.5 * (x[sym] + np.swapaxes(x[sym], 1, 2))
+    r = a @ x + x @ np.swapaxes(a, 1, 2) + q
+    fin = np.isfinite(r).all(axis=(1, 2))
+    resid, norm_x = np.full(idx.size, np.inf), np.full(idx.size, np.inf)
+    if fin.any():
+        top = np.linalg.svd(np.concatenate([r[fin], x[fin]]), compute_uv=False)[:, 0]
+        resid[fin], norm_x[fin] = top[: fin.sum()], top[fin.sum() :]
     scale = norm_a * norm_x + norm_q
-    if resid > LYAPUNOV_RTOL * max(scale, 1e-30):
-        raise LyapunovError(
-            f"Lyapunov residual {resid:.3e} exceeds {LYAPUNOV_RTOL:.1e} * {scale:.3e}"
-        )
-    return x
+    for j, i in enumerate(idx):
+        if np.isnan(x[j]).any():
+            out[i] = LyapunovError(f"sign iteration did not converge in {SIGN_MAX_STEPS} steps")
+        elif resid[j] > LYAPUNOV_RTOL * max(scale[j], 1e-30):
+            out[i] = LyapunovError(
+                f"Lyapunov residual {resid[j]:.3e} exceeds {LYAPUNOV_RTOL:.1e} * {scale[j]:.3e}"
+            )
+        else:
+            out[i] = x[j]
+    return out
 
 
 # Numerator coefficients b_0..b_13 of the [13/13] Pade approximant to
@@ -265,8 +358,12 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(as_matrix(a, "A"), compute_uv=False)
 
 
-def inverse(a) -> np.ndarray:
+def inverse(a, *, check_finite: bool = True):
     """Matrix inverse, guarded against near-singularity.
+
+    A stack ``(k, n, n)`` gives a list with, per member, its inverse or
+    the :class:`SingularMatrixError` its lone call raises.
+    ``check_finite=False`` skips the NaN/Inf test of checked arrays.
 
     Raises
     ------
@@ -274,13 +371,21 @@ def inverse(a) -> np.ndarray:
         If the smallest singular value is at most
         ``SINGULARITY_RTOL`` times the largest.
     """
-    a = _square(a, "A")
-    sv = singular_values(a)
-    if sv[-1] <= SINGULARITY_RTOL * sv[0] or sv[0] == 0.0:
-        raise SingularMatrixError(
-            f"matrix is singular to working precision (smin={sv[-1]:.3e}, smax={sv[0]:.3e})"
+    lone = np.ndim(a) <= 2
+    a = _squares(a, "A", check_finite)
+    m = a[None] if lone else a
+    sv = np.linalg.svd(m, compute_uv=False)
+    bad = (sv[:, -1] <= SINGULARITY_RTOL * sv[:, 0]) | (sv[:, 0] == 0.0)
+    out: list = [None] * len(m)
+    for i in np.flatnonzero(bad):
+        out[i] = SingularMatrixError(
+            f"matrix is singular to working precision (smin={sv[i, -1]:.3e}, smax={sv[i, 0]:.3e})"
         )
-    return np.linalg.inv(a)
+    ok = np.flatnonzero(~bad)
+    if ok.size:
+        for i, inv in zip(ok, np.linalg.inv(m if ok.size == len(m) else m[ok])):
+            out[i] = inv
+    return _lone(out) if lone else out
 
 
 def rk4_propagator(a, h: float) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .matlib import as_matrix, induced_2norms, singular_values
+from .matlib import _stack, as_matrix, induced_2norms
 
 __all__ = [
     "Channel",
@@ -142,30 +142,32 @@ def aggregate(p: PlantModel, active: Iterable[int] | None = None) -> tuple[np.nd
     return b, c
 
 
-def _rank(m: np.ndarray) -> int:
-    sv = singular_values(m)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > RANK_RTOL * sv[0]))
+def is_controllable(a, b, *, check_finite: bool = True):
+    """Kalman rank test: rank [B, AB, ..., A^(n-1) B] == n.
 
-
-def is_controllable(a, b) -> bool:
-    """Kalman rank test: rank [B, AB, ..., A^(n-1) B] == n."""
-    a = as_matrix(a, "A")
-    b = as_matrix(b, "B")
-    if a.shape[0] != a.shape[1] or b.shape[0] != a.shape[0]:
+    Stacks ``(k, n, n)`` of A and ``(k, n, m)`` of B give one answer per
+    member, as a boolean array, from one stacked SVD.
+    ``check_finite=False`` skips the NaN/Inf test of checked arrays.
+    """
+    if check_finite:
+        a, b = _stack(a, "A"), _stack(b, "B")
+    else:
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape[-1] != a.shape[-2] or b.shape[-2] != a.shape[-1] or a.shape[:-2] != b.shape[:-2]:
         raise ValueError("A must be square and B must have matching rows")
-    n = a.shape[0]
-    if b.shape[1] == 0:
-        return False
+    n = a.shape[-1]
+    if b.shape[-1] == 0:
+        return False if a.ndim == 2 else np.zeros(a.shape[0], dtype=bool)
     blocks = [b]
     for _ in range(n - 1):
         blocks.append(a @ blocks[-1])
-    return _rank(np.hstack(blocks)) == n
+    sv = np.linalg.svd(np.concatenate(blocks, axis=-1), compute_uv=False)
+    rank = (sv > RANK_RTOL * sv[..., :1]).sum(axis=-1)
+    return bool(rank == n) if a.ndim == 2 else rank == n
 
 
 def is_observable(a, c) -> bool:
     """Observability by duality: (A, C) observable iff (A^T, C^T) controllable."""
     a = as_matrix(a, "A")
     c = as_matrix(c, "C")
-    return is_controllable(a.T, c.T)
+    return is_controllable(a.T, c.T, check_finite=False)

@@ -324,6 +324,18 @@ def validate_scenario(scenario: Scenario) -> list[Interval]:
         y_star = bass.dual_bass_solve(s.plant.A, c, s.params.beta, check_observability=False).Y_star
         return Interval(t_start, t_stop, actives, chans, g, g.subgraph(actives), x_star, y_star)
 
+    def edit_edges(g: Graph, e: Event) -> Graph:
+        """g with the event's edges added, then its listed edges removed."""
+        for i, j in e.add_edges:
+            try:
+                g = g.with_edges([(i, j)])
+            except ValueError as exc:
+                raise ScenarioError(f"event at t={e.time}: cannot add edge ({i}, {j}): {exc}") from None
+        for i, j in e.remove_edges:
+            if (min(i, j), max(i, j)) not in g.edges:
+                raise ScenarioError(f"event at t={e.time}: cannot remove edge ({i}, {j}): not in the graph")
+        return g.without_edges(e.remove_edges) if e.remove_edges else g
+
     def check_graph(g: Graph, actives: tuple[int, ...], when: str):
         ga = g.subgraph(actives)
         if not is_connected(ga):
@@ -348,18 +360,12 @@ def validate_scenario(scenario: Scenario) -> list[Interval]:
                 raise ScenarioError(f"event channel id {chan.id} != agent id {e.agent_id}")
             channels[e.agent_id] = normalize_channel(chan)
             _coerce_initial_state(n, e.initial_state, e.agent_id)
-            g = g.with_node(e.agent_id, e.add_edges)
-            if e.remove_edges:
-                g = g.without_edges(e.remove_edges)
+            g = edit_edges(g.with_node(e.agent_id), e)
             actives = tuple(sorted(actives + (e.agent_id,)))
         else:
             if e.agent_id not in actives:
                 raise ScenarioError(f"agent {e.agent_id} not active at t={e.time}")
-            g = g.without_node(e.agent_id)
-            if e.add_edges:
-                g = g.with_edges(e.add_edges)
-            if e.remove_edges:
-                g = g.without_edges(e.remove_edges)
+            g = edit_edges(g.without_node(e.agent_id), e)
             actives = tuple(a for a in actives if a != e.agent_id)
             if not actives:
                 raise ScenarioError(f"no agents left after t={e.time}")

@@ -2,8 +2,11 @@
 
 Each suite draws seeded random instances, runs one of the numerical
 certificates, and reports pass/fail per check.  Failing checks carry a
-JSON-serializable reproduction blob.  All randomness flows through one
-`numpy` Generator per suite, so a seed pins the whole instance set.
+JSON-serializable reproduction blob.  A seed pins the whole instance
+set: the gain and threshold checks give each instance slot its own
+`numpy` Generator, spawned from the seed, and draw the slots in rounds
+(see :func:`random_gain_instance`); the other checks draw from one
+Generator per suite.
 """
 
 from __future__ import annotations
@@ -32,10 +35,14 @@ __all__ = [
 
 @dataclass
 class CheckResult:
+    """One check's verdict; `resampled` counts the candidates its rounds
+    drew and rejected before they accepted its instances."""
+
     name: str
     passed: bool
     detail: str = ""
     repro: dict = field(default_factory=dict)
+    resampled: int = 0
 
 
 def thread_count() -> int:
@@ -77,43 +84,82 @@ def random_connected_graph(rng: np.random.Generator, ids) -> Graph:
     return Graph.from_edges(ids, sorted(edges))
 
 
-def random_gain_instance(rng: np.random.Generator, n_max: int = 6, m_max: int = 4):
+def _slots(seed: int, count: int) -> list[np.random.Generator]:
+    """One generator per instance slot, spawned from the seed, so what a
+    slot draws does not depend on what the other slots draw."""
+    return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(count)]
+
+
+def random_gain_instance(rng, n_max: int = 6, m_max: int = 4):
     """(A, B, beta, widths, sol): controllable pair with a valid shift in [0.1, 2].
 
     A is shifted so its leftmost eigenvalue has nonnegative real part,
     which makes every beta > 0 admissible.  Pairs whose shifted Gramian
-    is conditioned worse than ~1e9 are resampled: past that point the
-    certified tolerances stop being meaningful in double precision for
-    any implementation.  The Gramian is the X* of
-    ``bass.bass_solve(A, B, beta, widths=widths)``, and sol is that
-    solution, so the caller's checks reuse the one Lyapunov solve.  sol
-    is None if that call raises; the caller repeats it for the reason.
+    is conditioned worse than ~1e9 are resampled, up to 50 draws: past
+    that point the certified tolerances stop being meaningful in double
+    precision for any implementation.  The Gramian is the X* of
+    ``bass.bass_solve(A, B, beta)``, and sol is that solution with its
+    gain split by the widths, or the exception that call raised.  A's
+    one eigensolve serves the shift and the solve.
+
+    `rng` may also be a sequence of generators, one per instance slot.
+    The slots are then drawn in rounds: each round draws one candidate
+    from every open slot, solves them all with one stacked
+    ``bass.bass_solve``, and accepts or rejects each.  A slot ends with
+    the instance a lone call on its generator gives, and the result is
+    ``(instances, rejected)``, with the count of rejected candidates.
     """
-    for _ in range(50):
-        n = int(rng.integers(2, n_max + 1))
-        m = int(rng.integers(1, min(m_max, n) + 1))
-        a = rng.normal(size=(n, n)) / np.sqrt(n)
-        a = a + (float(rng.uniform(0.0, 0.5)) - min_real_part(a)) * np.eye(n)
-        b = rng.normal(size=(n, m))
-        beta = float(rng.uniform(0.1, 2.0))
-        try:
-            sol = bass.bass_solve(a, b, beta)
-            x = sol.X_star
-        except (ValueError, np.linalg.LinAlgError):
-            sol = None
-            x = solve_lyapunov(-(a + beta * np.eye(n)), 2.0 * b @ b.T)
-        w = np.linalg.eigvalsh(x)
-        if w[0] > 1e-9 * w[-1]:
+    lone = isinstance(rng, np.random.Generator)
+    rngs = [rng] if lone else list(rng)
+    found: list = [None] * len(rngs)
+    waiting = list(range(len(rngs)))
+    rejected = 0
+    for attempt in range(1, 51):
+        drawn = []
+        for i in waiting:
+            r = rngs[i]
+            n = int(r.integers(2, n_max + 1))
+            m = int(r.integers(1, min(m_max, n) + 1))
+            a = r.normal(size=(n, n)) / np.sqrt(n)
+            up = float(r.uniform(0.0, 0.5))
+            drawn.append((i, a, up, r.normal(size=(n, m)), float(r.uniform(0.1, 2.0))))
+        aa, res = [], []
+        for (_, a, up, _, _), re in zip(drawn, bass._real_spectra([d[1] for d in drawn])):
+            shift = up - float(re.min())
+            aa.append(a + shift * np.eye(a.shape[0]))
+            res.append(re + shift)
+        bb, betas = [d[3] for d in drawn], [d[4] for d in drawn]
+        sols = bass.bass_solve(aa, bb, betas, eig_real=res)
+        grams = [
+            sol.X_star if not isinstance(sol, Exception)
+            else solve_lyapunov(-(a + beta * np.eye(a.shape[0])), 2.0 * b @ b.T)
+            for a, b, beta, sol in zip(aa, bb, betas, sols)
+        ]
+        conds = [None] * len(drawn)
+        for grp in bass._groups([x.shape[0] for x in grams], range(len(drawn))):
+            for j, w in zip(grp, np.linalg.eigvalsh(np.stack([grams[j] for j in grp]))):
+                conds[j] = w[0] > 1e-9 * w[-1]
+        waiting = []
+        for (i, *_), a, b, beta, sol, ok in zip(drawn, aa, bb, betas, sols, conds):
+            if ok or attempt == 50:
+                found[i] = (a, b, beta, sol)
+            else:
+                waiting.append(i)
+                rejected += 1
+        if not waiting:
             break
-    widths = []
-    left = m
-    while left > 0:
-        w_i = int(rng.integers(1, left + 1))
-        widths.append(w_i)
-        left -= w_i
-    if sol is not None:
-        sol = replace(sol, F_blocks=bass._split_rows(sol.F, widths))
-    return a, b, beta, tuple(widths), sol
+    out = []
+    for r, (a, b, beta, sol) in zip(rngs, found):
+        widths = []
+        left = b.shape[1]
+        while left > 0:
+            w_i = int(r.integers(1, left + 1))
+            widths.append(w_i)
+            left -= w_i
+        if not isinstance(sol, Exception):
+            sol = replace(sol, F_blocks=bass._split_rows(sol.F, widths))
+        out.append((a, b, beta, tuple(widths), sol))
+    return out[0] if lone else (out, rejected)
 
 
 def random_normalized_plant(
@@ -204,17 +250,13 @@ def _batches(instances, shape):
 
 
 def check_gain_abscissa(seed: int = 0, count: int = 200) -> CheckResult:
-    rng = np.random.default_rng(seed)
+    instances, resampled = random_gain_instance(_slots(seed, count))
     bad = []
 
     def solved():
-        for idx in range(count):
-            a, b, beta, widths, sol = random_gain_instance(rng)
-            try:
-                if sol is None:
-                    sol = bass.bass_solve(a, b, beta, widths=widths)
-            except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
-                bad.append((idx, f"solve failed: {exc}", a, b, beta))
+        for idx, (a, b, beta, _, sol) in enumerate(instances):
+            if isinstance(sol, Exception):
+                bad.append((idx, f"solve failed: {sol}", a, b, beta))
                 continue
             yield idx, a, b, beta, sol
 
@@ -238,20 +280,23 @@ def check_gain_abscissa(seed: int = 0, count: int = 200) -> CheckResult:
         not bad,
         f"{count - len(bad)}/{count} instances ok",
         {} if not bad else {"index": bad[0][0], "why": bad[0][1], "A": bad[0][2].tolist(), "B": bad[0][3].tolist(), "beta": bad[0][4]},
+        resampled,
     )
 
 
 def check_decay_envelopes(seed: int = 0, envelopes: int = 50) -> CheckResult:
-    rng = np.random.default_rng(seed + 1)
+    rngs = _slots(seed + 1, envelopes)
+    instances, resampled = random_gain_instance(rngs, n_max=4, m_max=2)
     h, horizon = 1e-3, 10.0
     steps = int(round(horizon / h))
     keep = max(1, steps // 100)
     sols, props, x0s = [], [], []
-    for _ in range(envelopes):
-        a, b, beta, widths, sol = random_gain_instance(rng, n_max=4, m_max=2)
-        sols.append(sol if sol is not None else bass.bass_solve(a, b, beta, widths=widths))
-        props.append(rk4_propagator(a + b @ sols[-1].F, h)[0])
-        x0s.append(rng.normal(size=a.shape[0]))
+    for r, (a, b, _, _, sol) in zip(rngs, instances):
+        if isinstance(sol, Exception):
+            raise sol
+        sols.append(sol)
+        props.append(rk4_propagator(a + b @ sol.F, h)[0])
+        x0s.append(r.normal(size=a.shape[0]))
     # RK4 with step h on xdot = Acl x: one batched product per step
     # advances all trajectories of one state dimension.  Stacks are not
     # zero-padded to a common size, because BLAS rounds a padded product
@@ -276,6 +321,7 @@ def check_decay_envelopes(seed: int = 0, envelopes: int = 50) -> CheckResult:
         not fails,
         f"{envelopes - len(fails)}/{envelopes} trajectories inside the envelope",
         {} if not fails else {"index": fails[0], "seed": seed},
+        resampled,
     )
 
 
@@ -437,44 +483,79 @@ def _eig_propagate(m: np.ndarray, x0: np.ndarray, t) -> np.ndarray:
     return (v @ (grow[..., None] * coef))[..., 0].real
 
 
+def _threshold_instances(seed: int, count: int):
+    """suite_theorem1's instances, drawn in rounds over one generator per slot.
+
+    A slot resamples until the certified threshold stays below ~1e8, up
+    to 60 draws: past that, eigensolver backward error (|M| * eps)
+    swamps the O(1) real parts and a Hurwitz check cannot certify
+    either way.  Each round solves its candidates' primal and dual
+    equations, certificates, closed loops at 1.01x threshold and their
+    Hurwitz tests in stacked calls.  A slot that passes draws its
+    initial state and its moderate gain next.  Returns the instances
+    that pass, the Hurwitz failures and the count of rejected candidates.
+    """
+    rngs = _slots(seed, count)
+    waiting = list(range(count))
+    passed, hurwitz_fail = [], []
+    rejected = 0
+    for attempt in range(1, 61):
+        drawn = []
+        for i in waiting:
+            r = rngs[i]
+            p = random_normalized_plant(r)
+            chans = sorted(p.channels, key=lambda c: c.id)
+            g = random_connected_graph(r, tuple(c.id for c in chans))
+            drawn.append((i, p, chans, g, float(r.uniform(0.25, 1.0))))
+        maps = [aggregate(p) for _, p, *_ in drawn]
+        pairs = bass.bass_solve_pairs(
+            [p.A for _, p, *_ in drawn], [b for b, _ in maps], [c for _, c in maps],
+            [beta for *_, beta in drawn],
+            [[c.m for c in chans] for _, _, chans, _, _ in drawn],
+            [[c.p for c in chans] for _, _, chans, _, _ in drawn],
+        )
+        for sol, dual in pairs:
+            for got in (sol, dual):
+                if isinstance(got, Exception):
+                    raise got
+        certs = bass.bass_certificate(
+            [p for _, p, *_ in drawn], [s for s, _ in pairs], [d for _, d in pairs], [d[3] for d in drawn]
+        )
+        for cert in certs:
+            if isinstance(cert, Exception):
+                raise cert
+        waiting, accepted = [], []
+        for (i, p, _, g, beta), (sol, dual), cert in zip(drawn, pairs, certs):
+            if cert.gamma_min <= 1e8 or attempt == 60:
+                accepted.append((i, p, sol.F_blocks, dual.L_blocks, g, beta, 1.01 * cert.gamma_min))
+            else:
+                waiting.append(i)
+                rejected += 1
+        for grp in bass._groups([(inst[1].n, len(inst[1].channels)) for inst in accepted], range(len(accepted))):
+            _, ps, fs, ls, gs, _, gammas = zip(*(accepted[j] for j in grp))
+            decomp = analysis.closed_loop_matrix(list(ps), list(fs), list(ls), np.array(gammas), list(gs))
+            for j, absc in zip(grp, spectral_abscissa(decomp.assembled)):
+                idx, p, *_, gamma = accepted[j]
+                if absc >= 0:
+                    hurwitz_fail.append({"index": idx, "abscissa": float(absc), "gamma": gamma})
+                    continue
+                # initial state of the flat loop over (x, xhat_1..xhat_N)
+                x0 = rngs[idx].normal(size=(len(p.channels) + 1) * p.n)
+                passed.append((*accepted[j], x0, float(rngs[idx].uniform(0.5, 20.0))))
+        if not waiting:
+            break
+    passed.sort(key=lambda inst: inst[0])
+    hurwitz_fail.sort(key=lambda item: item["index"])
+    return passed, hurwitz_fail, rejected
+
+
 def suite_theorem1(seed: int = 0, count: int = 100) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    hurwitz_fail = []
+    passed, hurwitz_fail, resampled = _threshold_instances(seed, count)
     decay_fail = []
     bounds_fail = []
     spectrum_fail = []
 
-    def hurwitz():
-        # the Hurwitz test runs as each instance is drawn: whether it
-        # passes decides the draws that follow
-        for idx in range(count):
-            # resample until the certified threshold stays below ~1e8: past
-            # that, eigensolver backward error (|M| * eps) swamps the O(1)
-            # real parts and a Hurwitz check cannot certify either way
-            for _ in range(60):
-                p = random_normalized_plant(rng)
-                n_agents = len(p.channels)
-                ids = tuple(c.id for c in sorted(p.channels, key=lambda c: c.id))
-                g = random_connected_graph(rng, ids)
-                beta = float(rng.uniform(0.25, 1.0))
-                bmat, cmat = aggregate(p)
-                sol = bass.bass_solve(p.A, bmat, beta, widths=[c.m for c in sorted(p.channels, key=lambda c: c.id)])
-                dual = bass.dual_bass_solve(p.A, cmat, beta, heights=[c.p for c in sorted(p.channels, key=lambda c: c.id)])
-                cert = bass.bass_certificate(p, sol, dual, g)
-                if cert.gamma_min <= 1e8:
-                    break
-            gamma = 1.01 * cert.gamma_min
-            decomp = analysis.closed_loop_matrix(p, sol.F_blocks, dual.L_blocks, gamma, g)
-            absc = spectral_abscissa(decomp.assembled)
-            if absc >= 0:
-                hurwitz_fail.append({"index": idx, "abscissa": absc, "gamma": gamma})
-                continue
-            # initial state of the flat loop over (x, xhat_1..xhat_N)
-            x0 = rng.normal(size=(n_agents + 1) * p.n)
-            gamma_mod = float(rng.uniform(0.5, 20.0))
-            yield idx, p, sol.F_blocks, dual.L_blocks, g, beta, gamma, x0, gamma_mod
-
-    for batch in _batches(hurwitz(), lambda inst: (inst[1].n, len(inst[1].channels))):
+    for batch in _batches(iter(passed), lambda inst: (inst[1].n, len(inst[1].channels))):
         idxs, ps, fs, ls, gs, betas, gammas, x0s, gamma_mods = zip(*batch)
         n = ps[0].n
         # s1..s5 do not depend on gamma, so the loop at gamma_mod serves
@@ -506,24 +587,28 @@ def suite_theorem1(seed: int = 0, count: int = 100) -> list[CheckResult]:
             not hurwitz_fail,
             f"{count - len(hurwitz_fail)}/{count} assembled matrices Hurwitz at 1.01x threshold",
             hurwitz_fail[0] if hurwitz_fail else {},
+            resampled,
         ),
         CheckResult(
             "closed_loop_decay",
             not decay_fail,
             f"plant state contracts below 1e-2 within 20/beta on all instances",
             decay_fail[0] if decay_fail else {},
+            resampled,
         ),
         CheckResult(
             "block_bounds_synthesized_gains",
             not bounds_fail,
             "all five block bounds hold on every instance",
             bounds_fail[0] if bounds_fail else {},
+            resampled,
         ),
         CheckResult(
             "spectrum_equivalence",
             not spectrum_fail,
             "assembled and flat closed loops have matching spectra (1e-7)",
             spectrum_fail[0] if spectrum_fail else {},
+            resampled,
         ),
     ]
     return out

@@ -324,3 +324,127 @@ class TestThresholdCertificate:
             resid = induced_2norm(m_neg @ sol.X_star + sol.X_star @ m_neg.T + 2 * b @ b.T)
             scale = induced_2norm(m_neg) * induced_2norm(sol.X_star) + induced_2norm(2 * b @ b.T)
             assert resid <= 1e-8 * scale
+
+
+def lone_or_refusal(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        return exc
+
+
+def assert_same_solution(got, want):
+    """A stack member against its lone call: the same bits, or the same refusal."""
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    assert not isinstance(got, Exception), got
+    assert type(got) is type(want)
+    for name in got.__dataclass_fields__:
+        g, w = getattr(got, name), getattr(want, name)
+        if isinstance(w, tuple):
+            assert len(g) == len(w) and all(np.array_equal(x, y) for x, y in zip(g, w))
+        else:
+            assert np.array_equal(g, w), name
+
+
+class TestStackedSynthesis:
+    """Stacks of any shapes give, per member, what the lone call gives."""
+
+    @staticmethod
+    def members(seed=3, count=60):
+        rng = np.random.default_rng(seed)
+        out = []
+        for _ in range(count):
+            n = int(rng.integers(1, 6))
+            m = int(rng.integers(1, n + 1))
+            a = rng.normal(size=(n, n))
+            beta = float(rng.uniform(0.1, 2.0)) + max(0.0, -np.linalg.eigvals(a).real.min())
+            out.append((a, rng.normal(size=(n, m)), rng.normal(size=(m, n)), beta))
+        return out
+
+    def test_random_stack_equals_lone_calls(self):
+        mem = self.members()
+        a, b, c, beta = (list(x) for x in zip(*mem))
+        widths = [[1] * x.shape[1] for x in b]
+        for got, args in zip(bass.bass_solve(a, b, beta, widths), mem):
+            assert_same_solution(got, bass.bass_solve(args[0], args[1], args[3], widths=[1] * args[1].shape[1]))
+        for got, args in zip(bass.dual_bass_solve(a, c, beta), mem):
+            assert_same_solution(got, bass.dual_bass_solve(args[0], args[2], args[3]))
+        pairs = bass.bass_solve_pairs(a, b, c, beta, [None] * len(a), [None] * len(a))
+        for (sol, dual), (ai, bi, ci, bet) in zip(pairs, mem):
+            assert_same_solution(sol, bass.bass_solve(ai, bi, bet))
+            assert_same_solution(dual, bass.dual_bass_solve(ai, ci, bet))
+
+    def test_stack_of_one_is_the_lone_call(self):
+        a, b, c, beta = self.members(count=1)[0]
+        (sol,) = bass.bass_solve([a], [b], beta)
+        assert_same_solution(sol, bass.bass_solve(a, b, beta))
+        (dual,) = bass.dual_bass_solve(a[None], c[None], [beta])
+        assert_same_solution(dual, bass.dual_bass_solve(a, c, beta))
+
+    @pytest.mark.parametrize("check", [True, False])
+    def test_mixed_stack_refuses_each_member_alone(self, check, monkeypatch):
+        # a shift below the spectrum, an uncontrollable pair (refused by the
+        # rank test, or else as a non-PD X*), a solve capped by
+        # SIGN_MAX_STEPS and bad widths, among members that are solved
+        from plugplay import matlib
+
+        monkeypatch.setattr(matlib, "SIGN_MAX_STEPS", 2)
+        a_int, b_int = double_integrator()
+        stiff = np.diag([0.0, 40.0])
+        members = [
+            (a_int, b_int, 1.0, None),
+            (-np.eye(2), np.eye(2), 0.5, None),
+            (np.eye(2), np.array([[1.0], [0.0]]), 2.0, None),
+            (stiff, np.ones((2, 1)), 1.0, None),
+            (a_int, b_int, 2.0, [2]),
+            (np.array([[1.0]]), np.array([[1.0]]), 2.0, [1]),
+            (a_int, b_int, 0.7, [1]),
+        ]
+        a, b, beta, widths = (list(x) for x in zip(*members))
+        stacked = bass.bass_solve(a, b, beta, widths, check_controllability=check)
+        lone = [lone_or_refusal(bass.bass_solve, *m[:3], widths=m[3], check_controllability=check) for m in members]
+        for got, want in zip(stacked, lone, strict=True):
+            assert_same_solution(got, want)
+        why = [str(x) if isinstance(x, Exception) else "" for x in lone]
+        assert "must exceed" in why[1]
+        assert ("not controllable" if check else "not positive definite") in why[2]
+        assert "did not converge in 2 steps" in why[3]
+        assert "do not sum" in why[4]
+        assert [w == "" for w in why] == [True, False, False, False, False, True, True]
+
+    def test_dual_checks_observability_before_the_shift(self):
+        # both refusals apply; each call keeps its own order
+        a, c = np.eye(2), np.array([[1.0, 0.0]])
+        for stacked, lone in [
+            (bass.dual_bass_solve([a], [c], 0.5)[0], lone_or_refusal(bass.dual_bass_solve, a, c, 0.5)),
+            (bass.bass_solve([a.T], [c.T], -0.5)[0], lone_or_refusal(bass.bass_solve, a.T, c.T, -0.5)),
+        ]:
+            assert_same_solution(stacked, lone)
+        assert "not observable" in str(bass.dual_bass_solve([a], [c], -0.5)[0])
+        assert "must exceed" in str(bass.bass_solve([a.T], [c.T], -0.5)[0])
+
+    def test_stacked_certificates_equal_lone_calls(self):
+        from plugplay.suites import random_connected_graph, random_normalized_plant
+
+        rng = np.random.default_rng(11)
+        plants, sols, duals, graphs = [], [], [], []
+        for _ in range(20):
+            p = random_normalized_plant(rng, agents_min=1)
+            chans = sorted(p.channels, key=lambda ch: ch.id)
+            b, c = aggregate(p)
+            beta = float(rng.uniform(0.25, 1.0))
+            plants.append(p)
+            sols.append(bass.bass_solve(p.A, b, beta, widths=[ch.m for ch in chans]))
+            duals.append(bass.dual_bass_solve(p.A, c, beta, heights=[ch.p for ch in chans]))
+            graphs.append(random_connected_graph(rng, tuple(ch.id for ch in chans)))
+        # one member without a graph, one with a broken identity
+        graphs[3] = None if len(plants[3].channels) > 1 else graphs[3]
+        sols[5] = replace(sols[5], beta=2.0 * sols[5].beta)
+        for use_mohar in (False, True):
+            stacked = bass.bass_certificate(plants, sols, duals, graphs, use_mohar=use_mohar)
+            for got, args in zip(stacked, zip(plants, sols, duals, graphs), strict=True):
+                want = lone_or_refusal(bass.bass_certificate, *args, use_mohar=use_mohar)
+                assert_same_solution(got, want)
+            assert isinstance(stacked[5], bass.CertificateError)

@@ -101,3 +101,16 @@ class TestVerify:
             "gain_synthesis_abscissa",
             "decay_envelope",
         }
+
+    def test_json_report_counts_resamples(self, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", "bass", "--seed", "3", "--json", str(out)]) == 0
+        text = capsys.readouterr().out
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        from plugplay import suites
+
+        want = {r.name: r.resampled for r in suites.suite_bass(seed=3)}
+        assert {name: c["resampled"] for name, c in checks.items()} == want
+        assert want["gain_synthesis_abscissa"] > 0
+        # the text report does not show them
+        assert "resampl" not in text

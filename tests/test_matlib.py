@@ -432,3 +432,124 @@ class TestValidation:
                 ml.induced_2norm([[1.0, bad]])
             with pytest.raises(ValueError, match="^A contains non-finite entries$"):
                 ml.induced_2norm([[[1.0, 0.0]], [[0.0, bad]]])
+
+
+def lone_or_refusal(fn, *args):
+    try:
+        return fn(*args)
+    except np.linalg.LinAlgError as exc:
+        return exc
+
+
+def assert_same_member(got, want):
+    """One stack member against its lone call: the same bits, or the same refusal."""
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert not isinstance(got, Exception), got
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestStackedSolve:
+    """A stack is solved member by member as the lone calls solve them."""
+
+    @staticmethod
+    def _by_size(pairs):
+        sizes = sorted({a.shape[0] for a, _ in pairs})
+        return [[(a, q) for a, q in pairs if a.shape[0] == n] for n in sizes]
+
+    def _agree(self, pairs):
+        for group in self._by_size(pairs):
+            stacked = ml.solve_lyapunov(np.stack([a for a, _ in group]), np.stack([q for _, q in group]))
+            assert len(stacked) == len(group)
+            for got, (a, q) in zip(stacked, group):
+                assert_same_member(got, lone_or_refusal(ml.solve_lyapunov, a, q))
+
+    def test_gain_instances_against_scipy(self):
+        rng = np.random.default_rng(14)
+        pairs = []
+        for _ in range(300):
+            a, b, beta, *_ = random_gain_instance(rng)
+            m = -(a + beta * np.eye(a.shape[0]))
+            pairs.append((m, 2.0 * b @ b.T))
+        self._agree(pairs)
+        for group in self._by_size(pairs):
+            stacked = ml.solve_lyapunov(np.stack([a for a, _ in group]), np.stack([q for _, q in group]))
+            for x, (a, q) in zip(stacked, group):
+                x_ref = scipy.linalg.solve_continuous_lyapunov(a, -q)
+                assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+
+    def test_non_normal_against_kronecker(self):
+        rng = np.random.default_rng(11)
+        pairs = []
+        for _ in range(40):
+            n = int(rng.integers(2, 7))
+            t = np.diag(-rng.uniform(0.5, 2.0, size=n)) + np.triu(rng.normal(size=(n, n)), 1)
+            s, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            pairs.append((sign * (s @ t @ s.T), rng.normal(size=(n, n))))
+        self._agree(pairs)
+        for a, q in pairs:
+            x = ml.solve_lyapunov(a, q)
+            assert np.abs(x - kron_lyapunov(a, q)).max() <= 1e-9 * max(1.0, np.abs(x).max())
+
+    def test_mixed_stack_refuses_each_member_alone(self, monkeypatch):
+        # a Hurwitz and an anti-Hurwitz member are solved; a mixed spectrum,
+        # an eigenvalue on the axis, a member that needs more steps than the
+        # cap is refused, each with its lone message
+        monkeypatch.setattr(ml, "SIGN_MAX_STEPS", 2)
+        q = np.array([[2.0, 0.5], [0.5, 1.0]])
+        members = [
+            -np.eye(2),
+            np.array([[1.0, 0.2], [0.0, 1.0]]),
+            np.diag([1.0, -1.0]),
+            -np.diag([1.0, 1e-13]),
+            -np.array([[1.0, 0.3], [0.0, 20.0]]),
+            -np.array([[1.0, 0.2], [0.0, 1.0]]),
+        ]
+        stacked = ml.solve_lyapunov(np.stack(members), np.stack([q] * len(members)))
+        lone = [lone_or_refusal(ml.solve_lyapunov, a, q) for a in members]
+        for got, want in zip(stacked, lone, strict=True):
+            assert_same_member(got, want)
+        kinds = ["half-plane" in str(x) if isinstance(x, Exception) else "solved" for x in lone]
+        assert kinds.count("solved") == 3 and kinds.count(True) == 2
+        assert "did not converge in 2 steps" in str(lone[4])
+
+    def test_stack_of_one_is_the_lone_call(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 3, 6):
+            a = rng.normal(size=(n, n)) - 3 * np.eye(n)
+            q = rng.normal(size=(n, n))
+            (x,) = ml.solve_lyapunov(a[None], q[None])
+            assert_same_member(x, ml.solve_lyapunov(a, q))
+            (inv,) = ml.inverse(a[None])
+            assert_same_member(inv, ml.inverse(a))
+
+    def test_eigenvalues_supplied_by_the_caller(self):
+        # the half-plane test reads the supplied real parts instead of
+        # solving for them; the solution does not depend on them
+        a = -np.array([[1.0, 0.3], [0.0, 2.0]])
+        q = np.eye(2)
+        assert np.array_equal(ml.solve_lyapunov(a, q, eig_real=[-1.0, -2.0]), ml.solve_lyapunov(a, q))
+        with pytest.raises(ml.LyapunovError, match="half-plane"):
+            ml.solve_lyapunov(a, q, eig_real=[-1.0, 2.0])
+
+    def test_stacked_inverse_refuses_singular_members(self):
+        members = np.array([[[2.0, 1.0], [1.0, 1.0]], [[1.0, 2.0], [2.0, 4.0]], np.zeros((2, 2)), np.eye(2)])
+        for got, a in zip(ml.inverse(members), members, strict=True):
+            assert_same_member(got, lone_or_refusal(ml.inverse, a))
+        assert [isinstance(x, ml.SingularMatrixError) for x in ml.inverse(members)] == [False, True, True, False]
+
+    def test_non_finite_stacks_refused(self):
+        a = np.stack([-np.eye(2)] * 3)
+        bad = a.copy()
+        bad[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="^A contains non-finite entries$"):
+            ml.solve_lyapunov(bad, a)
+        bad[1, 0, 1] = np.inf
+        with pytest.raises(ValueError, match="^Q contains non-finite entries$"):
+            ml.solve_lyapunov(a, bad)
+        with pytest.raises(ValueError, match="^A contains non-finite entries$"):
+            ml.inverse(bad)
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            ml.as_matrix([[np.inf]])

@@ -250,6 +250,34 @@ class TestValidation:
             validate_scenario(replace(scen, x0=np.array([1.0, 2.0])))
 
     @staticmethod
+    def _edit_event(k, **edges):
+        scen = build_load_transport_scenario(t_leave=0.5, t_join=1.0, t_end=1.5)
+        events = list(scen.events)
+        events[k] = replace(events[k], **edges)
+        return replace(scen, events=tuple(events))
+
+    @pytest.mark.parametrize(
+        "k, edges, match",
+        [
+            # the leave of agent 2 "heals" with an edge the graph has
+            (0, {"add_edges": ((1, 3),)}, r"event at t=0.5: cannot add edge \(1, 3\): duplicate edges"),
+            (1, {"add_edges": ((4, 1), (4, 42))}, r"event at t=1.0: cannot add edge \(4, 42\): .*unknown node"),
+            (1, {"add_edges": ((4, 1), (4, 4))}, r"event at t=1.0: cannot add edge \(4, 4\): self-loop"),
+            (2, {"add_edges": ((5, 4), (5, 3), (4, 5))}, r"cannot add edge \(4, 5\): duplicate edges"),
+            (0, {"remove_edges": ((1, 2),)}, r"event at t=0.5: cannot remove edge \(1, 2\): not in the graph"),
+            (3, {"remove_edges": ((6, 5),)}, r"event at t=1.0: cannot remove edge \(6, 5\): not in the graph"),
+        ],
+        ids=["duplicate_heal", "unknown_node", "self_loop", "repeated_edge", "remove_left_node", "remove_missing"],
+    )
+    def test_bad_event_edges_rejected(self, k, edges, match):
+        with pytest.raises(ScenarioError, match=match):
+            validate_scenario(self._edit_event(k, **edges))
+
+    def test_event_edge_removal_applies(self):
+        intervals = validate_scenario(self._edit_event(3, remove_edges=((6, 1),)))
+        assert (1, 6) not in intervals[-1].graph.edges and (3, 6) in intervals[-1].graph.edges
+
+    @staticmethod
     def _join_with_state(initial_state):
         scen = build_load_transport_scenario(t_leave=0.5, t_join=1.0, t_end=1.5)
         events = tuple(
