@@ -264,14 +264,14 @@ def _synthesize(a, b, beta, widths, re, rank, rank_first) -> list:
         lo = max(0.0, -float(np.min(re[i])))
         if beta[i] <= lo:
             out[i] = ValueError(f"shift beta={beta[i]} must exceed max(0, -min Re eig(A)) = {lo:.6g}")
+    def stacked(g, mats):  # the members g of a per-member list, as one array
+        return mats[g[0]][None] if len(g) == 1 else np.stack([mats[i] for i in g])
+
     tested = [i for i in range(k) if rank[i] is not None and (out[i] is None or rank_first[i])]
     for g in _groups(nm, tested):
-        for i, ok in zip(g, _each(is_controllable, np.stack([a[i] for i in g]), np.stack([b[i] for i in g]))):
+        for i, ok in zip(g, _each(is_controllable, stacked(g, a), stacked(g, b))):
             if not ok:
                 out[i] = ValueError(rank[i])
-
-    def stacked(g, mats):  # the members g of a per-member list, as one array
-        return np.stack([mats[i] for i in g])
 
     q, x = [None] * k, [None] * k
     for g in _groups(nm, [i for i in range(k) if out[i] is None]):

@@ -176,10 +176,13 @@ def _sign_newton(a: np.ndarray, q: np.ndarray) -> np.ndarray:
             live, a, q, inv, err = live[go], a[go], q[go], inv[go], err[go]
             if not live.size:
                 break
-        c = np.ones(live.size)
         scaled = err > _SIGN_SCALED
-        if scaled.any():
-            c[scaled] = np.exp(np.linalg.slogdet(a[scaled])[1] / n)
+        if scaled.all():
+            c = np.exp(np.linalg.slogdet(a)[1] / n)
+        else:
+            c = np.ones(live.size)
+            if scaled.any():
+                c[scaled] = np.exp(np.linalg.slogdet(a[scaled])[1] / n)
         c = c[:, None, None]
         a = (0.5 / c) * a + (0.5 * c) * inv
         q = (0.5 / c) * q + (0.5 * c) * (inv @ q @ np.swapaxes(inv, 1, 2))
@@ -250,7 +253,10 @@ def _lyapunov(a: np.ndarray, q: np.ndarray, re) -> list:
     sign = np.where(hurwitz[idx], 1.0, -1.0)[:, None, None]
     x = 0.5 * _sign_newton(sign * a, sign * q)
     sym = np.abs(q - np.swapaxes(q, 1, 2)).max(axis=(1, 2)) <= 1e-13 * np.maximum(1.0, norm_q)
-    x[sym] = 0.5 * (x[sym] + np.swapaxes(x[sym], 1, 2))
+    if sym.all():
+        x = 0.5 * (x + np.swapaxes(x, 1, 2))
+    elif sym.any():
+        x[sym] = 0.5 * (x[sym] + np.swapaxes(x[sym], 1, 2))
     r = a @ x + x @ np.swapaxes(a, 1, 2) + q
     fin = np.isfinite(r).all(axis=(1, 2))
     resid, norm_x = np.full(idx.size, np.inf), np.full(idx.size, np.inf)
@@ -258,8 +264,9 @@ def _lyapunov(a: np.ndarray, q: np.ndarray, re) -> list:
         top = np.linalg.svd(np.concatenate([r[fin], x[fin]]), compute_uv=False)[:, 0]
         resid[fin], norm_x[fin] = top[: fin.sum()], top[fin.sum() :]
     scale = norm_a * norm_x + norm_q
+    unconverged = np.isnan(x).any(axis=(1, 2))
     for j, i in enumerate(idx):
-        if np.isnan(x[j]).any():
+        if unconverged[j]:
             out[i] = LyapunovError(f"sign iteration did not converge in {SIGN_MAX_STEPS} steps")
         elif resid[j] > LYAPUNOV_RTOL * max(scale[j], 1e-30):
             out[i] = LyapunovError(
